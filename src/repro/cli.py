@@ -733,7 +733,9 @@ def cmd_power(args) -> int:
             rows.append([power.label, 0, "no attack tools"])
             continue
         target = PbftTarget(plugins, config=PbftConfig.campaign_scale())
-        campaign = run_campaign(AvdExploration(target, plugins, seed=args.seed), args.budget)
+        campaign = run_campaign(
+            AvdExploration(target, plugins, seed=args.seed), CampaignSpec(budget=args.budget)
+        )
         estimate = estimate_difficulty(campaign.results, power)
         rows.append(
             [

@@ -6,18 +6,11 @@ of test scenarios (:mod:`repro.core.hyperspace`) through tool plugins
 Baseline strategies and the attacker power model live alongside.
 """
 
-from .backends import (
-    BACKEND_NAMES,
-    BackendBroken,
-    ExecutorBackend,
-    TransportFailure,
-    TransportTimeout,
-    WorkStealingScheduler,
-)
+from .backends import BACKEND_NAMES, WorkStealingScheduler
 from .campaign import CampaignResult, compare_campaigns, run_campaign
 from .controller import ControllerConfig, TestController
 from .coverage import CoverageMap, extract_features, signature_of
-from .executor import ScenarioExecutor, TargetSystem, publish_executed
+from .executor import ScenarioExecutor, publish_executed
 from .failures import (
     Quarantine,
     RetryPolicy,
@@ -89,7 +82,6 @@ __all__ = [
     "AttackerPower",
     "AvdExploration",
     "BACKEND_NAMES",
-    "BackendBroken",
     "CampaignResult",
     "CampaignSpec",
     "ChoiceDimension",
@@ -100,7 +92,6 @@ __all__ = [
     "CoverageMap",
     "DifficultyEstimate",
     "Dimension",
-    "ExecutorBackend",
     "ExhaustiveExploration",
     "ExplorationStrategy",
     "GeneticExploration",
@@ -128,13 +119,10 @@ __all__ = [
     "SnapshotRestoreError",
     "snapshot",
     "Target",
-    "TargetSystem",
     "TestController",
     "TestScenario",
     "ToolPlugin",
     "TopSet",
-    "TransportFailure",
-    "TransportTimeout",
     "WorkStealingScheduler",
     "WorkerServer",
     "available_plugins",

@@ -1,260 +1,75 @@
-"""Executor backends: where a batch of scenarios actually runs.
+"""The execution mechanism: channels to workers and the scheduler over them.
 
-:class:`~repro.core.parallel.ParallelScenarioExecutor` is the policy
-layer — batching, submission-order results, telemetry publication, local
-fallback, per-suspect retry. *This* module is the mechanism layer: an
-:class:`ExecutorBackend` turns "run these scenarios" into work on some
-set of executors, and reports transport trouble in a uniform vocabulary
-so the policy layer never needs to know whether a worker was a forked
-process or a TCP peer:
+Three layers run a batch of scenarios:
 
-- :exc:`BackendBroken` — the batch transport failed on the fail-loud
-  (non-isolated) path; the caller redoes the whole batch locally.
-- :exc:`TransportFailure` / :exc:`TransportTimeout` — a single
-  re-driven scenario lost its worker / exceeded the wall-clock backstop;
-  the caller applies the retry policy (these map onto the
-  ``worker-crash`` / ``timeout`` failure kinds).
-- ``run_batch_isolated`` returns ``None`` slots for scenarios whose
-  results the transport lost; the caller re-drives them one at a time so
-  a worker-killing scenario is identified exactly.
+- :mod:`repro.core.worker` is the **serve side**: one
+  :class:`~repro.core.worker.WorkerSession` loop behind a stream socket.
+- *This* module is the **mechanism**: a :class:`Channel` is the client end
+  of one worker session, and :class:`WorkStealingScheduler` pulls one batch
+  through a set of channels.
+- :class:`~repro.core.parallel.ParallelScenarioExecutor` is the **policy**:
+  batching, submission-order results, telemetry publication, degradation
+  to local execution, per-suspect retry.
 
-Three backends ship:
+There are two ways to open a channel and one protocol behind both:
 
-``inprocess``
-    No workers at all — the policy layer's local executor runs every
-    scenario in the controller's process. The reference backend: the
-    other two must reproduce its results bit for bit.
-``process``
-    The original ``concurrent.futures`` process pool (one initializer-
-    built :class:`~repro.core.executor.ScenarioExecutor` per worker
-    process). Behaviour is identical to the pre-backend code, including
-    pool teardown/rebuild accounting.
-``socket``
-    Remote workers (:mod:`repro.core.worker`) spoken to over
-    length-prefixed pickle frames, scheduled by
-    :class:`WorkStealingScheduler`: connections *pull* scenarios from a
-    shared queue instead of having them dealt out round-robin, so a
-    straggling host holds back only the scenario it is executing while
-    faster hosts drain the rest of the batch.
+``Channel.spawn`` (``--backend process``)
+    Starts a child process that serves the other end of a
+    ``socket.socketpair()`` on its main thread.
+``Channel.dial`` (``--backend socket``)
+    Connects to a ``repro worker`` listening on ``host:port``.
 
-Determinism: a backend chooses *where* scenarios run, never *what* they
-compute — every scenario's seed derives from ``(campaign_seed, key)``,
-and the policy layer reassembles results in submission order. Swapping
-backends therefore changes wall-clock only; the conformance suite
-(``tests/core/test_backends.py``) pins trajectory identity across all
-three.
+Both send the same hello, which carries the pickled target. A spawned
+child could in principle use the target it inherited, but then a local
+worker would start from different state than a remote one, the start
+method would matter, and a target that cannot be pickled would run on
+children but not on hosts. One blob keeps one contract: what the worker
+executes is exactly what crossed the wire.
+
+``--backend inprocess`` opens no channel at all; the policy layer runs
+those batches on its own executor.
+
+Trouble on a channel is reported in one vocabulary. :exc:`ChannelError`
+means the worker is gone (died, connection torn, unexpected reply) and
+:exc:`ChannelTimeout` means it blew through the wall-clock backstop;
+either way the channel has already closed itself — and killed its child,
+if it had one — by the time the exception reaches the caller.
+
+Determinism: a channel chooses *where* a scenario runs, never *what* it
+computes — every scenario's seed derives from ``(campaign_seed, key)``,
+and the scheduler returns results in submission order. The conformance
+suite (``tests/core/test_backends.py``) pins trajectory identity across
+all three ``--backend`` names.
 """
 
 from __future__ import annotations
 
-import pickle
+import multiprocessing
 import socket
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .failures import RetryPolicy, describe_exception
+from .failures import describe_exception
 from .scenario import ScenarioResult, TestScenario
-from .worker import PROTOCOL_VERSION, FrameError, parse_host, recv_frame, send_frame
+from .worker import (
+    PROTOCOL_VERSION,
+    FrameError,
+    parse_host,
+    recv_frame,
+    send_frame,
+    serve_socket,
+)
 
 #: Names accepted by ``--backend`` / ``CampaignSpec.backend``.
 BACKEND_NAMES = ("process", "inprocess", "socket")
 
-
-class BackendBroken(Exception):
-    """The batch transport failed; redo the batch on the local executor."""
-
-
-class TransportFailure(Exception):
-    """A worker was lost mid-scenario (crash, torn connection)."""
+#: Seconds a dialled worker gets to accept the connection and answer the
+#: hello (a spawned child gets no limit: it is this program, and if it
+#: dies the handshake reads EOF).
+CONNECT_TIMEOUT = 10.0
 
 
-class TransportTimeout(TransportFailure):
-    """A worker blew through the wall-clock backstop and was abandoned."""
-
-
-class ExecutorBackend:
-    """The contract the policy layer programs against.
-
-    Lifecycle: :meth:`ensure` is called before any batch and may be
-    called again after :meth:`reset`; a backend that cannot (or can no
-    longer) provide workers returns ``False``, and the policy layer
-    falls back to local execution permanently.
-    """
-
-    name: str = "abstract"
-
-    def ensure(self) -> bool:
-        raise NotImplementedError
-
-    def run_batch(
-        self, scenarios: Sequence[TestScenario], start_index: int
-    ) -> List[ScenarioResult]:
-        """Fail-loud batch: scenario exceptions propagate; transport
-        trouble raises :exc:`BackendBroken`."""
-        raise NotImplementedError
-
-    def run_batch_isolated(
-        self, scenarios: Sequence[TestScenario], start_index: int
-    ) -> List[Optional[ScenarioResult]]:
-        """Crash-safe batch: one slot per scenario, ``None`` where the
-        transport lost the result (the caller re-drives those)."""
-        raise NotImplementedError
-
-    def run_one_isolated(self, scenario: TestScenario, test_index: int) -> ScenarioResult:
-        """One crash-safe scenario on a fresh/live worker; raises
-        :exc:`TransportFailure`/:exc:`TransportTimeout` on loss."""
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Tear down workers after a transport failure (rebuild on next
-        :meth:`ensure`). Increments :attr:`rebuilds`."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    #: Worker teardown/rebuild cycles (kept by every implementation).
-    rebuilds: int = 0
-
-
-# ---------------------------------------------------------------------------
-# process pool
-# ---------------------------------------------------------------------------
-class ProcessPoolBackend(ExecutorBackend):
-    """The classic same-host pool, verbatim semantics of the pre-backend
-    code: target pickled once into every worker's initializer, futures
-    collected in submission order, broken pools hard-killed and rebuilt.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        target: Any,
-        target_blob: bytes,
-        campaign_seed: int,
-        workers: int,
-        timeout: Optional[float],
-        retry: RetryPolicy,
-        coverage_capture: bool,
-        wait_budget: Callable[[], Optional[float]],
-    ) -> None:
-        # Imported lazily to avoid a cycle (parallel imports this module).
-        from . import parallel as parallel_mod
-
-        self._parallel_mod = parallel_mod
-        self.target = target
-        self.target_blob = target_blob
-        self.campaign_seed = campaign_seed
-        self.workers = workers
-        self.timeout = timeout
-        self.retry = retry
-        self.coverage_capture = coverage_capture
-        self._wait_budget = wait_budget
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.rebuilds = 0
-
-    def ensure(self) -> bool:
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=self._parallel_mod._init_worker,
-                initargs=(
-                    self.target_blob,
-                    self.campaign_seed,
-                    self.timeout,
-                    self.retry,
-                    self.coverage_capture,
-                ),
-            )
-        return True
-
-    def run_batch(
-        self, scenarios: Sequence[TestScenario], start_index: int
-    ) -> List[ScenarioResult]:
-        assert self.pool is not None
-        try:
-            futures = [
-                self.pool.submit(
-                    self._parallel_mod._execute_in_worker, scenario, start_index + offset
-                )
-                for offset, scenario in enumerate(scenarios)
-            ]
-            return [future.result() for future in futures]
-        except (BrokenProcessPool, pickle.PicklingError) as exc:
-            raise BackendBroken(describe_exception(exc)) from exc
-
-    def run_batch_isolated(
-        self, scenarios: Sequence[TestScenario], start_index: int
-    ) -> List[Optional[ScenarioResult]]:
-        assert self.pool is not None
-        slots: List[Optional[ScenarioResult]] = [None] * len(scenarios)
-        futures = [
-            self.pool.submit(
-                self._parallel_mod._execute_in_worker_isolated,
-                scenario,
-                start_index + offset,
-            )
-            for offset, scenario in enumerate(scenarios)
-        ]
-        broken = False
-        for offset, future in enumerate(futures):
-            try:
-                # After a break, drain whatever already completed (0s wait).
-                slots[offset] = future.result(timeout=0 if broken else self._wait_budget())
-            except (BrokenProcessPool, FutureTimeout, OSError):
-                broken = True
-        if broken:
-            self.reset()
-        return slots
-
-    def run_one_isolated(self, scenario: TestScenario, test_index: int) -> ScenarioResult:
-        self.ensure()
-        assert self.pool is not None
-        try:
-            return self.pool.submit(
-                self._parallel_mod._execute_in_worker_isolated, scenario, test_index
-            ).result(timeout=self._wait_budget())
-        except FutureTimeout as exc:
-            raise TransportTimeout(
-                "worker exceeded the wall-clock backstop "
-                f"({self._wait_budget():.1f}s) and was killed"
-            ) from exc
-        except (BrokenProcessPool, OSError) as exc:
-            raise TransportFailure(
-                f"worker process died mid-scenario ({type(exc).__name__})"
-            ) from exc
-
-    def reset(self) -> None:
-        """Hard-kill the pool (workers may be hung; a clean join could block)."""
-        if self.pool is None:
-            return
-        processes = list(getattr(self.pool, "_processes", {}).values())
-        for process in processes:
-            try:
-                process.kill()
-            except Exception:  # pragma: no cover - already-dead workers
-                pass
-        try:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # pragma: no cover - python < 3.9
-            self.pool.shutdown(wait=False)
-        self.pool = None
-        self.rebuilds += 1
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
-
-
-# ---------------------------------------------------------------------------
-# work-stealing scheduler (used by the socket backend; generic over channels)
-# ---------------------------------------------------------------------------
 class ChannelError(Exception):
     """A channel died: its in-flight task is lost, the channel is out."""
 
@@ -340,33 +155,72 @@ class WorkStealingScheduler:
         return slots, unfinished
 
 
-# ---------------------------------------------------------------------------
-# socket backend
-# ---------------------------------------------------------------------------
-class SocketChannel:
-    """One connected worker session (client side of :mod:`repro.core.worker`)."""
+class Channel:
+    """The client end of one worker session.
 
-    def __init__(self, endpoint: str) -> None:
-        self.endpoint = endpoint
-        self.host, self.port = parse_host(endpoint)
-        self.sock: Optional[socket.socket] = None
+    Built by :meth:`dial` or :meth:`spawn`, never directly: both return a
+    channel whose hello has been answered, or raise :exc:`ChannelError` /
+    ``OSError``. ``process`` is the child behind a spawned channel and
+    ``None`` for a dialled one.
+    """
+
+    def __init__(
+        self,
+        label: str,
+        sock: socket.socket,
+        process: Optional[multiprocessing.Process] = None,
+    ) -> None:
+        self.label = label
+        self.sock: Optional[socket.socket] = sock
+        self.process = process
+
+    @classmethod
+    def dial(cls, endpoint: str, hello: Dict[str, Any]) -> "Channel":
+        """Open a session with the ``repro worker`` at ``host[:port]``."""
+        sock = socket.create_connection(parse_host(endpoint), timeout=CONNECT_TIMEOUT)
+        return cls(f"worker {endpoint}", sock)._handshake(hello)
+
+    @classmethod
+    def spawn(
+        cls, label: str, hello: Dict[str, Any], siblings: Sequence["Channel"] = ()
+    ) -> "Channel":
+        """Start a local worker process and open a session with it.
+
+        The child comes from ``multiprocessing.Process`` in the platform's
+        default start method. ``siblings`` are the channels already open:
+        a forked child inherits their sockets and must drop them (see
+        :func:`~repro.core.worker.serve_socket`).
+        """
+        ours, theirs = socket.socketpair()
+        inherited = [ours] + [c.sock for c in siblings if c.sock is not None]
+        process = multiprocessing.Process(
+            target=serve_socket, args=(theirs, inherited), name=label, daemon=True
+        )
+        try:
+            process.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        return cls(f"local worker {label}", ours, process)._handshake(hello)
+
+    def _handshake(self, hello: Dict[str, Any]) -> "Channel":
+        assert self.sock is not None
+        try:
+            send_frame(self.sock, "hello", {"protocol": PROTOCOL_VERSION, **hello})
+            kind, payload = recv_frame(self.sock)
+        except BaseException:
+            self.close()
+            raise
+        if kind != "ready":
+            self.close()
+            raise ChannelError(f"{self.label} refused the session: {payload!r}")
+        return self
 
     @property
     def alive(self) -> bool:
         return self.sock is not None
-
-    def connect(self, hello: Dict[str, Any], connect_timeout: float) -> None:
-        """Dial the worker and complete the hello handshake."""
-        sock = socket.create_connection((self.host, self.port), timeout=connect_timeout)
-        try:
-            send_frame(sock, "hello", hello)
-            kind, payload = recv_frame(sock)
-            if kind != "ready":
-                raise ChannelError(f"worker {self.endpoint} refused the session: {payload!r}")
-        except Exception:
-            sock.close()
-            raise
-        self.sock = sock
 
     def call(
         self,
@@ -375,9 +229,9 @@ class SocketChannel:
         isolated: bool,
         wait_timeout: Optional[float],
     ) -> ScenarioResult:
-        """Execute one scenario remotely; :exc:`ChannelError` on transport loss."""
+        """Execute one scenario on the worker; :exc:`ChannelError` on loss."""
         if self.sock is None:
-            raise ChannelError(f"worker {self.endpoint} is not connected")
+            raise ChannelError(f"{self.label} is not connected")
         try:
             self.sock.settimeout(wait_timeout)
             send_frame(
@@ -389,21 +243,40 @@ class SocketChannel:
         except socket.timeout as exc:
             self.close()
             raise ChannelTimeout(
-                f"worker {self.endpoint} exceeded the wall-clock backstop"
+                f"{self.label} exceeded the wall-clock backstop "
+                f"({wait_timeout:.1f}s) and was abandoned"
             ) from exc
         except (FrameError, OSError) as exc:
             self.close()
-            raise ChannelError(
-                f"lost worker {self.endpoint} ({describe_exception(exc)})"
-            ) from exc
+            raise ChannelError(f"lost {self.label} ({describe_exception(exc)})") from exc
         if kind == "result":
             return payload
         if kind == "raise" and isinstance(payload, BaseException):
             raise payload  # fail-loud path: the scenario itself raised
         self.close()
-        raise ChannelError(f"worker {self.endpoint} sent unexpected {kind!r}")
+        raise ChannelError(f"{self.label} sent unexpected {kind!r}")
 
     def close(self) -> None:
+        """Drop the session now. A child is killed, not asked: it may be
+        hung in a scenario, where a polite join would block forever."""
+        self._close_socket()
+        if self.process is not None:
+            self.process.kill()
+            self.process.join()
+
+    def goodbye(self) -> None:
+        """End the session politely: send ``bye``, then reap the child, so
+        its CPU and RSS are in ``RUSAGE_CHILDREN`` when this returns."""
+        if self.sock is not None:
+            try:
+                send_frame(self.sock, "bye")
+            except OSError:
+                pass
+        self._close_socket()
+        if self.process is not None:
+            self.process.join()
+
+    def _close_socket(self) -> None:
         if self.sock is not None:
             try:
                 self.sock.close()
@@ -411,152 +284,12 @@ class SocketChannel:
                 pass
             self.sock = None
 
-    def goodbye(self) -> None:
-        """Polite session end (best effort) + close."""
-        if self.sock is not None:
-            try:
-                send_frame(self.sock, "bye")
-            except OSError:
-                pass
-        self.close()
-
-
-class SocketBackend(ExecutorBackend):
-    """Remote workers behind :class:`WorkStealingScheduler`.
-
-    ``hosts`` lists worker endpoints (``host[:port]``); each gets one
-    session carrying the same pickled-target hello the process pool's
-    initializer receives. A batch runs fine on whatever subset of hosts
-    is reachable; when *no* host is reachable (at first contact or after
-    failures), :meth:`ensure` returns ``False`` and the policy layer
-    falls back to local execution — same degradation contract as a
-    non-picklable target on the process pool.
-    """
-
-    name = "socket"
-
-    #: Dial timeout per host, seconds.
-    CONNECT_TIMEOUT = 10.0
-
-    def __init__(
-        self,
-        target: Any,
-        target_blob: bytes,
-        campaign_seed: int,
-        hosts: Sequence[str],
-        timeout: Optional[float],
-        retry: RetryPolicy,
-        coverage_capture: bool,
-        wait_budget: Callable[[], Optional[float]],
-    ) -> None:
-        if not hosts:
-            raise ValueError("the socket backend needs at least one worker host")
-        self.target = target
-        self.target_blob = target_blob
-        self.campaign_seed = campaign_seed
-        self.hosts = list(hosts)
-        self.timeout = timeout
-        self.retry = retry
-        self.coverage_capture = coverage_capture
-        self._wait_budget = wait_budget
-        self.channels: List[SocketChannel] = []
-        self.rebuilds = 0
-        self._unreachable = False
-
-    def _hello(self) -> Dict[str, Any]:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "target_blob": self.target_blob,
-            "campaign_seed": self.campaign_seed,
-            "timeout": self.timeout,
-            "retry": self.retry.to_dict(),
-            "coverage_capture": self.coverage_capture,
-        }
-
-    def ensure(self) -> bool:
-        if self._unreachable:
-            return False
-        live = [channel for channel in self.channels if channel.alive]
-        if live:
-            self.channels = live
-            return True
-        self.channels = []
-        hello = self._hello()
-        for endpoint in self.hosts:
-            channel = SocketChannel(endpoint)
-            try:
-                channel.connect(hello, self.CONNECT_TIMEOUT)
-            except (ChannelError, OSError):
-                continue
-            self.channels.append(channel)
-        if not self.channels:
-            self._unreachable = True
-            return False
-        return True
-
-    def _scheduler(self) -> WorkStealingScheduler:
-        return WorkStealingScheduler([c for c in self.channels if c.alive])
-
-    def run_batch(
-        self, scenarios: Sequence[TestScenario], start_index: int
-    ) -> List[ScenarioResult]:
-        wait = self._wait_budget()
-        scheduler = self._scheduler()
-        slots, unfinished = scheduler.run(
-            [(scenario, start_index + offset) for offset, scenario in enumerate(scenarios)],
-            lambda channel, task: channel.call(task[0], task[1], False, wait),
-        )
-        if unfinished:
-            raise BackendBroken(
-                f"{len(unfinished)} scenario(s) lost their worker connections"
-            )
-        return list(slots)  # type: ignore[arg-type]
-
-    def run_batch_isolated(
-        self, scenarios: Sequence[TestScenario], start_index: int
-    ) -> List[Optional[ScenarioResult]]:
-        wait = self._wait_budget()
-        scheduler = self._scheduler()
-        slots, _unfinished = scheduler.run(
-            [(scenario, start_index + offset) for offset, scenario in enumerate(scenarios)],
-            lambda channel, task: channel.call(task[0], task[1], True, wait),
-        )
-        return slots
-
-    def run_one_isolated(self, scenario: TestScenario, test_index: int) -> ScenarioResult:
-        if not self.ensure():
-            raise TransportFailure("no reachable worker hosts")
-        channel = next(c for c in self.channels if c.alive)
-        try:
-            return channel.call(scenario, test_index, True, self._wait_budget())
-        except ChannelTimeout as exc:
-            raise TransportTimeout(str(exc)) from exc
-        except ChannelError as exc:
-            raise TransportFailure(str(exc)) from exc
-
-    def reset(self) -> None:
-        """Drop every session; the next :meth:`ensure` re-dials all hosts."""
-        for channel in self.channels:
-            channel.close()
-        self.channels = []
-        self.rebuilds += 1
-
-    def close(self) -> None:
-        for channel in self.channels:
-            channel.goodbye()
-        self.channels = []
-
 
 __all__ = [
     "BACKEND_NAMES",
-    "BackendBroken",
+    "CONNECT_TIMEOUT",
+    "Channel",
     "ChannelError",
     "ChannelTimeout",
-    "ExecutorBackend",
-    "ProcessPoolBackend",
-    "SocketBackend",
-    "SocketChannel",
-    "TransportFailure",
-    "TransportTimeout",
     "WorkStealingScheduler",
 ]

@@ -77,16 +77,8 @@ class CampaignResult:
         return out
 
 
-def run_campaign(
-    strategy: ExplorationStrategy,
-    spec: Optional[CampaignSpec] = None,
-    **legacy,
-) -> CampaignResult:
+def run_campaign(strategy: ExplorationStrategy, spec: CampaignSpec) -> CampaignResult:
     """Run a strategy to its spec'd budget and wrap the results.
-
-    Pass a :class:`~repro.core.spec.CampaignSpec`; the legacy calling
-    convention ``run_campaign(strategy, budget, workers=..., ...)`` still
-    works through a shim that raises ``DeprecationWarning``.
 
     ``workers``/``batch_size`` enable concurrent scenario execution for the
     strategies that support it (AVD, random, exhaustive); the result
@@ -97,7 +89,6 @@ def run_campaign(
     a campaign event bus; only strategies that carry the corresponding
     state support them (currently AVD).
     """
-    spec = CampaignSpec.from_legacy("run_campaign", spec, legacy)
     if spec.checkpoint_path is not None and not getattr(
         strategy, "supports_checkpoints", False
     ):

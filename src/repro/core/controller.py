@@ -36,7 +36,7 @@ from ..telemetry.events import (
 )
 from . import coverage as coverage_mod
 from .coverage import CoverageMap
-from .executor import ScenarioExecutor, Target
+from .executor import Target
 from .failures import Quarantine, RetryPolicy, ScenarioFailure
 from .hyperspace import CoordsKey
 from .parallel import ParallelScenarioExecutor, resolve_workers
@@ -44,6 +44,7 @@ from .plugin import ToolPlugin
 from .sampling import PluginSampler, TopSet, weighted_choice
 from .scenario import ScenarioResult, TestScenario
 from .spec import CampaignSpec
+from .target import verify_target
 
 #: Cap on the novelty corpus: scenarios that exhibited a never-seen
 #: behaviour are kept as extra parent candidates (beyond Pi) up to this
@@ -128,13 +129,7 @@ class TestController:
         #: Sequence cursor restored from a checkpoint: the bus is
         #: fast-forwarded past it so a resumed stream never reuses numbers.
         self._telemetry_seq_floor = 0
-        self.executor = ScenarioExecutor(
-            target,
-            campaign_seed=seed,
-            timeout=config.scenario_timeout,
-            retry=config.retry,
-            telemetry=self.telemetry,
-        )
+        verify_target(target)  # fail fast, naming the missing members
         #: Scenario keys banned after terminal failures, with reasons.
         self.quarantine = Quarantine()
         #: Opaque caller context (e.g. CLI target/tool flags) embedded in
@@ -355,18 +350,6 @@ class TestController:
     # ------------------------------------------------------------------
     # execution (the worker)
     # ------------------------------------------------------------------
-    def execute_next(self) -> Optional[ScenarioResult]:
-        """Dequeue one scenario from Psi, run it, update Pi/Omega/mu."""
-        if not self.pending:
-            return None
-        scenario = self._dequeue()
-        if self.config.fault_isolation:
-            result = self.executor.execute_isolated(scenario, test_index=len(self.results))
-        else:
-            result = self.executor.execute(scenario, test_index=len(self.results))
-        self._absorb(result)
-        return result
-
     def _absorb(self, result: ScenarioResult) -> None:
         self.history.add(result.key)
         self.results.append(result)
@@ -430,7 +413,7 @@ class TestController:
     def _observe_coverage(self, result: ScenarioResult) -> None:
         """Fold one measurement into the seen-behaviour map.
 
-        Runs in the parent process only (results cross the pool boundary
+        Runs in the parent process only (results cross the worker boundary
         as measurements), in absorption order — so the map's first-seen
         ordering, the novelty scores, and the published ``CoverageObserved``
         events are identical for every worker count.
@@ -459,19 +442,15 @@ class TestController:
                 )
             )
 
-    def run(self, spec: Optional[CampaignSpec] = None, **legacy) -> List[ScenarioResult]:
+    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         """Run a campaign described by a :class:`CampaignSpec`.
-
-        The legacy calling convention — ``run(budget, workers=...,
-        batch_size=..., checkpoint_path=..., checkpoint_every=...)`` —
-        still works through a shim that raises ``DeprecationWarning``.
 
         Spec semantics (see :class:`repro.core.spec.CampaignSpec`):
 
-        - ``workers`` sets how many scenarios execute concurrently (on a
-          process pool; ``0``/``None`` means one per CPU); ``batch_size``
-          controls speculative generation per round and defaults to ``1``
-          serially, ``2 * workers`` otherwise.
+        - ``workers`` sets how many scenarios execute concurrently (on
+          local worker processes; ``0``/``None`` means one per CPU);
+          ``batch_size`` controls speculative generation per round and
+          defaults to ``1`` serially, ``2 * workers`` otherwise.
         - ``checkpoint_path`` makes the run crash-safe across process
           death: a versioned checkpoint is written atomically at least
           every ``checkpoint_every`` executed scenarios, and once more
@@ -490,13 +469,8 @@ class TestController:
         ``(seed, batch_size)`` — the worker count only changes wall-clock
         time, never the results (see ``tests/core/test_parallel.py``).
         """
-        spec = CampaignSpec.from_legacy("TestController.run", spec, legacy)
-        return self._run(spec)
-
-    def _run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         if spec.telemetry is not None:
             self.telemetry = spec.telemetry
-            self.executor.telemetry = spec.telemetry
         if spec.novelty_weight is not None:
             self.novelty_weight = spec.novelty_weight
         if self.telemetry.seq < self._telemetry_seq_floor:
@@ -522,25 +496,18 @@ class TestController:
         # restored on the way out so co-resident campaigns are unaffected.
         capture_before = set_kind_capture(True) if coverage_on else None
         try:
-            # The socket backend always goes through the fabric (that is
-            # the point of it); the serial shortcut would run scenarios
-            # locally. Size-1 batches emit the same sched counters as the
-            # serial path, so the telemetry stream is unaffected.
-            if workers == 1 and batch_size == 1 and spec.backend != "socket":
-                results = self._run_serial(spec.budget)
-            else:
-                with ParallelScenarioExecutor(
-                    self.target,
-                    campaign_seed=self.campaign_seed,
-                    workers=workers,
-                    timeout=self.config.scenario_timeout,
-                    retry=self.config.retry,
-                    telemetry=self.telemetry,
-                    coverage_capture=coverage_on,
-                    backend=spec.backend,
-                    hosts=spec.hosts,
-                ) as pool:
-                    results = self._run_batched(spec.budget, batch_size, pool)
+            with ParallelScenarioExecutor(
+                self.target,
+                campaign_seed=self.campaign_seed,
+                workers=workers,
+                timeout=self.config.scenario_timeout,
+                retry=self.config.retry,
+                telemetry=self.telemetry,
+                coverage_capture=coverage_on,
+                backend=spec.backend,
+                hosts=spec.hosts,
+            ) as pool:
+                results = self._run_batched(spec.budget, batch_size, pool)
         finally:
             if coverage_on:
                 set_kind_capture(capture_before)
@@ -549,25 +516,16 @@ class TestController:
             self._write_checkpoint(spec.checkpoint_path)  # final state, resume-safe
         return results
 
-    def _run_serial(self, budget: int) -> List[ScenarioResult]:
-        """The paper's strictly sequential Algorithm 1 loop."""
-        while len(self.results) < budget:
-            if not self.pending and self.generate() is None:
-                break  # hyperspace exhausted
-            if self.execute_next() is None:
-                break
-            self._maybe_checkpoint()
-        return self.results
-
     def _run_batched(
         self, budget: int, batch_size: int, pool: ParallelScenarioExecutor
     ) -> List[ScenarioResult]:
-        """Batched speculative generation + concurrent execution.
+        """The campaign loop: generate a batch, execute it, absorb it.
 
-        With ``batch_size=1`` this degenerates to exactly the serial loop
-        (generate one, execute one); larger batches trade a little guidance
-        staleness — siblings are generated before their predecessors'
-        impacts are known — for parallel execution.
+        With ``batch_size=1`` this is the paper's strictly sequential
+        Algorithm 1 loop (generate one, execute one — a batch of one runs
+        on the pool's local executor, never on a worker); larger batches
+        trade a little guidance staleness — siblings are generated before
+        their predecessors' impacts are known — for parallel execution.
         """
         isolate = self.config.fault_isolation
         while len(self.results) < budget:

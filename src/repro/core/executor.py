@@ -43,10 +43,6 @@ from .failures import (
 from .scenario import ScenarioResult, TestScenario
 from .target import Target, verify_target
 
-#: Backwards-compatible alias: the implicit protocol the executors always
-#: duck-typed is now the explicit :class:`repro.core.target.Target`.
-TargetSystem = Target
-
 
 class ScenarioExecutor:
     """Executes scenarios against a target, deterministically per scenario.
@@ -259,24 +255,19 @@ SERIAL_SCHED = batch_sched(1, 0)
 
 
 def warm_target(target: object, campaign_seed: Optional[int]) -> None:
-    """Run a target's ``warm_caches`` hook, old- or new-style.
+    """Run a target's optional ``warm_caches(campaign_seed=...)`` hook.
 
-    Newer targets accept ``warm_caches(campaign_seed=...)`` (the snapshot
-    cache needs the seed to precompute prefixes); older ones take no
-    arguments. Warming is an optimization, so a hook that raises is
-    ignored rather than allowed to break worker startup. Shared by the
-    process-pool initializer, the socket worker's session setup, and the
-    parent-side pickling path — every place a target lands before its
-    first scenario.
+    The seed lets the snapshot cache precompute benign prefixes. Warming
+    is an optimization, so a hook that raises is ignored rather than
+    allowed to break worker startup. Called wherever a target lands
+    before its first scenario: the parent, before pickling it, and every
+    worker session's setup.
     """
     warm = getattr(target, "warm_caches", None)
     if not callable(warm):
         return
     try:
-        try:
-            warm(campaign_seed=campaign_seed)
-        except TypeError:
-            warm()
+        warm(campaign_seed=campaign_seed)
     except Exception:
         pass
 
@@ -324,7 +315,6 @@ __all__ = [
     "SERIAL_SCHED",
     "ScenarioExecutor",
     "Target",
-    "TargetSystem",
     "batch_sched",
     "publish_executed",
     "warm_target",

@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .controller import ControllerConfig, TestController
-from .executor import ScenarioExecutor, TargetSystem
+from .executor import ScenarioExecutor, Target
 from .hyperspace import Hyperspace, coords_key
 from .parallel import ParallelScenarioExecutor, resolve_workers
 from .plugin import ToolPlugin
@@ -62,19 +62,14 @@ class AvdExploration(ExplorationStrategy):
 
     def __init__(
         self,
-        target: TargetSystem,
+        target: Target,
         plugins: Sequence[ToolPlugin],
         seed: int = 0,
         config: ControllerConfig = ControllerConfig(),
     ) -> None:
         self.controller = TestController(target, plugins, seed=seed, config=config)
 
-    def run(
-        self,
-        spec: Optional[CampaignSpec] = None,
-        **legacy,
-    ) -> List[ScenarioResult]:
-        spec = CampaignSpec.from_legacy("AvdExploration.run", spec, legacy)
+    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         return self.controller.run(spec)
 
 
@@ -99,7 +94,7 @@ class HybridExploration(AvdExploration):
 
     def __init__(
         self,
-        target: TargetSystem,
+        target: Target,
         plugins: Sequence[ToolPlugin],
         seed: int = 0,
         config: ControllerConfig = ControllerConfig(),
@@ -121,11 +116,10 @@ class RandomExploration(ExplorationStrategy):
 
     name = "random"
 
-    def __init__(self, target: TargetSystem, seed: int = 0) -> None:
+    def __init__(self, target: Target, seed: int = 0) -> None:
         self.target = target
         self.seed = seed
         self.rng = random.Random(seed)
-        self.executor = ScenarioExecutor(target, campaign_seed=seed)
         self.results: List[ScenarioResult] = []
         self._seen = set()
 
@@ -136,15 +130,6 @@ class RandomExploration(ExplorationStrategy):
         batch_size: Optional[int] = None,
     ) -> List[ScenarioResult]:
         workers = resolve_workers(workers)
-        if workers == 1:
-            while len(self.results) < budget:
-                scenario = self._fresh_random()
-                if scenario is None:
-                    break
-                result = self.executor.execute(scenario, test_index=len(self.results))
-                self._seen.add(result.key)
-                self.results.append(result)
-            return self.results
         if batch_size is None:
             batch_size = 2 * workers
         with ParallelScenarioExecutor(
@@ -180,13 +165,12 @@ class ExhaustiveExploration(ExplorationStrategy):
 
     def __init__(
         self,
-        target: TargetSystem,
+        target: Target,
         seed: int = 0,
         hyperspace: Optional[Hyperspace] = None,
     ) -> None:
         self.target = target
         self.campaign_seed = seed
-        self.executor = ScenarioExecutor(target, campaign_seed=seed)
         self.hyperspace = hyperspace if hyperspace is not None else target.hyperspace
         self.results: List[ScenarioResult] = []
 
@@ -197,15 +181,6 @@ class ExhaustiveExploration(ExplorationStrategy):
         batch_size: Optional[int] = None,
     ) -> List[ScenarioResult]:
         workers = resolve_workers(workers)
-        if workers == 1:
-            for coords in self.hyperspace.iter_grid():
-                if budget is not None and len(self.results) >= budget:
-                    break
-                scenario = TestScenario(coords=coords, origin="exhaustive")
-                self.results.append(
-                    self.executor.execute(scenario, test_index=len(self.results))
-                )
-            return self.results
         # The grid is predetermined, so sweeping it is embarrassingly
         # parallel; batches preserve row-major result order.
         if batch_size is None:
@@ -237,7 +212,7 @@ class GeneticExploration(ExplorationStrategy):
 
     def __init__(
         self,
-        target: TargetSystem,
+        target: Target,
         plugins: Sequence[ToolPlugin],
         seed: int = 0,
         population_size: int = 12,
@@ -325,7 +300,7 @@ class AnnealingExploration(ExplorationStrategy):
 
     def __init__(
         self,
-        target: TargetSystem,
+        target: Target,
         plugins: Sequence[ToolPlugin],
         seed: int = 0,
         initial_temperature: float = 0.4,

@@ -23,9 +23,9 @@ The model distinguishes four failure kinds:
     machine can time out a healthy scenario), so retried with exponential
     backoff before quarantine.
 ``worker-crash``
-    A pool worker process died mid-scenario (``os._exit``, segfault, OOM
-    kill). Transient from the campaign's point of view: the pool is
-    rebuilt and the scenario retried before quarantine.
+    A worker died mid-scenario (``os._exit``, segfault, OOM kill, torn
+    connection). Transient from the campaign's point of view: the workers
+    are reset and the scenario retried before quarantine.
 
 Failures are first-class results: a :class:`ScenarioFailure` *is* a
 :class:`~repro.core.scenario.ScenarioResult` with ``impact == 0.0``, so
@@ -209,8 +209,8 @@ def scenario_deadline(seconds: Optional[float]):
 
     Enforced with ``SIGALRM`` (main thread, POSIX). Where the alarm is not
     usable — non-main thread, platforms without ``SIGALRM`` — the block
-    runs without a deadline; the process-pool path has its own wall-clock
-    backstop for those cases.
+    runs without a deadline; a scenario executing on a worker is still
+    covered by the controller's wall-clock backstop on the channel.
     """
     if not seconds or seconds <= 0 or not math.isfinite(seconds) or not _alarm_usable():
         yield

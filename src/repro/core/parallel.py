@@ -1,4 +1,4 @@
-"""Parallel campaign execution: the multi-worker scenario engine.
+"""Parallel campaign execution: the policy layer of the execution fabric.
 
 Sec. 3 of the paper describes the execution side of AVD as a worker model:
 "a worker thread dequeues scenarios from Psi, instantiates the test
@@ -6,20 +6,29 @@ configuration, executes the test and computes the impact". Tests are
 independent — the target re-initializes the distributed system for every
 test — so nothing in the algorithm requires them to run one at a time.
 
-:class:`ParallelScenarioExecutor` executes *batches* of scenarios. It is
-the policy layer of the execution fabric: batching, submission-order
-result reassembly, telemetry publication, local fallback, and per-suspect
-retry live here, while the mechanism — where a scenario actually runs —
-is a pluggable :class:`~repro.core.backends.ExecutorBackend`:
+:class:`ParallelScenarioExecutor` executes *batches* of scenarios and owns
+every decision about them: batching, submission-order results, telemetry
+publication, degradation to local execution, and per-suspect retry. Where
+a scenario runs is mechanism (:mod:`repro.core.backends`): a
+:class:`~repro.core.backends.Channel` per worker — a child process for
+``--backend process``, a ``repro worker`` host for ``--backend socket`` —
+all speaking one protocol to one worker loop (:mod:`repro.core.worker`),
+pulled by one :class:`~repro.core.backends.WorkStealingScheduler`.
 
-- ``inprocess`` — everything runs on the local executor (the reference);
-- ``process``   — a same-host ``concurrent.futures`` process pool (the
-  default, byte-identical to the pre-backend behaviour);
-- ``socket``    — remote :mod:`repro.core.worker` processes spoken to
-  over length-prefixed pickle frames, with a work-stealing scheduler so
-  straggling hosts don't idle a batch.
+A batch takes one of two routes:
 
-Two properties make any backend safe for the meta-heuristic's
+- **Local.** A batch of at most one scenario, ``--backend inprocess``,
+  ``workers=1`` on the process backend, or an executor that has degraded:
+  the scenarios run on this object's own
+  :class:`~repro.core.executor.ScenarioExecutor`, on the calling thread.
+  With ``batch_size=1`` this *is* the paper's serial loop. Local execution
+  is deliberately not modelled as one more channel: channels are driven
+  from puller threads, and the ``SIGALRM`` scenario deadline exists only
+  on the main thread.
+- **Workers.** Anything else is one ``WorkStealingScheduler.run`` over the
+  live channels.
+
+Two properties make either route safe for the meta-heuristic's
 measurements:
 
 1. every scenario's simulation seed derives from ``(campaign_seed,
@@ -34,44 +43,42 @@ Together these give the determinism guarantee the test harnesses in
 enforce: for a fixed ``(seed, batch_size)`` the exploration trajectory is
 bit-identical regardless of worker count *and* backend choice.
 
-Targets are shipped to workers by pickling them once per worker (pool
-initializer / socket hello), not once per task. Targets that cannot be
-pickled — closures, open simulators, test doubles with lambdas — degrade
-gracefully: the executor falls back to in-process execution, which yields
-the same results, only serially. Unreachable socket hosts degrade the
-same way.
+Degradation. The target travels to every worker as one pickled blob in the
+session hello. A target that cannot be pickled, a set of hosts none of
+which answers, and a fail-loud batch that lost a worker all end the same
+way: the executor stops using workers for good, records why in
+:attr:`~ParallelScenarioExecutor.fallback_reason`, logs one warning, and
+runs everything locally — same results, serial wall-clock.
 
 Crash safety (:meth:`ParallelScenarioExecutor.execute_batch_isolated`):
 scenarios run through the workers' *isolated* path, so target faults,
 harness bugs, and in-worker deadline overruns come back as zero-impact
 :class:`~repro.core.failures.ScenarioFailure` values instead of
-exceptions. Failures the worker cannot report — a worker process dying, a
-connection tearing, or a worker stuck past the wall-clock backstop —
-surface as lost result slots; the backend is then reset (pools rebuilt,
-sessions re-dialed) and the unresolved scenarios are re-driven one at a
-time so the culprit is identified exactly: it burns its own retry budget
-(fresh workers per attempt, exponential backoff between) and is
-quarantined as ``worker-crash``/``timeout`` without ever executing in the
-controller's process, while innocent batch-mates complete normally.
+exceptions. Failures the worker cannot report — a worker dying, a
+connection tearing, a worker stuck past the wall-clock backstop — surface
+as lost result slots. The channels are then reset (children killed,
+sessions dropped; reopened on next use) and the lost scenarios re-driven
+one at a time, so the culprit is identified exactly: it burns its own
+retry budget (fresh workers per attempt, exponential backoff between) and
+is quarantined as ``worker-crash``/``timeout`` without ever executing in
+the controller's process, while innocent batch-mates complete normally.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
-from typing import Callable, List, Optional, Sequence
-
 import time
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry.bus import TelemetryBus
 from .backends import (
     BACKEND_NAMES,
-    BackendBroken,
-    ExecutorBackend,
-    ProcessPoolBackend,
-    SocketBackend,
-    TransportFailure,
-    TransportTimeout,
+    Channel,
+    ChannelError,
+    ChannelTimeout,
+    WorkStealingScheduler,
 )
 from .executor import (
     ScenarioExecutor,
@@ -85,55 +92,16 @@ from .failures import (
     ScenarioFailure,
     TIMEOUT,
     WORKER_CRASH,
+    describe_exception,
 )
 from .scenario import ScenarioResult, TestScenario
-from ..sim.trace import set_kind_capture
 
-#: Each worker process holds one executor, built once by the initializer.
-_WORKER_EXECUTOR: Optional[ScenarioExecutor] = None
+#: Operator-facing diagnostics (stderr). Nothing logged here ever enters
+#: results, checkpoints or the canonical telemetry stream.
+_LOG = logging.getLogger(__name__)
 
-#: Backwards-compatible alias (the canonical helper moved to executor.py).
-_warm_target = warm_target
-
-
-def _init_worker(
-    target_blob: bytes,
-    campaign_seed: int,
-    timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    coverage_capture: bool = False,
-) -> None:
-    global _WORKER_EXECUTOR
-    if coverage_capture:
-        # Must happen before the target is unpickled/warmed: deployments
-        # (and snapshot-cache prefixes) sample the capture toggle at
-        # construction, and their snapshot keys include it.
-        set_kind_capture(True)
-    target = pickle.loads(target_blob)
-    # Targets may expose a warm_caches() hook (the PBFT target precomputes
-    # its benign baselines and — given the campaign seed — the benign
-    # prefix snapshots there). Running it in the initializer means the
-    # cost is paid once per worker at startup instead of lazily inside the
-    # first scenarios — and not at all when the parent's pickled target
-    # already carried warm caches.
-    warm_target(target, campaign_seed)
-    _WORKER_EXECUTOR = ScenarioExecutor(
-        target, campaign_seed=campaign_seed, timeout=timeout, retry=retry
-    )
-
-
-def _execute_in_worker(scenario: TestScenario, test_index: int) -> ScenarioResult:
-    executor = _WORKER_EXECUTOR
-    if executor is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker process was not initialized")
-    return executor.execute(scenario, test_index)
-
-
-def _execute_in_worker_isolated(scenario: TestScenario, test_index: int) -> ScenarioResult:
-    executor = _WORKER_EXECUTOR
-    if executor is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker process was not initialized")
-    return executor.execute_isolated(scenario, test_index)
+#: One unit of work: a scenario and its campaign-wide test index.
+Task = Tuple[TestScenario, int]
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -154,12 +122,11 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 class ParallelScenarioExecutor:
-    """Executes scenario batches against a target, serially or on workers.
+    """Executes scenario batches against a target, locally or on workers.
 
-    The backend (pool / sockets) is engaged lazily on the first
-    multi-scenario batch and reused for the executor's lifetime; use the
-    instance as a context manager (or call :meth:`close`) to release the
-    workers.
+    Workers are engaged lazily on the first multi-scenario batch and
+    reused for the executor's lifetime; use the instance as a context
+    manager (or call :meth:`close`) to release them.
     """
 
     def __init__(
@@ -182,9 +149,9 @@ class ParallelScenarioExecutor:
         if backend == "socket" and not hosts:
             raise ValueError("the socket backend needs at least one --hosts worker")
         self.target = target
-        #: Propagated to every worker's initializer/hello (and assumed
-        #: already set in *this* process by the caller) so deployments on
-        #: both sides of the worker boundary capture identically.
+        #: Propagated to every worker in the hello (and assumed already
+        #: set in *this* process by the caller) so deployments on both
+        #: sides of the worker boundary capture identically.
         self.coverage_capture = coverage_capture
         #: Campaign telemetry bus. ``ScenarioExecuted`` events are
         #: published *here*, in the parent process, after each batch's
@@ -199,17 +166,28 @@ class ParallelScenarioExecutor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.backend_name = backend
         self.hosts = tuple(hosts)
-        #: Scenarios executed through this instance (any mode).
+        #: Scenarios executed through this instance (either route).
         self.executed = 0
-        #: True once remote execution was abandoned (non-picklable target,
-        #: broken workers, unreachable hosts); execution then stays
-        #: in-process for the lifetime.
+        #: Times the channels were torn down after a crash or a hang.
+        self.pool_rebuilds = 0
+        #: True once workers were abandoned; execution then stays local
+        #: for the lifetime. ``fallback_reason`` says why.
         self.fallback_serial = False
+        self.fallback_reason: Optional[str] = None
         self._sleep = sleep
         self._local = ScenarioExecutor(
             target, campaign_seed=campaign_seed, timeout=timeout, retry=retry, sleep=sleep
         )
-        self._backend: Optional[ExecutorBackend] = None
+        #: One label per worker to open: host endpoints, or child names.
+        #: Empty means every batch runs locally.
+        self._endpoints: Tuple[str, ...] = ()
+        if backend == "socket":
+            self._endpoints = self.hosts
+        elif backend == "process" and self.workers > 1:
+            self._endpoints = tuple(f"repro-worker-{n}" for n in range(self.workers))
+        self._channels: List[Channel] = []
+        #: The session hello, built (target pickled) at the first open.
+        self._hello: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -221,72 +199,71 @@ class ParallelScenarioExecutor:
         self.close()
 
     def close(self) -> None:
-        """Shut down the backend's workers (idempotent)."""
-        if self._backend is not None:
-            self._backend.close()
+        """End every worker session and reap local workers (idempotent)."""
+        for channel in self._channels:
+            channel.goodbye()
+        self._channels = []
 
-    @property
-    def pool_rebuilds(self) -> int:
-        """Worker teardown/rebuild cycles after crashes or hangs."""
-        return self._backend.rebuilds if self._backend is not None else 0
+    def _reset_channels(self) -> None:
+        """Hard-drop every session after a loss; the next batch reopens."""
+        for channel in self._channels:
+            channel.close()
+        self._channels = []
+        self.pool_rebuilds += 1
 
-    @property
-    def _pool(self):
-        """The live process pool, if the process backend has one.
+    def _degrade(self, reason: str) -> None:
+        """Stop using workers for good, and say so once."""
+        self.fallback_serial = True
+        self.fallback_reason = reason
+        _LOG.warning(
+            "%s backend degraded to in-process execution: %s", self.backend_name, reason
+        )
+        self.close()
 
-        Kept as an inspection point (tests assert small batches never
-        fork workers); other backends report ``None``.
-        """
-        backend = self._backend
-        return backend.pool if isinstance(backend, ProcessPoolBackend) else None
+    def _live_channels(self) -> List[Channel]:
+        """The channels a batch may use; empty means run it locally."""
+        if self.fallback_serial or not self._endpoints:
+            return []
+        self._channels = [channel for channel in self._channels if channel.alive]
+        if not self._channels:
+            self._channels = self._open_channels()
+        return self._channels
 
-    def _ensure_backend(self) -> Optional[ExecutorBackend]:
-        """The usable backend, or ``None`` for in-process execution."""
-        if self.fallback_serial or self.backend_name == "inprocess":
-            return None
-        if self.backend_name == "process" and self.workers <= 1:
-            return None
-        if self._backend is None:
+    def _open_channels(self) -> List[Channel]:
+        if self._hello is None:
             # Warm shareable caches once in the parent so the pickled blob
             # carries them into every worker (the worker-side warm hook then
             # finds nothing left to do). The process-wide snapshot cache
-            # does NOT travel in the blob — each worker rebuilds it at
-            # session start, off the hot path.
+            # does NOT travel in the blob: a forked child inherits it, any
+            # other worker rebuilds it at session start, off the hot path.
             warm_target(self.target, self.campaign_seed)
             try:
                 target_blob = pickle.dumps(self.target)
-            except Exception:
-                # Non-picklable target: stay in-process. Same results,
-                # serial wall-clock.
-                self.fallback_serial = True
-                return None
-            if self.backend_name == "process":
-                self._backend = ProcessPoolBackend(
-                    self.target,
-                    target_blob,
-                    self.campaign_seed,
-                    self.workers,
-                    self.timeout,
-                    self.retry,
-                    self.coverage_capture,
-                    self._wait_budget,
-                )
-            else:
-                self._backend = SocketBackend(
-                    self.target,
-                    target_blob,
-                    self.campaign_seed,
-                    self.hosts,
-                    self.timeout,
-                    self.retry,
-                    self.coverage_capture,
-                    self._wait_budget,
-                )
-        if not self._backend.ensure():
-            # No reachable workers (and none will appear): degrade for good.
-            self.fallback_serial = True
-            return None
-        return self._backend
+            except Exception as exc:
+                self._degrade(f"target does not pickle ({describe_exception(exc)})")
+                return []
+            self._hello = {
+                "target_blob": target_blob,
+                "campaign_seed": self.campaign_seed,
+                "timeout": self.timeout,
+                "retry": self.retry.to_dict(),
+                "coverage_capture": self.coverage_capture,
+            }
+        channels: List[Channel] = []
+        refused: List[str] = []
+        for endpoint in self._endpoints:
+            try:
+                if self.backend_name == "socket":
+                    channel = Channel.dial(endpoint, self._hello)
+                else:
+                    channel = Channel.spawn(endpoint, self._hello, siblings=channels)
+            except (ChannelError, OSError) as exc:
+                refused.append(f"{endpoint} ({describe_exception(exc)})")
+                continue
+            channels.append(channel)
+        if not channels:
+            self._degrade("no reachable worker hosts: " + ", ".join(refused))
+        return channels
 
     def _wait_budget(self) -> Optional[float]:
         """Parent-side backstop for one in-flight scenario, or None.
@@ -311,24 +288,10 @@ class ParallelScenarioExecutor:
 
         ``start_index`` is the campaign-wide index of the first scenario;
         scenario ``i`` of the batch gets ``test_index = start_index + i``,
-        exactly as if a serial worker had drained the queue.
+        exactly as if a serial worker had drained the queue. Fail-loud: an
+        exception raised by a scenario propagates to the caller.
         """
-        if not scenarios:
-            return []
-        backend = self._ensure_backend() if len(scenarios) > 1 else None
-        if backend is None:
-            return self._publish_batch(self._execute_local(scenarios, start_index))
-        try:
-            results = backend.run_batch(scenarios, start_index)
-        except BackendBroken:
-            # A worker died or a scenario/result refused to cross the
-            # worker boundary: recompute the whole batch in-process (the
-            # per-scenario seeds make the redo identical, minus the crash).
-            self.fallback_serial = True
-            self.close()
-            return self._publish_batch(self._execute_local(scenarios, start_index))
-        self.executed += len(results)
-        return self._publish_batch(results)
+        return self._execute(scenarios, start_index, isolated=False)
 
     def execute_batch_isolated(
         self, scenarios: Sequence[TestScenario], start_index: int
@@ -337,28 +300,41 @@ class ParallelScenarioExecutor:
 
         Submission-order results are preserved, so callers absorb them
         exactly as the non-isolated path would; scenarios whose worker
-        died or hung are retried on rebuilt workers (one at a time, so the
+        died or hung are retried on fresh workers (one at a time, so the
         culprit quarantines alone) before becoming ``ScenarioFailure``.
         """
-        if not scenarios:
-            return []
-        backend = self._ensure_backend() if len(scenarios) > 1 else None
-        if backend is None:
-            results = [
-                self._local.execute_isolated(scenario, start_index + offset)
-                for offset, scenario in enumerate(scenarios)
-            ]
-            self.executed += len(results)
-            return self._publish_batch(results)
-        slots = backend.run_batch_isolated(scenarios, start_index)
-        for offset, slot in enumerate(slots):
-            if slot is None:
-                slots[offset] = self._execute_single_isolated(
-                    scenarios[offset], start_index + offset
-                )
-        results = [slot for slot in slots if slot is not None]
+        return self._execute(scenarios, start_index, isolated=True)
+
+    def _execute(
+        self, scenarios: Sequence[TestScenario], start_index: int, isolated: bool
+    ) -> List[ScenarioResult]:
+        tasks: List[Task] = [
+            (scenario, start_index + offset) for offset, scenario in enumerate(scenarios)
+        ]
+        channels = self._live_channels() if len(tasks) > 1 else []
+        if not channels:
+            results = self._execute_local(tasks, isolated)
+        else:
+            wait = self._wait_budget()
+            results, lost = WorkStealingScheduler(channels).run(
+                tasks, lambda channel, task: channel.call(*task, isolated, wait)
+            )
+            if lost and not isolated:
+                # A worker died, or a scenario or result refused to cross
+                # the wire: recompute the whole batch locally (per-scenario
+                # seeds make the redo identical, minus the crash).
+                self._degrade(f"batch transport lost {len(lost)} scenario(s)")
+                results = self._execute_local(tasks, isolated)
+            elif lost:
+                self._reset_channels()
+                for index in lost:
+                    results[index] = self._redrive(*tasks[index])
         self.executed += len(results)
         return self._publish_batch(results)
+
+    def _execute_local(self, tasks: Sequence[Task], isolated: bool) -> List[ScenarioResult]:
+        run = self._local.execute_isolated if isolated else self._local.execute
+        return [run(scenario, test_index) for scenario, test_index in tasks]
 
     def _publish_batch(self, results: List[ScenarioResult]) -> List[ScenarioResult]:
         """Publish ``ScenarioExecuted`` for a batch, in submission order.
@@ -380,33 +356,30 @@ class ParallelScenarioExecutor:
                 )
         return results
 
-    def _execute_single_isolated(
-        self, scenario: TestScenario, test_index: int
-    ) -> ScenarioResult:
-        """Drive one suspect scenario through its own worker submissions.
+    def _redrive(self, scenario: TestScenario, test_index: int) -> ScenarioResult:
+        """Drive one suspect scenario through worker sessions of its own.
 
-        Each attempt gets fresh (or rebuilt) workers; a scenario that
-        keeps killing or hanging them exhausts its retry budget and is
-        returned as a ``worker-crash``/``timeout`` failure without ever
-        running inside the controller's own process.
+        Each attempt gets fresh workers; a scenario that keeps killing or
+        hanging them exhausts its retry budget and is returned as a
+        ``worker-crash``/``timeout`` failure without ever running inside
+        the controller's own process.
         """
         attempts = 0
-        kind, error = WORKER_CRASH, "worker process died mid-scenario"
+        kind, error = WORKER_CRASH, "worker died mid-scenario"
         while attempts < self.retry.max_attempts:
             attempts += 1
-            backend = self._ensure_backend()
-            if backend is None:
+            channels = self._live_channels()
+            if not channels:
                 # Workers permanently unavailable: last resort is in-process,
                 # where the deadline/retry machinery still applies.
                 return self._local.execute_isolated(scenario, test_index)
             try:
-                return backend.run_one_isolated(scenario, test_index)
-            except TransportTimeout as exc:
+                return channels[0].call(scenario, test_index, True, self._wait_budget())
+            except ChannelTimeout as exc:
                 kind, error = TIMEOUT, str(exc)
-                backend.reset()
-            except TransportFailure as exc:
+            except ChannelError as exc:
                 kind, error = WORKER_CRASH, str(exc)
-                backend.reset()
+            self._reset_channels()
             if attempts < self.retry.max_attempts:
                 delay = self.retry.delay(attempts)
                 if delay > 0:
@@ -422,16 +395,6 @@ class ParallelScenarioExecutor:
             error=error,
             attempts=attempts,
         )
-
-    def _execute_local(
-        self, scenarios: Sequence[TestScenario], start_index: int
-    ) -> List[ScenarioResult]:
-        results = [
-            self._local.execute(scenario, start_index + offset)
-            for offset, scenario in enumerate(scenarios)
-        ]
-        self.executed += len(results)
-        return results
 
 
 __all__ = ["ParallelScenarioExecutor", "batch_sched", "resolve_workers"]

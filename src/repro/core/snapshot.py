@@ -203,7 +203,7 @@ class SnapshotCache:
 
 
 #: Process-wide cache. Worker processes each get their own (it is populated
-#: by ``warm_caches`` in the pool initializer); tests that need isolation
+#: by ``warm_caches`` at session start); tests that need isolation
 #: swap it with :func:`reset_cache`.
 _CACHE = SnapshotCache()
 

@@ -1,12 +1,9 @@
 """CampaignSpec: one value describing how a campaign should run.
 
-``TestController.run`` and ``run_campaign`` historically grew a kwargs
-sprawl (``budget, workers, batch_size, checkpoint_path,
-checkpoint_every, ...``) that every layer — CLI, bench, exploration
-strategies, tests — had to thread through verbatim. ``CampaignSpec``
-consolidates them into a single validated dataclass; the old keyword
-call-sites keep working through a shim that raises
-``DeprecationWarning`` (see :meth:`CampaignSpec.from_legacy`).
+Everything ``TestController.run`` and ``run_campaign`` need to know
+besides the strategy (``budget, workers, batch_size, checkpoint_path,
+checkpoint_every, ...``) is one validated dataclass that every layer —
+CLI, bench, exploration strategies, tests — passes along unchanged.
 
 The spec is declarative: ``workers=0``/``None`` still means "one per
 CPU" and ``batch_size=None`` still means "1 serial, 2x workers
@@ -17,24 +14,11 @@ machine it later runs on.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from ..telemetry import TelemetryBus
-
-#: Keyword names the legacy ``run(budget, ...)`` signatures accepted.
-LEGACY_RUN_KWARGS = (
-    "budget",
-    "workers",
-    "batch_size",
-    "checkpoint_path",
-    "checkpoint_every",
-    "telemetry",
-    "novelty_weight",
-)
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -59,8 +43,8 @@ class CampaignSpec:
     #: keeps the strategy's configured weight; ``0.0`` forces the paper's
     #: pure impact sampling; ``1.0`` selects purely by behaviour novelty.
     novelty_weight: Optional[float] = None
-    #: Where scenarios execute: ``"process"`` (local worker pool, the
-    #: default), ``"inprocess"`` (no pool — debugging/profiling), or
+    #: Where scenarios execute: ``"process"`` (local worker processes, the
+    #: default), ``"inprocess"`` (no workers — debugging/profiling), or
     #: ``"socket"`` (remote ``repro worker`` hosts). The exploration
     #: trajectory never depends on this (see :mod:`repro.core.backends`).
     backend: str = "process"
@@ -97,44 +81,5 @@ class CampaignSpec:
         """A copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)
 
-    @classmethod
-    def from_legacy(
-        cls,
-        caller: str,
-        spec_or_budget,
-        legacy: Dict[str, object],
-        stacklevel: int = 3,
-    ) -> "CampaignSpec":
-        """The deprecation shim behind every ``run(...)`` entry point.
 
-        Accepts either a ready :class:`CampaignSpec` (returned as-is,
-        provided no stray keywords ride along) or the legacy
-        ``(budget, **kwargs)`` calling convention, which builds a spec
-        and raises a ``DeprecationWarning`` pointing at the caller.
-        """
-        if isinstance(spec_or_budget, CampaignSpec):
-            if legacy:
-                raise TypeError(
-                    f"{caller}: pass either a CampaignSpec or legacy keywords, "
-                    f"not both (got extra {sorted(legacy)})"
-                )
-            return spec_or_budget
-        if spec_or_budget is not None:
-            if "budget" in legacy:
-                raise TypeError(f"{caller}: budget passed twice")
-            legacy = dict(legacy, budget=spec_or_budget)
-        unknown = sorted(set(legacy) - set(LEGACY_RUN_KWARGS))
-        if unknown:
-            raise TypeError(f"{caller}: unexpected keyword arguments {unknown}")
-        if "budget" not in legacy:
-            raise TypeError(f"{caller}: missing required argument 'budget'")
-        warnings.warn(
-            f"{caller}(budget, ...) keyword calls are deprecated; "
-            f"pass a repro.core.CampaignSpec instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return cls(**legacy)  # type: ignore[arg-type]
-
-
-__all__ = ["CampaignSpec", "LEGACY_RUN_KWARGS"]
+__all__ = ["CampaignSpec"]

@@ -1,12 +1,21 @@
-"""Remote scenario workers: the socket side of the distributed fabric.
+"""Scenario workers: the serve side of the execution fabric.
 
-A worker is the process-pool worker lifted out of ``concurrent.futures``
-and put behind a TCP socket, so a campaign can fan scenario execution out
-to other hosts (``repro campaign --backend socket --hosts a:9001,b:9001``)
-while keeping the exact execution contract of
-:mod:`repro.core.parallel`: one :class:`~repro.core.executor.ScenarioExecutor`
-per session, the target shipped once by pickling, every scenario's
-measurement a pure function of ``(campaign_seed, scenario)``.
+Sec. 3 of the paper: "a worker thread dequeues scenarios from Psi,
+instantiates the test configuration, executes the test and computes the
+impact". A :class:`WorkerSession` is that worker behind a stream socket.
+It is the only worker loop in the tree and serves both kinds of worker:
+
+- a **local worker** is a child process of the controller that calls
+  :func:`serve_socket` on one end of a ``socket.socketpair()``
+  (``--backend process``);
+- a **remote worker** is a ``repro worker`` process whose
+  :class:`WorkerServer` accepts TCP connections and serves each on its own
+  thread (``--backend socket --hosts a:9001,b:9001``).
+
+Either way the contract is the one :mod:`repro.core.parallel` states: one
+:class:`~repro.core.executor.ScenarioExecutor` per session, the target
+shipped once by pickling, every scenario's measurement a pure function of
+``(campaign_seed, scenario)``.
 
 Wire protocol (version :data:`PROTOCOL_VERSION`)
 ------------------------------------------------
@@ -16,8 +25,7 @@ connection is one *session*:
 
 - ``("hello", {...})`` — client opens the session: protocol version,
   pickled target blob, campaign seed, per-scenario timeout, retry policy,
-  and the coverage-capture toggle. Mirrors the process-pool initializer
-  (:func:`repro.core.parallel._init_worker`) field for field.
+  and the coverage-capture toggle.
 - ``("ready", {"protocol": N})`` — worker built its executor; or
   ``("error", reason)`` and the connection closes.
 - ``("exec", {"scenario": ..., "test_index": ..., "isolated": ...})`` —
@@ -30,15 +38,16 @@ connection is one *session*:
 Determinism: a worker never publishes telemetry and never sees the
 controller's RNG — it only maps ``(scenario, test_index)`` to a result,
 so *where* a scenario runs can never change *what* it measures. Workers
-may die or hang; the client-side backend treats both as transport
-failures and re-drives the affected scenarios (see
-:class:`repro.core.backends.SocketBackend`).
+may die or hang; the client side (:class:`repro.core.backends.Channel`)
+reports both as :exc:`~repro.core.backends.ChannelError` and the policy
+layer re-drives the affected scenarios.
 
-Scenario deadlines: connection handlers run off the main thread, where
-``SIGALRM`` is unavailable; :func:`~repro.core.failures.scenario_deadline`
-then degrades to no in-worker deadline, and the client's wall-clock
-backstop (socket timeout) catches stuck scenarios instead — exactly like
-the pool path's backstop for workers stuck in non-interruptible code.
+Scenario deadlines are ``SIGALRM``-based and therefore exist only on a
+process's main thread. A local worker serves its session on its main
+thread, so :func:`~repro.core.failures.scenario_deadline` fires inside
+it. A :class:`WorkerServer` session runs on a connection thread, where
+the deadline degrades to none and the client's wall-clock backstop (the
+socket timeout) catches a stuck scenario instead.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ import pickle
 import socket
 import struct
 import threading
-from typing import Any, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..sim.trace import set_kind_capture
 from .executor import ScenarioExecutor, warm_target
@@ -185,8 +194,10 @@ class WorkerSession:
             return False
         try:
             if payload.get("coverage_capture"):
-                # Sticky per process, like the pool initializer: deployments
-                # sample the toggle at construction time.
+                # Before the target is unpickled and warmed: deployments
+                # (and snapshot-cache prefixes) sample the toggle at
+                # construction, and their snapshot keys include it. Sticky
+                # for the life of the worker process.
                 set_kind_capture(True)
             target = pickle.loads(payload["target_blob"])
             warm_target(target, payload.get("campaign_seed"))
@@ -221,6 +232,19 @@ class WorkerSession:
         send_frame(self.conn, "result", result)
 
 
+def serve_socket(conn: socket.socket, inherited: Iterable[socket.socket] = ()) -> int:
+    """Serve one session on the *calling* thread; returns scenarios executed.
+
+    The entry point of a local worker process. ``inherited`` are the
+    controller-side sockets a forked child holds copies of; they are
+    closed first, so that a controller that dies leaves every one of its
+    workers reading EOF instead of being kept half-open by a sibling.
+    """
+    for sock in inherited:
+        sock.close()
+    return WorkerSession(conn).run()
+
+
 class WorkerServer:
     """A TCP server that turns this process into a scenario worker.
 
@@ -239,7 +263,9 @@ class WorkerServer:
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self.sessions_served = 0
         self._closing = False
-        self._threads: list = []
+        #: Threads still serving a session (finished ones are dropped on
+        #: each accept, so a long-lived worker does not collect them).
+        self._threads: List[threading.Thread] = []
 
     @property
     def endpoint(self) -> str:
@@ -247,7 +273,9 @@ class WorkerServer:
         return f"{self.address[0]}:{self.address[1]}"
 
     def serve_forever(self, max_sessions: Optional[int] = None) -> int:
-        """Accept and serve sessions until shutdown (or ``max_sessions``)."""
+        """Accept sessions until shutdown (or ``max_sessions``), then stop
+        listening and wait for the live ones to finish; returns the number
+        of sessions served."""
         while not self._closing:
             if max_sessions is not None and self.sessions_served >= max_sessions:
                 break
@@ -262,7 +290,14 @@ class WorkerServer:
                 daemon=True,
             )
             thread.start()
+            self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
+        # Session threads are daemons: a caller that exits right after the
+        # last accept (``repro worker --max-sessions N``) would otherwise
+        # kill the sessions it has just admitted.
+        self.shutdown()
+        for thread in self._threads:
+            thread.join()
         return self.sessions_served
 
     def serve_in_thread(self) -> "WorkerServer":
@@ -271,7 +306,6 @@ class WorkerServer:
             target=self.serve_forever, name="repro-worker-accept", daemon=True
         )
         thread.start()
-        self._threads.append(thread)
         return self
 
     def shutdown(self) -> None:
@@ -292,4 +326,5 @@ __all__ = [
     "parse_host",
     "recv_frame",
     "send_frame",
+    "serve_socket",
 ]

@@ -34,7 +34,7 @@ _POOL_FUNCTIONS = {"run_campaign"}
 _POOL_METHODS = {"submit", "map", "execute_batch", "execute_batch_isolated"}
 
 #: Base/class-name markers for types that get pickled into workers.
-_PICKLED_BASE_MARKERS = ("ToolPlugin", "TargetSystem")
+_PICKLED_BASE_MARKERS = ("ToolPlugin", "Target")
 
 
 def _entrypoint_label(node: ast.Call, module: ModuleContext) -> Optional[str]:

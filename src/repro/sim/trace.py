@@ -135,8 +135,8 @@ def kind_capture_enabled() -> bool:
 
     Priority: explicit :func:`set_kind_capture` override, then the
     ``REPRO_COVERAGE`` environment variable (any value but ``""``/``"0"``),
-    else off. Worker processes inherit the setting through the pool
-    initializer (see :mod:`repro.core.parallel`).
+    else off. Worker processes receive the setting in the session hello
+    (see :mod:`repro.core.worker`).
     """
     if _KIND_CAPTURE is not None:
         return _KIND_CAPTURE

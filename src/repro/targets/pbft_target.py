@@ -335,7 +335,7 @@ class PbftTarget:
     def warm_caches(self, campaign_seed: Optional[int] = None) -> int:
         """Precompute benign baselines — and, per campaign, prefix snapshots.
 
-        Called by the parallel pool initializer (and usable directly before
+        Called at every worker session's start (and usable directly before
         a serial campaign): the hyperspace's ``n_correct_clients`` dimension
         enumerates every client count a scenario can request, so warming
         them up front means no worker ever pays for a benign calibration run

@@ -22,8 +22,7 @@ layer on top of it.
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from ..core.report import format_table, heatmap, sparkline
 from .reader import read_events
@@ -34,27 +33,10 @@ from .view import (
     LineageStep,
     PluginAttribution,
     attribution_to_dict,
-    fold_stream,
     freeze_key as _freeze_key,  # noqa: F401  (compat: old private name)
     heatmap_dimensions as _heatmap_dimensions,  # noqa: F401  (compat)
     heatmap_to_dict,
 )
-
-
-def analyze_stream(lines: Iterable[str]) -> CampaignAttribution:
-    """Deprecated alias for :func:`repro.telemetry.view.fold_stream`.
-
-    The batch-only analyzer was folded into the incremental
-    :class:`~repro.telemetry.view.CampaignView`; this shim keeps old
-    callers working while they migrate.
-    """
-    warnings.warn(
-        "analyze_stream() is deprecated; use repro.telemetry.fold_stream() "
-        "or fold events through a CampaignView",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return fold_stream(lines)
 
 
 def explain_path(path: str) -> CampaignAttribution:
@@ -203,7 +185,6 @@ __all__ = [
     "CampaignAttribution",
     "LineageStep",
     "PluginAttribution",
-    "analyze_stream",
     "attribution_to_dict",
     "explain_path",
     "exploration_heatmap",

@@ -154,7 +154,7 @@ def test_empty_and_single_batches_never_touch_the_pool():
         assert pool.execute_batch([], start_index=0) == []
         (only,) = pool.execute_batch(make_batch(target, 1), start_index=0)
         assert only.test_index == 0
-        assert pool._pool is None  # no workers were ever forked
+        assert pool._hello is None  # no channel was ever opened
 
 
 def test_resolve_workers():

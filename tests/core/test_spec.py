@@ -1,4 +1,4 @@
-"""CampaignSpec: validation, overrides, and the legacy-kwargs shim."""
+"""CampaignSpec: validation, overrides, and the spec-only run() entry points."""
 
 from __future__ import annotations
 
@@ -49,38 +49,30 @@ class TestValidation:
 
 
 class TestLegacyShim:
+    """The PR-5 keyword shim is gone: ``run()`` takes a spec and nothing else."""
+
     def test_spec_passthrough_never_warns(self):
-        spec = CampaignSpec(budget=4)
+        target, plugins = make_hill_target()
+        strategy = AvdExploration(target, plugins, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert CampaignSpec.from_legacy("caller", spec, {}) is spec
-
-    def test_legacy_kwargs_warn_and_build_a_spec(self):
-        with pytest.warns(DeprecationWarning, match="caller"):
-            spec = CampaignSpec.from_legacy(
-                "caller", 12, {"workers": 2, "batch_size": 3}
-            )
-        assert (spec.budget, spec.workers, spec.batch_size) == (12, 2, 3)
+            assert len(strategy.run(CampaignSpec(budget=4))) == 4
 
     def test_spec_plus_legacy_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            CampaignSpec.from_legacy("caller", CampaignSpec(budget=4), {"workers": 2})
-
-    def test_budget_twice_rejected(self):
-        with pytest.raises(TypeError, match="budget passed twice"):
-            CampaignSpec.from_legacy("caller", 4, {"budget": 5})
+        target, plugins = make_hill_target()
+        with pytest.raises(TypeError, match="workers"):
+            run_campaign(
+                AvdExploration(target, plugins, seed=2), CampaignSpec(budget=4), workers=2
+            )
 
     def test_unknown_keyword_rejected(self):
+        target, plugins = make_hill_target()
         with pytest.raises(TypeError, match="wrokers"):
-            CampaignSpec.from_legacy("caller", 4, {"wrokers": 2})
-
-    def test_missing_budget_rejected(self):
-        with pytest.raises(TypeError, match="budget"):
-            CampaignSpec.from_legacy("caller", None, {"workers": 2})
+            TestController(target, plugins, seed=5).run(CampaignSpec(budget=4), wrokers=2)
 
 
 class TestRunEntryPoints:
-    """Every run() entry point accepts both calling conventions."""
+    """Every run() entry point takes a CampaignSpec."""
 
     def test_controller_run_accepts_a_spec(self):
         target, plugins = make_hill_target()
@@ -89,24 +81,6 @@ class TestRunEntryPoints:
             warnings.simplefilter("error", DeprecationWarning)
             results = controller.run(CampaignSpec(budget=6))
         assert len(results) == 6
-
-    def test_controller_run_legacy_kwargs_warn_but_work(self):
-        target, plugins = make_hill_target()
-        controller = TestController(target, plugins, seed=5)
-        with pytest.warns(DeprecationWarning, match="TestController.run"):
-            results = controller.run(6)
-        assert len(results) == 6
-
-    def test_legacy_and_spec_trajectories_match(self):
-        target_a, plugins_a = make_hill_target()
-        target_b, plugins_b = make_hill_target()
-        spec_run = TestController(target_a, plugins_a, seed=9).run(
-            CampaignSpec(budget=10)
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy_run = TestController(target_b, plugins_b, seed=9).run(budget=10)
-        assert [r.key for r in spec_run] == [r.key for r in legacy_run]
-        assert [r.impact for r in spec_run] == [r.impact for r in legacy_run]
 
     def test_run_campaign_accepts_a_spec(self):
         target, plugins = make_hill_target()

@@ -331,15 +331,3 @@ class TestSchedulerRollup:
         assert set(document["shards"]) == {"0", "1"}
         assert sum(document["shards"].values()) == len(stream)
         assert "shards: 2 merged" in render_attribution(attribution)
-
-
-class TestDeprecatedAnalyzeStream:
-    """The old batch-only entry point survives as a warning shim."""
-
-    def test_analyze_stream_warns_and_delegates(self, recorded):
-        from repro.telemetry.explain import analyze_stream
-
-        lines, _ = recorded
-        with pytest.warns(DeprecationWarning, match="fold_stream"):
-            attribution = analyze_stream(lines)
-        assert attribution == fold_stream(lines)
