@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from . import snapshot
 from .exploration import ExplorationStrategy
 from .scenario import ScenarioResult
 from .spec import CampaignSpec
@@ -101,14 +102,19 @@ def run_campaign(strategy: ExplorationStrategy, spec: CampaignSpec) -> CampaignR
             f"strategy {strategy.name!r} does not publish telemetry "
             "(only 'avd' campaigns carry the event bus)"
         )
-    if getattr(strategy, "supports_spec", False):
-        results = strategy.run(spec)
-    elif spec.workers == 1 and spec.batch_size is None:
-        results = strategy.run(spec.budget)
-    else:
-        results = strategy.run(
-            spec.budget, workers=spec.workers, batch_size=spec.batch_size
-        )
+    try:
+        if getattr(strategy, "supports_spec", False):
+            results = strategy.run(spec)
+        elif spec.workers == 1 and spec.batch_size is None:
+            results = strategy.run(spec.budget)
+        else:
+            results = strategy.run(
+                spec.budget, workers=spec.workers, batch_size=spec.batch_size
+            )
+    finally:
+        # The strategy has closed its executor by now; say what the
+        # snapshot cache did for (or to) this campaign.
+        snapshot.cache().log_summary()
     return CampaignResult(strategy=strategy.name, results=list(results))
 
 

@@ -94,7 +94,7 @@ class ScenarioExecutor:
         if callable(seed_scope):
             scope = seed_scope(params)
             if scope is not None:
-                return derive_seed(self.campaign_seed, f"scenario-scope:{scope}")
+                return scope_seed(self.campaign_seed, scope)
         return derive_seed(self.campaign_seed, f"scenario:{scenario.key}")
 
     def execute(self, scenario: TestScenario, test_index: int) -> ScenarioResult:
@@ -234,6 +234,17 @@ class ScenarioExecutor:
             return failure_result
 
 
+def scope_seed(campaign_seed: int, scope: str) -> int:
+    """The one seed every scenario of seed-equivalence class ``scope`` runs on.
+
+    The executor derives scenario seeds through this, and a target's
+    ``warm_caches`` derives the seeds of the prefixes it captures ahead of
+    time through it too: the two must agree bit for bit, or every warm
+    capture is keyed by a seed no scenario will ever ask for.
+    """
+    return derive_seed(campaign_seed, f"scenario-scope:{scope}")
+
+
 def batch_sched(size: int, slot: int) -> Dict[str, int]:
     """The scheduler counters attached to one ``ScenarioExecuted`` event.
 
@@ -317,5 +328,6 @@ __all__ = [
     "Target",
     "batch_sched",
     "publish_executed",
+    "scope_seed",
     "warm_target",
 ]

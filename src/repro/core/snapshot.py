@@ -16,6 +16,28 @@ injection point and forks it for every scenario in the equivalence class:
    installs its attack via the deployment's ``install_attack``, and runs the
    suffix normally.
 
+What is snapshot state — one rule, three cases:
+
+* **Live state is pickled**: the clock, the event queue, RNG streams, node
+  and protocol state, measurement accumulators — everything the suffix
+  reads before it writes.
+* **Derived closures are rebuilt**: state that is a function of the live
+  graph and holds references into it (``Network._DERIVED_ATTRS``, the fused
+  send paths) is dropped by ``__getstate__`` and rebuilt on restore.
+* **Pure memos pickle empty and stay shared**: a memo of a pure function
+  (:class:`repro.crypto.keys.FoldMemo`, the deployment-wide MAC/execution
+  fold cache) grows with every message the prefix *ever* carried, so it is
+  left behind — ``__reduce__`` rebuilds it empty, and because pickle keeps
+  object identity every node of the restored deployment still holds the one
+  (fresh) memo. A cold memo is free: its entries are keyed by digests of
+  messages already delivered, which the suffix does not see again, and the
+  first fold of each new message is paid exactly once either way.
+
+The payload therefore tracks *in-flight* state (log entries awaiting
+garbage collection, queued events) plus the measurement samples, not the
+length of the prefix; ``tests/snapshot/test_picklability.py`` bounds it at
+campaign scale.
+
 Correctness rests on two properties, both enforced by tests/snapshot/:
 
 * The benign prefix is a pure function of the snapshot key — independent of
@@ -28,16 +50,22 @@ Correctness rests on two properties, both enforced by tests/snapshot/:
 Forking is a pure optimization: ``REPRO_NO_SNAPSHOT=1`` (or
 ``REPRO_UNOPTIMIZED=1``) disables it and every scenario runs from scratch,
 bit-identically.
+
+Logger ``repro.core.snapshot`` (never the canonical telemetry stream): one
+DEBUG line per capture, one INFO cache summary per ``run_campaign``.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional, Tuple
 
 from .. import perf
+
+_LOG = logging.getLogger(__name__)
 
 
 class SnapshotError(Exception):
@@ -94,9 +122,10 @@ class disabled:
 class SimSnapshot:
     """Frozen simulation state at an injection point.
 
-    The payload is the pickle of the deployment object graph; every fork
-    unpickles it into a fully private copy (no state shared with the cached
-    bytes or with other forks).
+    The payload is the pickle of the deployment object graph — its *live*
+    state; derived closures and pure memos are not in it (module docstring)
+    — and every fork unpickles it into a fully private copy (no state
+    shared with the cached bytes or with other forks).
     """
 
     __slots__ = ("key", "taken_at_us", "payload")
@@ -113,7 +142,9 @@ class SimSnapshot:
             payload = pickle.dumps(deployment, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # pickling failures name the offending attr
             raise SnapshotError(f"cannot capture snapshot for {key!r}: {exc}") from exc
-        return cls(key, deployment.simulator.now, payload)
+        taken_at_us = deployment.simulator.now
+        _LOG.debug("captured %s at %d us: %d bytes", _key_scope(key), taken_at_us, len(payload))
+        return cls(key, taken_at_us, payload)
 
     def fork(self) -> Any:
         """Restore a private copy of the captured deployment."""
@@ -127,6 +158,14 @@ class SimSnapshot:
     @property
     def size_bytes(self) -> int:
         return len(self.payload)
+
+
+def _key_scope(key: Hashable) -> str:
+    """A log-sized label for a snapshot key: its scalar fields, in order
+    (target, counts, activation pct, seed, ...) without the config object."""
+    if not isinstance(key, tuple):
+        return str(key)
+    return ":".join(str(part) for part in key if isinstance(part, (str, int)))
 
 
 def _default_max_entries() -> int:
@@ -200,6 +239,23 @@ class SnapshotCache:
     def stats(self) -> Tuple[int, int, int, int]:
         """(entries, hits, misses, evictions) — for telemetry and tests."""
         return (len(self._entries), self.hits, self.misses, self.evictions)
+
+    @property
+    def payload_bytes(self) -> int:
+        """Bytes of pickled state the cache holds right now."""
+        return sum(snapshot.size_bytes for snapshot in self._entries.values())
+
+    def log_summary(self) -> None:
+        """One INFO line: what the cache holds and how it has been used.
+
+        Counters are cumulative for this process's cache, not per campaign;
+        pool workers keep caches of their own that this does not see.
+        """
+        _LOG.info(
+            "snapshot cache: %d entries, %d hits, %d misses, %d evictions, %d bytes",
+            *self.stats(),
+            self.payload_bytes,
+        )
 
 
 #: Process-wide cache. Worker processes each get their own (it is populated

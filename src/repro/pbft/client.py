@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .. import perf
-from ..crypto import KeyStore, MacGenerator
+from ..crypto import FoldMemo, KeyStore, MacGenerator
 from ..sim import Network, Simulator
 from ..sim.node import CrashAwareNode
 from .behaviors import CORRECT_CLIENT, ClientBehavior, mask_corruption_policy
@@ -37,7 +37,7 @@ class Client(CrashAwareNode):
         key_root: int,
         behavior: ClientBehavior = CORRECT_CLIENT,
         start_delay_us: int = 0,
-        tag_cache: Optional[dict] = None,
+        tag_cache: Optional[FoldMemo] = None,
     ) -> None:
         super().__init__(name, simulator, network)
         self.config = config

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..crypto import FoldMemo
 from ..sim.rng import derive_seed
 from ..sim import LanLatency, LatencyModel, Network, NetworkFault, SECOND, Simulator
 from .attack import PbftAttack
@@ -116,8 +117,10 @@ class PbftDeployment:
         stagger_span = max(config.batch_interval_us * 4, 1)
         # One tag cache for the whole deployment: the tag a sender generates
         # is the tag its receiver expects (same session key, same digest), so
-        # sharing the memo across nodes halves the MAC folds per message.
-        tag_cache: Dict = {}
+        # sharing the memo across nodes halves the MAC folds per message. It
+        # pickles empty and stays one object (see FoldMemo), so a snapshot
+        # fork carries none of the prefix's folds and still shares it.
+        tag_cache = FoldMemo()
 
         self.replicas: List[Replica] = []
         behaviors = replica_behaviors or {}

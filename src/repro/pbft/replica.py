@@ -20,7 +20,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import perf
-from ..crypto import KeyStore, MacGenerator, compute_mac, mix64, stable_digest
+from ..crypto import FoldMemo, KeyStore, MacGenerator, compute_mac, mix64, stable_digest
 from ..crypto.keys import derive_session_key
 from ..sim import Network, Simulator
 from ..sim.node import CrashAwareNode
@@ -60,7 +60,7 @@ class Replica(CrashAwareNode):
         network: Network,
         key_root: int,
         behavior: ReplicaBehavior = CORRECT_REPLICA,
-        tag_cache: Optional[dict] = None,
+        tag_cache: Optional[FoldMemo] = None,
     ) -> None:
         super().__init__(replica_name(index), simulator, network)
         self.index = index
@@ -68,11 +68,11 @@ class Replica(CrashAwareNode):
         self.behavior = behavior
         self.key_root = key_root
         self.keystore = KeyStore(key_root, self.name, tag_cache)
-        # The deployment-shared mix64 memo doubles as the execution-digest
-        # cache: all replicas fold the same (state, request-digest) chains
-        # and result digests, so the first replica to execute a request
-        # computes them for everyone. Sampled at construction (repro.perf).
-        self._fold_cache: Dict = tag_cache if tag_cache is not None else {}
+        # The keystore's mix64 memo (deployment-shared, or private to a
+        # standalone replica) doubles as the execution-digest cache: all
+        # replicas fold the same (state, request-digest) chains and result
+        # digests, so the first to execute a request computes them for all.
+        self._fold_cache = self.keystore._tag_cache
         self._optimized = perf.enabled()
         self.mac = MacGenerator(
             self.keystore, mask_corruption_policy(behavior.mac_mask)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import coverage, snapshot
+from ..core.executor import scope_seed
 from ..core.hyperspace import ChoiceDimension, Dimension, Hyperspace, IntRangeDimension
 from ..core.plugin import ToolPlugin
 from ..core.power import AccessLevel, ControlLevel
@@ -86,6 +87,13 @@ class DhtScenarioSpec:
 
     def attack(self) -> DhtAttack:
         return DhtAttack(poison_rate=self.poison_rate, fanout=self.fanout)
+
+    def seed_scope(self) -> Optional[str]:
+        """Seed-equivalence class of the benign prefix (``None`` if untimed);
+        the one spelling shared by the executor and ``warm_caches``."""
+        if self.attack_start_pct is None:
+            return None
+        return f"dht-prefix:{self.n_correct}:{self.n_malicious}:{self.attack_start_pct}"
 
     def snapshot_key(self, seed: int) -> Tuple:
         """Everything the benign prefix depends on — and nothing else.
@@ -225,16 +233,16 @@ class DhtTarget:
 
     def seed_scope(self, params: Dict[str, object]) -> Optional[str]:
         """Seed-equivalence class for timed scenarios (see the executor)."""
-        spec = self._spec(params)
-        if spec.attack_start_pct is None:
-            return None
-        return f"dht-prefix:{spec.n_correct}:{spec.n_malicious}:{spec.attack_start_pct}"
+        return self._spec(params).seed_scope()
 
     def warm_caches(self, campaign_seed: Optional[int] = None) -> int:
-        """Capture every reachable benign prefix into the snapshot cache."""
+        """Capture every reachable benign prefix into the snapshot cache.
+
+        Up to the cache's capacity; entries left by another campaign do not
+        count against it (the LRU evicts them).
+        """
         if campaign_seed is None or not snapshot.enabled():
             return 0
-        from ..sim.rng import derive_seed
 
         def _values(name: str, default: int) -> List[int]:
             dimension = self.hyperspace.by_name.get(name)
@@ -251,22 +259,22 @@ class DhtTarget:
         pcts = _values("attack_start_pct", -1)
         if pcts == [-1]:
             return 0
+        reachable = [
+            (pct, n_malicious)
+            for pct in pcts
+            for n_malicious in _values(DHT_MALICIOUS_DIMENSION, 1)
+        ]
         cache = snapshot.cache()
-        budget = cache.max_entries - len(cache)
         warmed = 0
-        for pct in pcts:
-            for n_malicious in _values(DHT_MALICIOUS_DIMENSION, 1):
-                if warmed >= budget:
-                    return warmed
-                spec = DhtScenarioSpec(self.config, self.n_correct)
-                spec.n_malicious = n_malicious
-                spec.attack_start_pct = pct
-                scope = f"dht-prefix:{self.n_correct}:{n_malicious}:{pct}"
-                seed = derive_seed(campaign_seed, f"scenario-scope:{scope}")
-                key = spec.snapshot_key(seed)
-                if key not in cache:
-                    cache.get_or_capture(key, lambda: spec.build_prefix(seed))
-                    warmed += 1
+        for pct, n_malicious in reachable[: cache.max_entries]:
+            spec = DhtScenarioSpec(self.config, self.n_correct)
+            spec.n_malicious = n_malicious
+            spec.attack_start_pct = pct
+            seed = scope_seed(campaign_seed, spec.seed_scope())
+            key = spec.snapshot_key(seed)
+            if key not in cache:
+                cache.get_or_capture(key, lambda: spec.build_prefix(seed))
+                warmed += 1
         return warmed
 
     def impact_of(self, measurement: DhtRunResult, params: Dict[str, object]) -> float:

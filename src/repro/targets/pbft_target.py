@@ -28,6 +28,7 @@ from ..pbft import (
 from ..sim import NetworkFault
 from ..sim.trace import kind_capture_enabled
 from ..core import coverage, snapshot
+from ..core.executor import scope_seed
 from ..core.hyperspace import Hyperspace
 from ..core.plugin import ToolPlugin
 
@@ -110,6 +111,20 @@ class PbftScenarioSpec:
             injection_plans={
                 name: tuple(plans) for name, plans in self.injection_plans.items()
             },
+        )
+
+    def seed_scope(self) -> Optional[str]:
+        """Seed-equivalence class: the benign prefix's shape, ``None`` if untimed.
+
+        The single spelling of the scope string — the executor seeds every
+        scenario of the class from it and ``warm_caches`` seeds the prefix
+        captures from it (:func:`repro.core.executor.scope_seed`).
+        """
+        if self.attack_start_pct is None:
+            return None
+        return (
+            f"pbft-prefix:{self.n_correct_clients}"
+            f":{self.n_malicious_clients}:{self.attack_start_pct}"
         )
 
     def snapshot_key(self, seed: int) -> Tuple:
@@ -267,13 +282,7 @@ class PbftTarget:
         capture. Legacy scenarios return ``None`` and keep their private
         per-scenario seeds.
         """
-        spec = self._spec(params)
-        if spec.attack_start_pct is None:
-            return None
-        return (
-            f"pbft-prefix:{spec.n_correct_clients}"
-            f":{spec.n_malicious_clients}:{spec.attack_start_pct}"
-        )
+        return self._spec(params).seed_scope()
 
     def impact_of(self, measurement: PbftRunResult, params: Dict[str, object]) -> float:
         """Damage to the correct clients' throughput, in [0, 1].
@@ -345,8 +354,10 @@ class PbftTarget:
         With ``campaign_seed`` given, every benign prefix a timed scenario
         of this campaign can request (the cross product of the reachable
         client counts and activation percentages) is also captured into the
-        snapshot cache, up to its capacity. Returns the number of baselines
-        plus snapshots computed. No-op in reference (unoptimized) mode.
+        snapshot cache, up to its capacity — entries left over from another
+        campaign do not count against it, the LRU evicts them. Returns the
+        number of baselines plus snapshots computed. No-op in reference
+        (unoptimized) mode.
         """
         warmed = 0
         if self._share_baselines:
@@ -365,8 +376,6 @@ class PbftTarget:
         return warmed
 
     def _warm_snapshots(self, campaign_seed: int) -> int:
-        from ..sim.rng import derive_seed
-
         def _values(name: str, default: int) -> List[int]:
             dimension = self.hyperspace.by_name.get(name)
             if dimension is None:
@@ -382,28 +391,25 @@ class PbftTarget:
         pcts = _values("attack_start_pct", -1)
         if pcts == [-1]:
             return 0  # no timing dimension: no timed scenarios this campaign
+        reachable = [
+            PbftScenarioSpec(
+                config=self.config,
+                n_correct_clients=n_correct,
+                n_malicious_clients=n_malicious,
+                attack_start_pct=pct,
+            )
+            for pct in pcts
+            for n_correct in _values("n_correct_clients", 10)
+            for n_malicious in _values("n_malicious_clients", 1)
+        ]
         cache = snapshot.cache()
-        budget = cache.max_entries - len(cache)
         warmed = 0
-        for pct in pcts:
-            for n_correct in _values("n_correct_clients", 10):
-                for n_malicious in _values("n_malicious_clients", 1):
-                    if warmed >= budget:
-                        return warmed
-                    spec = PbftScenarioSpec(
-                        config=self.config,
-                        n_correct_clients=n_correct,
-                        n_malicious_clients=n_malicious,
-                        attack_start_pct=pct,
-                    )
-                    scope = (
-                        f"pbft-prefix:{n_correct}:{n_malicious}:{pct}"
-                    )
-                    seed = derive_seed(campaign_seed, f"scenario-scope:{scope}")
-                    key = spec.snapshot_key(seed)
-                    if key not in cache:
-                        cache.get_or_capture(key, lambda: spec.build_prefix(seed))
-                        warmed += 1
+        for spec in reachable[: cache.max_entries]:
+            seed = scope_seed(campaign_seed, spec.seed_scope())
+            key = spec.snapshot_key(seed)
+            if key not in cache:
+                cache.get_or_capture(key, lambda: spec.build_prefix(seed))
+                warmed += 1
         return warmed
 
 

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import pytest
 
+import logging
+
 from repro.core import run_campaign, snapshot
 from repro.core.snapshot import SimSnapshot, SnapshotCache
 from repro.core import AvdExploration, CampaignSpec
 from repro.plugins import AttackTimingPlugin, MacCorruptionPlugin
 from repro.sim.clock import MS
-from repro.targets import PbftTarget
+from repro.targets import DhtTarget, PbftTarget
+from repro.targets.dht_target import RoutingPoisonPlugin
+from repro.telemetry import RingBufferSink, TelemetryBus
 from tests._strategies import trajectory
-from tests.snapshot.conftest import micro_pbft_config, pbft_spec
+from tests.snapshot.conftest import micro_dht_config, micro_pbft_config, pbft_spec
 
 
 class _Payload:
@@ -167,3 +171,102 @@ def test_bounded_cache_campaign_matches_unbounded_and_scratch():
     with snapshot.disabled():
         scratch = run_trajectory()
     assert bounded == unbounded == scratch
+
+
+# ---------------------------------------------------------------------------
+# warm-up: the prefixes captured ahead of time are the ones scenarios ask for
+# ---------------------------------------------------------------------------
+def timed_pbft_target():
+    plugins = [MacCorruptionPlugin(), AttackTimingPlugin((50, 70))]
+    return PbftTarget(plugins, config=micro_pbft_config()), plugins
+
+
+def timed_dht_target():
+    plugins = [
+        RoutingPoisonPlugin(max_fanout=4, malicious_choices=(1,)),
+        AttackTimingPlugin((50, 70)),
+    ]
+    return DhtTarget(plugins, config=micro_dht_config(), n_correct=6), plugins
+
+
+both_targets = pytest.mark.parametrize(
+    "make_target", [timed_pbft_target, timed_dht_target], ids=["pbft", "dht"]
+)
+
+
+@both_targets
+def test_warmed_campaign_misses_only_during_warm_up(make_target):
+    """Warm-up and the executor derive prefix seeds from one scope string
+    through one function; if either side drifted, every warm capture would
+    be a silent miss and the campaign would capture everything again."""
+    target, plugins = make_target()
+    target.warm_caches(campaign_seed=11)
+    cache = snapshot.cache()
+    captures = cache.misses
+    assert captures == len(cache) == 2
+    run_campaign(AvdExploration(target, plugins, seed=11), CampaignSpec(budget=8))
+    assert cache.misses == captures, "a scenario asked for a prefix warm-up did not capture"
+    assert cache.hits == 8
+
+
+@both_targets
+def test_second_campaign_warms_past_stale_entries(make_target):
+    """A cache full of the previous campaign's prefixes must not starve the
+    next campaign's warm-up: it warms up to capacity, the LRU evicts the
+    stale keys, and the campaign itself never captures."""
+    snapshot.reset_cache(max_entries=2)
+    cache = snapshot.cache()
+    for campaign_seed in (3, 4):
+        target, plugins = make_target()
+        target.warm_caches(campaign_seed=campaign_seed)
+        warmed_misses = cache.misses
+        run_campaign(AvdExploration(target, plugins, seed=campaign_seed), CampaignSpec(budget=6))
+        assert cache.misses == warmed_misses, f"campaign {campaign_seed} captured mid-run"
+    assert cache.stats() == (2, 12, 4, 2)
+
+
+def test_warm_up_stops_at_capacity():
+    """More reachable prefixes than slots: warm-up captures ``max_entries``
+    of them and stops, instead of evicting what it has just captured."""
+    snapshot.reset_cache(max_entries=2)
+    plugins = [MacCorruptionPlugin(), AttackTimingPlugin((50, 60, 70, 80))]
+    PbftTarget(plugins, config=micro_pbft_config()).warm_caches(campaign_seed=1)
+    assert snapshot.cache().stats() == (2, 0, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# observability: the cache reports itself on the logger, never on the bus
+# ---------------------------------------------------------------------------
+def test_payload_bytes_sums_the_entries():
+    cache = SnapshotCache(max_entries=2)
+    assert cache.payload_bytes == 0
+    sizes = [cache.put(make_snapshot(tag)).size_bytes for tag in ("a", "b", "c")]
+    assert cache.payload_bytes == sizes[1] + sizes[2]  # "a" was evicted
+    assert len(cache.stats()) == 4
+
+
+def test_capture_and_campaign_summary_are_logged_off_the_canonical_stream(caplog):
+    def run(sink):
+        snapshot.reset_cache()
+        target, plugins = timed_pbft_target()
+        target.warm_caches(campaign_seed=11)
+        spec = CampaignSpec(budget=6, telemetry=TelemetryBus(sinks=(sink,)))
+        run_campaign(AvdExploration(target, plugins, seed=11), spec)
+
+    quiet, logged = RingBufferSink(), RingBufferSink()
+    run(quiet)
+    with caplog.at_level(logging.DEBUG, logger="repro.core.snapshot"):
+        run(logged)
+    records = [r for r in caplog.records if r.name == "repro.core.snapshot"]
+    captures = [r for r in records if r.levelno == logging.DEBUG]
+    summaries = [r for r in records if r.levelno == logging.INFO]
+    assert len(captures) == 2 and len(summaries) == 1
+    cache = snapshot.cache()
+    for record, pct in zip(captures, (50, 70)):
+        message = record.getMessage()
+        assert f"captured pbft:10:1:{pct}:" in message and " us: " in message
+        assert message.endswith(f"{record.args[2]} bytes") and record.args[2] > 0
+    assert summaries[0].getMessage() == (
+        f"snapshot cache: 2 entries, 6 hits, 2 misses, 0 evictions, {cache.payload_bytes} bytes"
+    )
+    assert quiet.to_lines() == logged.to_lines()

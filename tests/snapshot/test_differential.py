@@ -72,6 +72,29 @@ def test_fork_matches_scratch_and_reference(make_spec, seed):
     )
 
 
+def test_cold_memo_fork_matches_scratch_under_retransmissions():
+    """A fork restores the deployment-wide MAC/fold memo *empty*. Big-MAC
+    is the case that leans on it: starved clients retransmit the same
+    digest (re-MACed per transmission) through view changes, so the suffix
+    re-folds what a from-scratch run would have found memoized. The
+    measurement must not be able to tell."""
+    spec = pbft_spec(mac_mask=0xEEE, attack_start_pct=20)
+    seed = 7
+    deployment = spec.build(seed)
+    assert len(deployment.replicas[0]._fold_cache) == 0, "the fork's memo is not cold"
+    forked = deployment.run()
+    with snapshot.disabled():
+        scratch_deployment = spec.build(seed)
+    scratch = scratch_deployment.run()
+    assert forked == scratch
+    assert forked.retransmissions >= 8 and forked.view_changes > 0, (
+        "the scenario no longer exercises retransmission"
+    )
+    assert execution_checksum(deployment, forked) == execution_checksum(
+        scratch_deployment, scratch
+    )
+
+
 @pytest.mark.parametrize("make_spec", [pbft_spec, dht_spec], ids=["pbft", "dht"])
 def test_cache_hit_fork_is_identical_to_cache_miss_fork(make_spec):
     """The second fork (cache hit) replays exactly like the first (capture)."""
