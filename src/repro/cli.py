@@ -127,11 +127,11 @@ def _build_plugins(tool_names: List[str]):
     return [_TOOL_FACTORIES[name]() for name in tool_names]
 
 
-def _pbft_config(args) -> PbftConfig:
+def _pbft_config(fixed_timers: bool, aardvark: bool) -> PbftConfig:
     overrides = {}
-    if getattr(args, "fixed_timers", False):
+    if fixed_timers:
         overrides["per_request_timers"] = True
-    if getattr(args, "aardvark", False):
+    if aardvark:
         overrides["defenses"] = DefenseConfig.aardvark()
     return PbftConfig.campaign_scale(**overrides)
 
@@ -140,12 +140,7 @@ def _build_target(target_name: str, tool_names: List[str], fixed_timers: bool, a
     """Rebuild (target, plugins) from CLI-level choices (campaign + resume)."""
     if target_name == "pbft":
         plugins = _build_plugins(tool_names)
-        overrides = {}
-        if fixed_timers:
-            overrides["per_request_timers"] = True
-        if aardvark:
-            overrides["defenses"] = DefenseConfig.aardvark()
-        target = PbftTarget(plugins, config=PbftConfig.campaign_scale(**overrides))
+        target = PbftTarget(plugins, config=_pbft_config(fixed_timers, aardvark))
     else:
         plugins = [RoutingPoisonPlugin()]
         target = DhtTarget(plugins)
@@ -240,6 +235,7 @@ def cmd_campaign(args) -> int:
     if args.checkpoint:
         # Everything `repro resume` needs to rebuild this campaign.
         strategy.controller.checkpoint_context = {
+            "strategy": args.strategy,
             "target": args.target,
             "tools": args.tools,
             "fixed_timers": bool(args.fixed_timers),
@@ -331,7 +327,11 @@ def cmd_resume(args) -> int:
             _close_telemetry(telemetry)
         if telemetry_path:
             print(f"telemetry written to {telemetry_path}")
-    campaign = CampaignResult(strategy="avd", results=list(controller.results))
+    # A checkpoint whose context predates the strategy key keeps the "avd"
+    # label resume always gave it.
+    campaign = CampaignResult(
+        strategy=context.get("strategy", "avd"), results=list(controller.results)
+    )
     _print_campaign_summary(campaign)
     out = args.out or context.get("out")
     if out:
@@ -536,19 +536,29 @@ def cmd_worker(args) -> int:
     return 0
 
 
-def _surface_for_stream(attribution, manifest_path: Optional[str]):
-    """Surface coverage of the dimensions a stream explored (None if no
-    manifest is available)."""
+def _load_audit_manifest(manifest_path: Optional[str]):
+    """The audit manifest to report surface coverage against: an explicit
+    ``--manifest``, else ``./audit_manifest.json``, else None."""
     if manifest_path is None and os.path.isfile("audit_manifest.json"):
         manifest_path = "audit_manifest.json"
     if not manifest_path:
         return None
-    from .audit import load_manifest, surface_coverage
+    from .audit import load_manifest
 
     try:
-        manifest = load_manifest(manifest_path)
+        return load_manifest(manifest_path)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot read audit manifest: {exc}")
+
+
+def _surface_for_stream(attribution, manifest_path: Optional[str]):
+    """Surface coverage of the dimensions a stream explored (None if no
+    manifest is available)."""
+    manifest = _load_audit_manifest(manifest_path)
+    if manifest is None:
+        return None
+    from .audit import surface_coverage
+
     return surface_coverage(manifest, list(attribution.dimension_positions))
 
 
@@ -608,17 +618,10 @@ def cmd_explain(args) -> int:
 def cmd_serve(args) -> int:
     from .telemetry.serve import serve_campaign
 
-    manifest_path = args.manifest
-    if manifest_path is None and os.path.isfile("audit_manifest.json"):
-        manifest_path = "audit_manifest.json"
+    manifest = _load_audit_manifest(args.manifest)
     surface_fn = None
-    if manifest_path:
-        from .audit import load_manifest, surface_coverage, surface_to_dict
-
-        try:
-            manifest = load_manifest(manifest_path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read audit manifest: {exc}")
+    if manifest is not None:
+        from .audit import surface_coverage, surface_to_dict
 
         def surface_fn(attribution):
             return surface_to_dict(
@@ -649,7 +652,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_bigmac(args) -> int:
-    config = _pbft_config(args)
+    config = _pbft_config(args.fixed_timers, args.aardvark)
     rows = []
     for mask in (0x000, 0x00F, 0x00E, 0x111, 0xCCC, 0x777, 0xFFF):
         result = run_deployment(
@@ -672,7 +675,7 @@ def cmd_bigmac(args) -> int:
 
 
 def cmd_slow_primary(args) -> int:
-    config = _pbft_config(args)
+    config = _pbft_config(args.fixed_timers, args.aardvark)
     slow = ReplicaBehavior(slow_primary=SlowPrimaryPolicy())
     colluding = ReplicaBehavior(
         slow_primary=SlowPrimaryPolicy(serve_only_client="mclient-0")
@@ -746,17 +749,6 @@ def cmd_power(args) -> int:
         )
     print(format_table(["attacker", "tools", "tests-to-find"], rows))
     return 0
-
-
-def cmd_bench(args) -> int:
-    from .bench import run_bench
-
-    return run_bench(
-        quick=args.quick,
-        workers=args.workers,
-        out_dir=args.out_dir,
-        skip_parallel=args.skip_parallel,
-    )
 
 
 def cmd_lint(args) -> int:
@@ -1083,27 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
     power.add_argument("--budget", type=int, default=20)
     power.add_argument("--seed", type=int, default=0)
     power.set_defaults(func=cmd_power)
-
-    bench = sub.add_parser(
-        "bench", help="perf-regression benchmarks (writes BENCH_*.json)"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized workloads, one timed repeat per mode",
-    )
-    bench.add_argument(
-        "--workers", type=_workers_arg, default=0,
-        help="pool size for the parallel campaign workload (0 = one per CPU)",
-    )
-    bench.add_argument(
-        "--out-dir", default=".", metavar="DIR",
-        help="directory for BENCH_kernel.json / BENCH_campaign.json (default: .)",
-    )
-    bench.add_argument(
-        "--skip-parallel", action="store_true",
-        help="skip the worker-pool campaign workload",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     lint = sub.add_parser(
         "lint", help="determinism/picklability/plugin-API static analysis"

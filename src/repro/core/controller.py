@@ -250,20 +250,13 @@ class TestController:
         )
         if not candidates:
             return None
-        weights = []
-        for entry in candidates:
-            features = self._features.get(entry.key)
-            if features is not None:
-                novelty = self.coverage.feature_novelty(features)
-            else:
-                # Scenarios absorbed before feature tracking (old
-                # checkpoints): fall back to signature counting, or a
-                # neutral score when even that is missing.
-                signature = self._signatures.get(entry.key)
-                novelty = (
-                    self.coverage.novelty(signature) if signature is not None else 0.5
-                )
-            weights.append((1.0 - weight) * (entry.impact + 0.02) + weight * novelty)
+        # Entries absorbed from partner shards (absorb_foreign) sit in Pi
+        # without a feature tuple; feature_novelty scores them a neutral 0.5.
+        weights = [
+            (1.0 - weight) * (entry.impact + 0.02)
+            + weight * self.coverage.feature_novelty(self._features.get(entry.key))
+            for entry in candidates
+        ]
         return weighted_choice(candidates, weights, self.rng)
 
     def _generate_mutation(self) -> Optional[TestScenario]:

@@ -182,21 +182,14 @@ class CoverageMap:
         self.seen: Dict[str, int] = {}
         self.features: Dict[str, int] = {}
 
-    def observe(
-        self, signature: str, features: Iterable[str] = ()
-    ) -> Tuple[bool, float]:
+    def observe(self, signature: str, features: Iterable[str]) -> Tuple[bool, float]:
         """Record one observation; returns ``(novel, novelty_score)``.
 
-        With a feature tuple, ``novel`` means "exhibited a never-seen
-        feature" and the score is the post-observation mean feature
-        rarity. Without one (legacy callers), both fall back to
-        signature counting.
+        ``novel`` means "exhibited a never-seen feature" and the score is
+        the post-observation mean feature rarity.
         """
-        count = self.seen.get(signature, 0) + 1
-        self.seen[signature] = count
+        self.seen[signature] = self.seen.get(signature, 0) + 1
         observed = list(features)
-        if not observed:
-            return count == 1, 1.0 / count
         novel = False
         for feature in observed:
             seen = self.features.get(feature, 0) + 1
@@ -204,10 +197,6 @@ class CoverageMap:
             if seen == 1:
                 novel = True
         return novel, self.feature_novelty(observed)
-
-    def novelty(self, signature: str) -> float:
-        """Current signature-level novelty (1 if never seen)."""
-        return 1.0 / (self.seen.get(signature, 0) + 1)
 
     def feature_novelty(self, features: Optional[Iterable[str]]) -> float:
         """Current mean rarity of a feature tuple.
@@ -256,24 +245,14 @@ class CoverageMap:
         }
 
     @classmethod
-    def from_state(cls, state: Any) -> "CoverageMap":
-        """Rebuild from :meth:`to_state` output.
-
-        Also accepts the pre-feature format (a bare list of
-        ``[signature, count]`` pairs) so old checkpoints keep restoring.
-        """
+    def from_state(cls, state: Optional[Mapping[str, Any]]) -> "CoverageMap":
+        """Rebuild from :meth:`to_state` output (``None``: an empty map)."""
         out = cls()
         if state is None:
             return out
-        if isinstance(state, Mapping):
-            signature_pairs = state.get("signatures") or ()
-            feature_pairs = state.get("features") or ()
-        else:
-            signature_pairs = state
-            feature_pairs = ()
-        for signature, count in signature_pairs:
+        for signature, count in state.get("signatures") or ():
             out.seen[str(signature)] = int(count)
-        for feature, count in feature_pairs:
+        for feature, count in state.get("features") or ():
             out.features[str(feature)] = int(count)
         return out
 

@@ -8,7 +8,8 @@ all reporting and analysis code, which only reads attributes by name.
 
 Format history
 --------------
-- **v1** — results with coords/params/origin/plugin/mutate_distance.
+- **v1** — results with coords/params/origin/plugin/mutate_distance
+  (no longer loaded: nothing has written it since v2 landed).
 - **v2** (current) — adds per-result ``parent_key`` provenance and a
   ``failure`` block (kind/error/attempts) for crash-safe campaigns, plus
   the *campaign checkpoint* document (``kind: "avd-checkpoint"``): the
@@ -16,8 +17,6 @@ Format history
   fitness stats, the pending queue Psi with its parent-impact map, and
   the quarantine — written atomically so a killed campaign resumes
   bit-identically (``restore_controller`` / ``repro resume``).
-
-v1 files load unchanged; new files are always written as v2.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from .hyperspace import CoordsKey, coords_key
 from .scenario import ScenarioResult, TestScenario
 
 FORMAT_VERSION = 2
-#: Versions :func:`campaign_from_dict` / :func:`load_checkpoint` accept.
-SUPPORTED_VERSIONS = (1, 2)
 CHECKPOINT_KIND = "avd-checkpoint"
 
 
@@ -162,15 +159,17 @@ def _json_value(value: Any) -> Any:
     return repr(value)
 
 
-def _check_version(data: Dict[str, Any]) -> int:
+def _check_version(data: Dict[str, Any]) -> None:
     version = data.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(f"unsupported campaign format version: {version!r}")
-    return version
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported campaign format version: {version!r} "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
 
 
 def campaign_from_dict(data: Dict[str, Any]) -> CampaignResult:
-    """Rebuild a campaign from :func:`campaign_to_dict` output (v1 or v2)."""
+    """Rebuild a campaign from :func:`campaign_to_dict` output."""
     _check_version(data)
     results = [_result_from_dict(entry) for entry in data["results"]]
     return CampaignResult(strategy=data["strategy"], results=results)

@@ -83,8 +83,8 @@ class SnapshotRestoreError(SnapshotError):
 
 #: Module state: snapshot forking on unless ``REPRO_NO_SNAPSHOT`` is set at
 #: import. :func:`enabled` additionally follows :func:`repro.perf.enabled`
-#: *dynamically*, so ``REPRO_UNOPTIMIZED`` (and ``repro bench``'s runtime
-#: mode pinning) turns forking off together with every other fast path.
+#: *dynamically*, so ``REPRO_UNOPTIMIZED`` (and ``use_optimizations``
+#: pinning at run time) turns forking off together with every other fast path.
 _ENABLED = os.environ.get("REPRO_NO_SNAPSHOT", "") in ("", "0")
 
 

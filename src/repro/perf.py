@@ -9,10 +9,9 @@ impacts, and campaign trajectories to the straightforward implementation
 
 The toggle exists for two reasons:
 
-1. **Measurement.** ``repro bench`` runs every workload twice — once per
-   mode — in the same process, so BENCH_*.json always records the speedup
-   against the unoptimized reference implementation, not against a stale
-   number from another machine.
+1. **Equivalence.** The reference implementation is what the
+   ``tests/perf`` and ``tests/snapshot`` sweeps compare every fast path
+   against, in the same process.
 2. **Bisection.** When a determinism regression appears, flipping
    ``REPRO_UNOPTIMIZED=1`` immediately tells you whether a fast path or
    the protocol logic is to blame.
@@ -37,7 +36,7 @@ def enabled() -> bool:
 
 
 def set_enabled(value: bool) -> bool:
-    """Flip the toggle (tests and ``repro bench`` only); returns the old value."""
+    """Flip the toggle (tests only); returns the old value."""
     global _ENABLED
     previous = _ENABLED
     _ENABLED = bool(value)

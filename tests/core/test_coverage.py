@@ -28,7 +28,9 @@ from repro.core import (
     ControllerConfig,
     CoverageMap,
     HybridExploration,
+    ScenarioResult,
     TestController,
+    TestScenario,
     load_checkpoint,
     restore_controller,
     signature_of,
@@ -130,28 +132,22 @@ class TestSignatureOf:
 class TestCoverageMap:
     def test_observe_decays_novelty(self):
         coverage = CoverageMap()
-        assert coverage.observe("s") == (True, 1.0)
-        assert coverage.observe("s") == (False, 0.5)
-        assert coverage.observe("s") == (False, pytest.approx(1 / 3))
-
-    def test_novelty_of_unseen_is_one(self):
-        coverage = CoverageMap()
-        assert coverage.novelty("s") == 1.0
-        coverage.observe("s")
-        assert coverage.novelty("s") == 0.5
+        assert coverage.observe("s", ("a",)) == (True, 1.0)
+        assert coverage.observe("s", ("a",)) == (False, 0.5)
+        assert coverage.observe("s", ("a",)) == (False, pytest.approx(1 / 3))
 
     def test_len_and_contains(self):
         coverage = CoverageMap()
-        coverage.observe("a")
-        coverage.observe("a")
-        coverage.observe("b")
+        coverage.observe("a", ("f",))
+        coverage.observe("a", ("f",))
+        coverage.observe("b", ("g",))
         assert len(coverage) == 2
         assert "a" in coverage and "z" not in coverage
 
     def test_state_round_trip_preserves_order_and_counts(self):
         coverage = CoverageMap()
         for signature in ("x", "y", "x", "z"):
-            coverage.observe(signature)
+            coverage.observe(signature, (signature,))
         restored = CoverageMap.from_state(coverage.to_state())
         assert restored.seen == coverage.seen
         assert list(restored.seen) == list(coverage.seen)  # first-seen order
@@ -183,11 +179,6 @@ class TestCoverageMap:
         assert restored.seen == coverage.seen
         assert restored.features == coverage.features
         assert list(restored.features) == list(coverage.features)
-
-    def test_from_state_accepts_legacy_pair_list(self):
-        restored = CoverageMap.from_state([["x", 2], ["y", 1]])
-        assert restored.seen == {"x": 2, "y": 1}
-        assert restored.features == {}
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +245,39 @@ def test_hybrid_records_a_signature_for_every_scenario():
     assert sum(controller.coverage.seen.values()) == len(results)
     assert 1 <= len(controller.coverage) <= len(results)
     assert len(controller._novel_corpus) <= NOVEL_CORPUS_CAP
+
+
+def test_foreign_pi_entry_scores_neutral_novelty_in_parent_selection(monkeypatch):
+    """A partner shard's result (absorb_foreign) sits in Pi with no feature
+    tuple: hybrid parent selection weighs it at the neutral 0.5."""
+    target, plugins = fresh_target()
+    strategy = HybridExploration(target, plugins, seed=5, novelty_weight=1.0)
+    strategy.run(CampaignSpec(budget=10))
+    controller = strategy.controller
+    coords = next(
+        {"mask": 0, "load": load}
+        for load in range(10)
+        if (("load", load), ("mask", 0)) not in controller.history
+    )
+    foreign = ScenarioResult(
+        scenario=TestScenario(coords=coords), impact=1.0, test_index=0
+    )
+    assert controller.absorb_foreign(foreign)
+
+    seen = {}
+
+    def capture(candidates, weights, rng):
+        seen.update(zip((entry.key for entry in candidates), weights))
+        return candidates[0]
+
+    monkeypatch.setattr("repro.core.controller.weighted_choice", capture)
+    controller._sample_parent()
+    # novelty_weight 1.0: a candidate's weight is exactly its novelty.
+    assert seen[foreign.key] == 0.5
+    own = [key for key in seen if key != foreign.key]
+    assert own
+    for key in own:
+        assert seen[key] == controller.coverage.feature_novelty(controller._features[key])
 
 
 def test_hybrid_trajectory_is_deterministic_for_a_seed():

@@ -18,6 +18,7 @@ from repro.core.persistence import (
     campaign_from_dict,
     campaign_to_dict,
     load_campaign,
+    load_checkpoint,
     save_campaign,
 )
 from tests.core.fake_target import make_hill_target
@@ -54,16 +55,18 @@ def test_saved_file_is_plain_json(campaign, tmp_path):
     assert data["strategy"] == campaign.strategy
 
 
-def test_v1_campaign_files_still_load(campaign):
-    """Files written before the v2 format bump stay loadable."""
+def test_v1_campaign_files_are_refused(campaign, tmp_path):
+    """The v1 loader is gone: campaigns and checkpoints alike are refused
+    with the version found and the one this build reads."""
+    refusal = rf"version: 1 .*reads version {FORMAT_VERSION}"
     data = campaign_to_dict(campaign)
     data["format_version"] = 1
-    for entry in data["results"]:  # v1 had neither provenance keys nor failures
-        entry.pop("parent_key", None)
-        entry.pop("failure", None)
-    loaded = campaign_from_dict(data)
-    assert loaded.impacts() == campaign.impacts()
-    assert [r.key for r in loaded.results] == [r.key for r in campaign.results]
+    with pytest.raises(ValueError, match=refusal):
+        campaign_from_dict(data)
+    checkpoint = tmp_path / "v1.ckpt.json"
+    checkpoint.write_text(json.dumps({"format_version": 1, "kind": "avd-checkpoint"}))
+    with pytest.raises(ValueError, match=refusal):
+        load_checkpoint(checkpoint)
 
 
 def test_parent_key_provenance_round_trips(campaign, tmp_path):

@@ -11,7 +11,6 @@ def test_parser_knows_all_commands():
     parser = build_parser()
     for command in (
         "campaign", "bigmac", "slow-primary", "dht-attack", "explore", "power", "lint",
-        "bench",
     ):
         args = parser.parse_args([command] if command != "campaign" else ["campaign"])
         assert callable(args.func)
@@ -147,30 +146,30 @@ def test_resume_of_a_complete_campaign_is_a_noop(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().out
 
 
-def test_parser_knows_bench():
-    parser = build_parser()
-    args = parser.parse_args(["bench", "--quick", "--skip-parallel", "--out-dir", "x"])
-    assert callable(args.func)
-    assert args.quick and args.skip_parallel and args.out_dir == "x"
+def test_resume_keeps_the_hybrid_strategy_label(tmp_path):
+    """A killed-then-resumed hybrid campaign saves the same bytes as the
+    uninterrupted one (the strategy label comes from the checkpoint)."""
+    ckpt = tmp_path / "ckpt.json"
+    resumed_file = tmp_path / "resumed.json"
+    straight_file = tmp_path / "straight.json"
+    base = ["campaign", "--strategy", "hybrid", "--tools", "mac", "--seed", "3"]
+    assert main(base + ["--budget", "3", "--checkpoint", str(ckpt)]) == 0
+    assert main(["resume", str(ckpt), "--budget", "6", "--out", str(resumed_file)]) == 0
+    assert main(base + ["--budget", "6", "--out", str(straight_file)]) == 0
+    assert json.loads(resumed_file.read_text())["strategy"] == "hybrid"
+    assert resumed_file.read_bytes() == straight_file.read_bytes()
 
 
-def test_bench_measure_gates_on_mode_identity(tmp_path):
-    from repro import perf
-    from repro.bench import measure
-
-    def stable_workload():
-        return 0.01, 100, "same outcome in both modes"
-
-    record = measure(stable_workload, "units/sec", repeats=1)
-    assert record["determinism_ok"]
-    assert record["optimized"]["rate"] > 0
-    assert record["speedup"] > 0
-
-    def mode_dependent_workload():
-        return 0.01, 100, f"optimized={perf.enabled()}"
-
-    record = measure(mode_dependent_workload, "units/sec", repeats=1)
-    assert not record["determinism_ok"]
+def test_parser_rejects_retired_bench(capsys):
+    """`repro bench` was retired for benchmark/run.py: it is an unknown
+    command (exit 2) and --help no longer lists it."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "bench" not in capsys.readouterr().out
 
 
 def test_parser_knows_explain():
@@ -294,7 +293,7 @@ def test_campaign_progress_smoke(capsys):
         ["campaign", "--checkpoint-every", "0"],
         ["campaign", "--workers", "two"],
         ["resume", "x.json", "--workers", "-1"],
-        ["bench", "--workers", "-1"],
+        ["resume", "x.json", "--budget", "0"],
         ["merge", "dir", "--shards", "0"],
     ],
 )
