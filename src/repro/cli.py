@@ -275,8 +275,15 @@ def cmd_campaign(args) -> int:
     return 0
 
 
+def _load_checkpoint_or_exit(path) -> dict:
+    try:
+        return load_checkpoint(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot resume: {exc}")
+
+
 def cmd_resume(args) -> int:
-    data = load_checkpoint(args.checkpoint)
+    data = _load_checkpoint_or_exit(args.checkpoint)
     context = data.get("context", {})
     run_params = data.get("run", {})
     target, plugins = _build_target(
@@ -421,7 +428,7 @@ def _cmd_campaign_sharded(args, config) -> int:
         checkpoint = shard_checkpoint_path(directory, index)
         stream = shard_telemetry_path(directory, index)
         if checkpoint.exists():
-            data = load_checkpoint(checkpoint)
+            data = _load_checkpoint_or_exit(checkpoint)
             telemetry = _build_telemetry(
                 str(stream),
                 args.progress,

@@ -16,22 +16,14 @@ injection point and forks it for every scenario in the equivalence class:
    installs its attack via the deployment's ``install_attack``, and runs the
    suffix normally.
 
-What is snapshot state — one rule, three cases:
+What is snapshot state — one rule, two cases:
 
 * **Live state is pickled**: the clock, the event queue, RNG streams, node
   and protocol state, measurement accumulators — everything the suffix
   reads before it writes.
 * **Derived closures are rebuilt**: state that is a function of the live
   graph and holds references into it (``Network._DERIVED_ATTRS``, the fused
-  send paths) is dropped by ``__getstate__`` and rebuilt on restore.
-* **Pure memos pickle empty and stay shared**: a memo of a pure function
-  (:class:`repro.crypto.keys.FoldMemo`, the deployment-wide MAC/execution
-  fold cache) grows with every message the prefix *ever* carried, so it is
-  left behind — ``__reduce__`` rebuilds it empty, and because pickle keeps
-  object identity every node of the restored deployment still holds the one
-  (fresh) memo. A cold memo is free: its entries are keyed by digests of
-  messages already delivered, which the suffix does not see again, and the
-  first fold of each new message is paid exactly once either way.
+  send path) is dropped by ``__getstate__`` and rebuilt on restore.
 
 The payload therefore tracks *in-flight* state (log entries awaiting
 garbage collection, queued events) plus the measurement samples, not the
@@ -44,7 +36,7 @@ Correctness rests on two properties, both enforced by tests/snapshot/:
   every attack parameter (dormant attackers still draw RNG, activation is a
   *priority* event that never consumes the ordinary event sequence).
 * ``pickle.loads(pickle.dumps(x))`` is a faithful deep copy — classes with
-  derived, cycle-bearing state (the network's fused send paths) implement
+  derived, cycle-bearing state (the network's fused send path) implement
   ``__getstate__``/``__setstate__`` and are covered by lint rule PKL003.
 
 Forking is a pure optimization: ``REPRO_NO_SNAPSHOT=1`` (or

@@ -6,13 +6,12 @@ this substitution is behaviour-preserving for the paper's attacks.
 """
 
 from .digest import mix64, stable_digest
-from .keys import FoldMemo, KeyStore, derive_session_key, pair_of
+from .keys import KeyStore, derive_session_key, pair_of
 from .mac import Authenticator, CorruptionPolicy, MacGenerator, compute_mac, verify_tag
 
 __all__ = [
     "Authenticator",
     "CorruptionPolicy",
-    "FoldMemo",
     "KeyStore",
     "MacGenerator",
     "compute_mac",

@@ -55,9 +55,6 @@ class MacGenerator:
     def generate(self, verifier: str, payload_digest: int) -> int:
         """Generate one MAC tag for ``verifier`` (one ``generateMAC`` call)."""
         self.calls += 1
-        # Routed through the keystore's tag memo: a client retransmitting a
-        # request re-MACs the same digest, and the genuine tag is identical
-        # every time (corruption is applied after, per call number).
         tag = self.keystore.expected_tag(verifier, payload_digest)
         if self.corruption_policy is not None and self.corruption_policy(self.calls, verifier):
             self.corrupted_calls += 1
@@ -73,25 +70,13 @@ class MacGenerator:
         if self.corruption_policy is None:
             # No corruption hook installed (every correct node): the vector
             # is just the expected tags, so skip the per-call wrapper and
-            # bump the generateMAC counter in bulk. With the shared tag memo
-            # enabled, probe it inline (KeyStore.expected_tag's hit path) —
-            # clients re-MAC the same digest on every retransmission.
-            keystore = self.keystore
-            expected = keystore.expected_tag
+            # bump the generateMAC counter in bulk.
+            expected = self.keystore.expected_tag
             calls = self.calls
             tags = {}
-            if keystore._memoize_tags:
-                key_cache = keystore._cache
-                tag_cache = keystore._tag_cache
-                for verifier in verifiers:
-                    calls += 1
-                    key = key_cache.get(verifier)
-                    tag = tag_cache.get((key, payload_digest)) if key is not None else None
-                    tags[verifier] = expected(verifier, payload_digest) if tag is None else tag
-            else:
-                for verifier in verifiers:
-                    calls += 1
-                    tags[verifier] = expected(verifier, payload_digest)
+            for verifier in verifiers:
+                calls += 1
+                tags[verifier] = expected(verifier, payload_digest)
             self.calls = calls
             return Authenticator(tags)
         return Authenticator(
@@ -116,15 +101,6 @@ class Authenticator:
         tag = self.tags.get(keystore.owner)
         if tag is None:
             return False
-        if keystore._memoize_tags:
-            # Inline the shared-cache probe (KeyStore.expected_tag's hit
-            # path): verification is the single hottest crypto call site,
-            # and in steady state the sender has always populated the memo.
-            key = keystore._cache.get(signer)
-            if key is not None:
-                cached = keystore._tag_cache.get((key, payload_digest))
-                if cached is not None:
-                    return tag == cached
         return tag == keystore.expected_tag(signer, payload_digest)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -140,9 +116,6 @@ def verify_tag(
     """Verify a single tag produced by ``signer`` for ``keystore.owner``."""
     if verifier_tag is None:
         return False
-    # Replicas re-verify the same (signer, digest) pair once per protocol
-    # phase; the keystore memoizes the expected tag so only the first
-    # verification pays for the `mix64` fold.
     return verifier_tag == keystore.expected_tag(signer, payload_digest)
 
 

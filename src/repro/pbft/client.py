@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .. import perf
-from ..crypto import FoldMemo, KeyStore, MacGenerator
+from ..crypto import KeyStore, MacGenerator
 from ..sim import Network, Simulator
 from ..sim.node import CrashAwareNode
 from .behaviors import CORRECT_CLIENT, ClientBehavior, mask_corruption_policy
@@ -37,15 +36,13 @@ class Client(CrashAwareNode):
         key_root: int,
         behavior: ClientBehavior = CORRECT_CLIENT,
         start_delay_us: int = 0,
-        tag_cache: Optional[FoldMemo] = None,
     ) -> None:
         super().__init__(name, simulator, network)
         self.config = config
         self.behavior = behavior
-        self.keystore = KeyStore(key_root, name, tag_cache)
+        self.keystore = KeyStore(key_root, name)
         self.mac = MacGenerator(self.keystore, mask_corruption_policy(behavior.mac_mask))
         self.replica_names = [replica_name(i) for i in range(config.n_replicas)]
-        self._optimized = perf.enabled()
 
         self.view_hint = 0
         self.timestamp = 0
@@ -109,13 +106,10 @@ class Client(CrashAwareNode):
         operation = ("op", self.name, self.timestamp)
         # The authenticator always covers all replicas (the primary embeds it
         # in the pre-prepare), so every transmission costs n generateMAC calls.
-        if self._optimized:
-            request = Request(
-                self.name, self.timestamp, operation, None,
-                digest=fast_request_digest(self.name, self.timestamp),
-            )
-        else:
-            request = Request(self.name, self.timestamp, operation, None)
+        request = Request(
+            self.name, self.timestamp, operation, None,
+            digest=fast_request_digest(self.name, self.timestamp),
+        )
         request.authenticator = self.mac.authenticator(self.replica_names, request.digest)
         self.outstanding = request
         self.sent_at = self.now
@@ -143,13 +137,7 @@ class Client(CrashAwareNode):
             return
         request = self.outstanding
         # Re-MAC: fresh generateMAC calls advance the corruption-mask cursor.
-        if self._optimized and self.mac.corruption_policy is None:
-            # A correct client's regenerated vector is identical (genuine
-            # tags are deterministic); advance the generateMAC cursor
-            # exactly as regeneration would and keep the old authenticator.
-            self.mac.calls += len(self.replica_names)
-        else:
-            request.authenticator = self.mac.authenticator(self.replica_names, request.digest)
+        request.authenticator = self.mac.authenticator(self.replica_names, request.digest)
         self.transmissions += 1
         self.simulator.metrics.counter("pbft.client_retransmissions").increment()
         self.broadcast(self.replica_names, request)

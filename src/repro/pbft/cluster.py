@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..crypto import FoldMemo
 from ..sim.rng import derive_seed
 from ..sim import LanLatency, LatencyModel, Network, NetworkFault, SECOND, Simulator
 from .attack import PbftAttack
@@ -115,22 +114,13 @@ class PbftDeployment:
         key_root = derive_seed(seed, "pbft-keys")
         stagger_rng = self.simulator.rng("client-stagger")
         stagger_span = max(config.batch_interval_us * 4, 1)
-        # One tag cache for the whole deployment: the tag a sender generates
-        # is the tag its receiver expects (same session key, same digest), so
-        # sharing the memo across nodes halves the MAC folds per message. It
-        # pickles empty and stays one object (see FoldMemo), so a snapshot
-        # fork carries none of the prefix's folds and still shares it.
-        tag_cache = FoldMemo()
 
         self.replicas: List[Replica] = []
         behaviors = replica_behaviors or {}
         for index in range(config.n_replicas):
             behavior = behaviors.get(index, ReplicaBehavior())
             self.replicas.append(
-                Replica(
-                    index, config, self.simulator, self.network, key_root, behavior,
-                    tag_cache=tag_cache,
-                )
+                Replica(index, config, self.simulator, self.network, key_root, behavior)
             )
 
         self.correct_clients: List[Client] = []
@@ -144,7 +134,6 @@ class PbftDeployment:
                     key_root,
                     CORRECT_CLIENT,
                     start_delay_us=stagger_rng.randint(0, stagger_span),
-                    tag_cache=tag_cache,
                 )
             )
 
@@ -159,7 +148,6 @@ class PbftDeployment:
                     key_root,
                     behavior,
                     start_delay_us=stagger_rng.randint(0, stagger_span),
-                    tag_cache=tag_cache,
                 )
             )
 
@@ -181,8 +169,8 @@ class PbftDeployment:
     # ------------------------------------------------------------------
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # The network's fused send paths capture the event queue's heap by
-        # reference; rebuild them now that the whole graph is restored.
+        # The network's fused send path captures the event queue's heap by
+        # reference; rebuild it now that the whole graph is restored.
         self.network.rebind_fast_paths()
 
     # ------------------------------------------------------------------

@@ -19,8 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from .. import perf
-from ..crypto import FoldMemo, KeyStore, MacGenerator, compute_mac, mix64, stable_digest
+from ..crypto import KeyStore, MacGenerator, compute_mac, mix64, stable_digest
 from ..crypto.keys import derive_session_key
 from ..sim import Network, Simulator
 from ..sim.node import CrashAwareNode
@@ -60,20 +59,13 @@ class Replica(CrashAwareNode):
         network: Network,
         key_root: int,
         behavior: ReplicaBehavior = CORRECT_REPLICA,
-        tag_cache: Optional[FoldMemo] = None,
     ) -> None:
         super().__init__(replica_name(index), simulator, network)
         self.index = index
         self.config = config
         self.behavior = behavior
         self.key_root = key_root
-        self.keystore = KeyStore(key_root, self.name, tag_cache)
-        # The keystore's mix64 memo (deployment-shared, or private to a
-        # standalone replica) doubles as the execution-digest cache: all
-        # replicas fold the same (state, request-digest) chains and result
-        # digests, so the first to execute a request computes them for all.
-        self._fold_cache = self.keystore._tag_cache
-        self._optimized = perf.enabled()
+        self.keystore = KeyStore(key_root, self.name)
         self.mac = MacGenerator(
             self.keystore, mask_corruption_policy(behavior.mac_mask)
         )
@@ -549,8 +541,6 @@ class Replica(CrashAwareNode):
         authenticated = self.authenticated
         pending = self.pending
         request_executed = self.vc_timer.request_executed
-        optimized = self._optimized
-        cache = self._fold_cache
         state_digest = self.state_digest
         view = self.view
         name = self.name
@@ -562,22 +552,8 @@ class Replica(CrashAwareNode):
             if entry is not None and timestamp <= entry[0]:
                 continue  # duplicate ordered twice across a view change
             digest = request.digest
-            if optimized:
-                # All replicas execute identical request sequences, so the
-                # state/result folds are shared through the deployment memo
-                # (exact tuple keys — no collision with MAC-tag entries).
-                state_key = (state_digest, digest)
-                state = cache.get(state_key)
-                if state is None:
-                    state = cache[state_key] = mix64(state_digest, digest)
-                state_digest = state
-                result_key = (_RESULT_DOMAIN, digest)
-                result = cache.get(result_key)
-                if result is None:
-                    result = cache[result_key] = mix64(_RESULT_DOMAIN, digest)
-            else:
-                state_digest = mix64(state_digest, digest)
-                result = mix64(_RESULT_DOMAIN, digest)
+            state_digest = mix64(state_digest, digest)
+            result = mix64(_RESULT_DOMAIN, digest)
             reply = Reply(view, timestamp, client, name, result)
             client_table[client] = (timestamp, reply)
             send(client, reply)

@@ -41,6 +41,11 @@ class EventHandle:
     Cancellation is lazy: the heap entry stays in place (its callback
     nulled) and is discarded when it reaches the top. This makes
     :meth:`EventQueue.cancel` O(1).
+
+    A pending event's entry points back at its handle; whoever takes the
+    entry off the heap to run it (:meth:`EventQueue.pop`, the simulator's
+    inlined loop) detaches it, which is how ``cancel`` tells a handle whose
+    event already ran from one that is still counted live.
     """
 
     __slots__ = ("_entry", "cancelled")
@@ -141,8 +146,8 @@ class EventQueue:
         self._live += 1
 
     def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously pushed event (idempotent)."""
-        if not handle.cancelled:
+        """Cancel a previously pushed event (idempotent; a no-op once it ran)."""
+        if not handle.cancelled and handle._entry[_HANDLE] is handle:
             handle.cancel()
             self._live -= 1
 
@@ -160,8 +165,8 @@ class EventQueue:
             self._live -= 1
             handle = entry[_HANDLE]
             if handle is None:
-                handle = EventHandle(entry)
-                entry[_HANDLE] = handle
+                return EventHandle(entry)
+            entry[_HANDLE] = None  # fired: a late cancel() must not count it
             return handle
         return None
 

@@ -156,34 +156,22 @@ class Network:
         self.kind_trail: Optional[KindTrail] = (
             KindTrail() if kind_capture_enabled() else None
         )
-        # Fused fast path (sampled at construction, see `repro.perf`):
-        # deliveries are scheduled straight onto the queue's handle-free
-        # `defer`, and for the common LanLatency model the exponential draw
-        # is inlined (`-log(1-u)/lambd` — exactly `rng.expovariate(lambd)`,
-        # so reference and optimized runs consume identical RNG streams).
+        # Fused fast path (sampled at construction, see `repro.perf`): for
+        # the jittered LanLatency model every deployment uses, deliveries go
+        # straight onto the event heap with the exponential draw inlined
+        # (`-log(1-u)/lambd` — exactly `rng.expovariate(lambd)`, so reference
+        # and optimized runs consume identical RNG streams).
         self._optimized = perf.enabled()
-        self._rng_random = self.rng.random
-        self._queue_defer = simulator.queue.defer
-        self._lan: Optional[LanLatency] = (
-            self.latency_model if type(self.latency_model) is LanLatency else None
-        )
-        self._lan_lambd = (
-            1.0 / self._lan.jitter_mean_us
-            if self._lan is not None and self._lan.jitter_mean_us
-            else None
-        )
-        self._lan_base = self._lan.base_us if self._lan is not None else 0
         self._fast_send = self._make_fast_send() if self._optimized else None
 
     # ------------------------------------------------------------------
     # pickling (snapshot capture / fork)
     # ------------------------------------------------------------------
     #: Construction-derived attributes that must never be pickled: bound
-    #: builtin methods (``rng.random``), bound methods of other snapshot
-    #: participants, and the fused-send closure (which captures the event
-    #: queue's *current* heap list — a stale capture would let forked runs
-    #: mutate the cached snapshot's heap).
-    _DERIVED_ATTRS = ("_rng_random", "_queue_defer", "_fast_send", "_handlers")
+    #: methods of other snapshot participants, and the fused-send closure
+    #: (which captures the event queue's *current* heap list — a stale
+    #: capture would let forked runs mutate the cached snapshot's heap).
+    _DERIVED_ATTRS = ("_fast_send", "_handlers")
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -193,24 +181,21 @@ class Network:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # `endpoints` and `rng` are restored atomically with this state, so
-        # their derived views can be rebuilt immediately; the queue-dependent
-        # fast paths wait for `rebind_fast_paths` (the simulator may still be
+        # `endpoints` is restored atomically with this state, so its derived
+        # view can be rebuilt immediately; the queue-dependent fast path
+        # waits for `rebind_fast_paths` (the simulator may still be
         # mid-restore when a cyclic reference lands us here first).
         self._handlers = {
             name: endpoint.on_message for name, endpoint in self.endpoints.items()
         }
-        self._rng_random = self.rng.random
-        self._queue_defer = None
         self._fast_send = None
 
     def rebind_fast_paths(self) -> None:
-        """Rebuild the queue-capturing fast paths after an unpickle.
+        """Rebuild the queue-capturing fast path after an unpickle.
 
         Called by the owning deployment's ``__setstate__`` once the whole
         object graph (simulator, queue, heap) is restored.
         """
-        self._queue_defer = self.simulator.queue.defer
         self._fast_send = self._make_fast_send() if self._optimized else None
 
     # ------------------------------------------------------------------
@@ -255,44 +240,40 @@ class Network:
 
         Closure cells beat attribute loads at ~10⁶ calls per campaign, and
         everything captured is construction-stable (the queue, the RNG, the
-        latency parameters). Returns None for non-LAN models; those use the
-        generic envelope-free path in :meth:`send`.
+        latency parameters). Returns None for any other model (and for a
+        jitter-free LAN): those take the ``Envelope`` path in :meth:`send`,
+        schedule-identical.
         """
-        lan = self._lan
-        if lan is None:
+        lan = self.latency_model
+        if type(lan) is not LanLatency or not lan.jitter_mean_us:
             return None
         simulator = self.simulator
-        rng_random = self._rng_random
+        rng_random = self.rng.random
         queue = simulator.queue
         heap = queue._heap  # cleared in place by EventQueue.clear, never rebound
         heappush = _heappush
         deliver = self._deliver_fast
-        base = self._lan_base
-        lambd = self._lan_lambd
+        base = lan.base_us
+        lambd = 1.0 / lan.jitter_mean_us
         log = _log
-        if lambd is None:
-            def fast_send(src: str, dst: str, payload: object) -> None:
-                # Inlined `queue.defer` (delivery times are never negative).
-                heappush(heap, [simulator.now + base, queue._seq, deliver, (dst, payload, src), None])
-                queue._seq += 1
-                queue._live += 1
-        else:
-            def fast_send(src: str, dst: str, payload: object) -> None:
-                # Inlined `rng.expovariate(lambd)` jitter (identical RNG
-                # stream) on top of the base latency, then an inlined
-                # `queue.defer` (delivery times are never negative).
-                heappush(
-                    heap,
-                    [
-                        simulator.now + base + int(-log(1.0 - rng_random()) / lambd),
-                        queue._seq,
-                        deliver,
-                        (dst, payload, src),
-                        None,
-                    ],
-                )
-                queue._seq += 1
-                queue._live += 1
+
+        def fast_send(src: str, dst: str, payload: object) -> None:
+            # Inlined `rng.expovariate(lambd)` jitter (identical RNG
+            # stream) on top of the base latency, then an inlined
+            # `queue.defer` (delivery times are never negative).
+            heappush(
+                heap,
+                [
+                    simulator.now + base + int(-log(1.0 - rng_random()) / lambd),
+                    queue._seq,
+                    deliver,
+                    (dst, payload, src),
+                    None,
+                ],
+            )
+            queue._seq += 1
+            queue._live += 1
+
         return fast_send
 
     def send(self, src: str, dst: str, payload: object) -> None:
@@ -306,12 +287,6 @@ class Network:
             fast = self._fast_send
             if fast is not None:
                 fast(src, dst, payload)
-                return
-            if self._optimized:
-                latency = self.latency_model.sample(src, dst, self.rng)
-                self._queue_defer(
-                    self.simulator.now + latency, self._deliver_fast, (dst, payload, src)
-                )
                 return
         envelope = Envelope(src, dst, payload, self.simulator.now)
         if self.faults:

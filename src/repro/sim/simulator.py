@@ -164,6 +164,7 @@ class Simulator:
                 break
             heappop(heap)
             queue._live -= 1
+            entry[4] = None  # detach the handle: cancel-after-fire is a no-op
             self.now = event_time
             entry[2](*entry[3])
             executed += 1

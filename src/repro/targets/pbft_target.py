@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import perf
 from ..injection import FaultPlan
 from ..pbft import (
     CORRECT_CLIENT,
@@ -64,24 +63,13 @@ class PbftScenarioSpec:
     def build(self, seed: int) -> PbftDeployment:
         if self.attack_start_pct is not None:
             return self._build_timed(seed)
-        if perf.enabled():
-            # Template fast path: every malicious client in a scenario gets
-            # the same (frozen, immutable) behaviour, so one shared instance
-            # serves all of them; endpoint names and pairwise session keys
-            # are likewise memoized at module level (config.py / keys.py).
-            # The seed-dependent parts — simulator, network, node state —
-            # are always built fresh.
-            behavior = _malicious_behavior(self.mac_mask, self.malicious_broadcast)
-            malicious: List[ClientBehavior] = [behavior] * self.n_malicious_clients
-        else:
-            malicious = [
-                ClientBehavior(mac_mask=self.mac_mask, broadcast_always=self.malicious_broadcast)
-                for _ in range(self.n_malicious_clients)
-            ]
+        # Every malicious client of a scenario gets the same (frozen)
+        # behaviour, so one shared instance serves all of them.
+        behavior = _malicious_behavior(self.mac_mask, self.malicious_broadcast)
         deployment = PbftDeployment(
             self.config,
             self.n_correct_clients,
-            malicious_clients=malicious,
+            malicious_clients=[behavior] * self.n_malicious_clients,
             replica_behaviors=dict(self.replica_behaviors),
             seed=seed,
             network_faults=list(self.network_faults),
@@ -195,9 +183,6 @@ class PbftTarget:
         self.hyperspace = hyperspace
         #: Benign run result by client count (lazy cache).
         self._baselines: Dict[int, PbftRunResult] = {}
-        #: Whether baselines may also be shared through the process-wide
-        #: cache (sampled from :mod:`repro.perf` at construction).
-        self._share_baselines = perf.enabled()
         self.tests_run = 0
 
     # ------------------------------------------------------------------
@@ -311,8 +296,8 @@ class PbftTarget:
     def baseline(self, n_correct_clients: int) -> PbftRunResult:
         """The benign measurement at this client count (cached).
 
-        The result is cached on the instance and — in optimized mode —
-        also in a process-wide cache keyed by ``(config, client count)``:
+        The result is cached on the instance and in a process-wide cache
+        keyed by ``(config, client count)``:
         every target with the same config would rerun the *identical*
         benign deployment (the baseline seed is a fixed function of the
         client count), and :class:`PbftRunResult` is frozen, so sharing the
@@ -320,14 +305,11 @@ class PbftTarget:
         """
         cached = self._baselines.get(n_correct_clients)
         if cached is None:
-            if self._share_baselines:
-                key = (self.config, n_correct_clients)
-                cached = _BASELINE_CACHE.get(key)
-                if cached is None:
-                    cached = self._run_baseline(n_correct_clients)
-                    _BASELINE_CACHE[key] = cached
-            else:
+            key = (self.config, n_correct_clients)
+            cached = _BASELINE_CACHE.get(key)
+            if cached is None:
                 cached = self._run_baseline(n_correct_clients)
+                _BASELINE_CACHE[key] = cached
             self._baselines[n_correct_clients] = cached
         return cached
 
@@ -356,21 +338,19 @@ class PbftTarget:
         client counts and activation percentages) is also captured into the
         snapshot cache, up to its capacity — entries left over from another
         campaign do not count against it, the LRU evicts them. Returns the
-        number of baselines plus snapshots computed. No-op in reference
-        (unoptimized) mode.
+        number of baselines plus snapshots computed.
         """
         warmed = 0
-        if self._share_baselines:
-            dimension = self.hyperspace.by_name.get("n_correct_clients")
-            if dimension is not None:
-                for position in range(dimension.size):
-                    count = dimension.value_at(position)
-                    if not isinstance(count, int) or count < 1:
-                        continue
-                    if count not in self._baselines:
-                        before = len(_BASELINE_CACHE)
-                        self.baseline(count)
-                        warmed += len(_BASELINE_CACHE) - before
+        dimension = self.hyperspace.by_name.get("n_correct_clients")
+        if dimension is not None:
+            for position in range(dimension.size):
+                count = dimension.value_at(position)
+                if not isinstance(count, int) or count < 1:
+                    continue
+                if count not in self._baselines:
+                    before = len(_BASELINE_CACHE)
+                    self.baseline(count)
+                    warmed += len(_BASELINE_CACHE) - before
         if campaign_seed is not None and snapshot.enabled():
             warmed += self._warm_snapshots(campaign_seed)
         return warmed

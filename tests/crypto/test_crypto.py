@@ -138,6 +138,15 @@ def test_corrupted_tag_differs_from_genuine():
     assert genuine == compute_mac(client.session_key("replica-0"), digest)
 
 
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_expected_tag_is_the_mac_under_the_session_key(digest):
+    client, replicas = make_parties()
+    for replica in replicas:
+        tag = client.expected_tag(replica.owner, digest)
+        assert tag == compute_mac(client.session_key(replica.owner), digest)
+        assert tag == replica.expected_tag("client", digest)  # both ends agree
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**64 - 1))
 def test_compute_mac_deterministic(key, payload):
     assert compute_mac(key, payload) == compute_mac(key, payload)

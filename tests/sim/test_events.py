@@ -135,3 +135,18 @@ def test_cancel_after_clear_does_not_corrupt_live_count():
     assert queue
     assert queue.pop() is replacement
     assert len(queue) == 0
+
+
+def test_cancel_after_pop_does_not_corrupt_live_count():
+    # Regression: pop() left the handle looking pending, so cancelling an
+    # event that had already been handed out decremented the live count a
+    # second time and hid the events still queued behind it.
+    queue = EventQueue()
+    fired = queue.push(5, lambda: None)
+    queue.push(50, lambda: None)
+    assert queue.pop() is fired
+    queue.cancel(fired)  # must be a no-op: the event already ran
+    assert len(queue) == 1
+    assert queue
+    assert queue.pop().time == 50
+    assert len(queue) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import perf
 from repro.sim import SimulationError, Simulator
 
 
@@ -85,6 +86,27 @@ def test_cancel_prevents_execution():
     sim.cancel(handle)
     sim.run()
     assert fired == []
+
+
+@pytest.mark.parametrize("optimized", [True, False], ids=["optimized", "reference"])
+def test_cancel_after_fire_is_a_noop(optimized):
+    # Regression: neither run loop marked a fired event's handle, so a late
+    # cancel() decremented the live count again — the queue read as empty
+    # (the quiescence test in run()) with an event still pending, and
+    # len() went negative once that event ran.
+    with perf.use_optimizations(optimized):
+        sim = Simulator()
+    fired = []
+    handle = sim.schedule(5, fired.append, "early")
+    sim.schedule(50, fired.append, "late")
+    sim.run(until=10)
+    sim.cancel(handle)
+    assert len(sim.queue) == 1
+    assert sim.queue
+    sim.run(until=100)
+    assert fired == ["early", "late"]
+    assert len(sim.queue) == 0
+    assert sim.now == 100
 
 
 def test_negative_delay_rejected():

@@ -1,6 +1,10 @@
 """The command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,31 @@ def test_resume_of_a_complete_campaign_is_a_noop(tmp_path, capsys):
     capsys.readouterr()
     assert main(["resume", str(ckpt)]) == 0
     assert "nothing to resume" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        ('{"format_version": 3, "kind": "avd-checkpoint"}', "version: 3"),
+        ("{ not json", "cannot resume"),
+        (None, "No such file"),
+    ],
+    ids=["old-version", "not-json", "missing"],
+)
+def test_resume_on_a_bad_checkpoint_is_a_clean_error(tmp_path, content, expected):
+    """A checkpoint `resume` cannot read exits 1 with one line, no traceback."""
+    ckpt = tmp_path / "ckpt.json"
+    if content is not None:
+        ckpt.write_text(content)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "resume", str(ckpt)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 1
+    assert "cannot resume" in result.stderr and expected in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_resume_keeps_the_hybrid_strategy_label(tmp_path):
