@@ -29,7 +29,7 @@ and any severe-impact cutoff exposes the same vertical lines.
 """
 
 from repro.analysis import analyze_structure
-from repro.core import ExhaustiveExploration, heatmap
+from repro.core import CampaignSpec, ExhaustiveExploration, heatmap
 from repro.core.hyperspace import ChoiceDimension, Hyperspace, IntRangeDimension
 from repro.pbft import binary_to_gray
 from repro.plugins import ClientCountPlugin, MacCorruptionPlugin
@@ -76,7 +76,7 @@ def build_subspace_target():
 def run_figure3():
     target, subspace = build_subspace_target()
     exhaustive = ExhaustiveExploration(target, seed=3, hyperspace=subspace)
-    results = exhaustive.run()
+    results = exhaustive.run(CampaignSpec(budget=subspace.size))
     row_of = {count: index for index, count in enumerate(CLIENT_COUNTS)}
     grid = [[0.0] * WINDOW_LENGTH for _ in CLIENT_COUNTS]
     for result in results:

@@ -5,7 +5,7 @@ Commands
 campaign    run an AVD (or baseline) campaign against a target
 resume      continue a killed campaign from its checkpoint file
 merge       fold a sharded campaign's artifacts into one canonical report
-worker      serve scenario executions to socket-backend campaigns
+worker      serve scenario executions to campaigns run with --hosts
 explain     attribute a recorded campaign (telemetry JSONL) to its plugins
 bigmac      sweep the Big MAC mask family against PBFT
 slow-primary demonstrate the shared-timer bug and its fixes
@@ -14,6 +14,10 @@ explore     coverage-guided protocol-message sequence exploration
 power       tests-to-find along the attacker power ladder
 lint        determinism/picklability/plugin-API static analysis
 audit       attack-surface manifest + SRF validation-order audit
+
+``campaign``, ``resume`` and the ``--shards`` path assemble a campaign from
+the same parts: :func:`_recipe` / :func:`_build_target`, :func:`_open_bus`,
+:func:`_run_closing` and :func:`_report`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import sys
 from typing import List, Optional
 
 from .core import (
-    BACKEND_NAMES,
     AvdExploration,
     CampaignResult,
     CampaignSpec,
@@ -136,42 +139,75 @@ def _pbft_config(fixed_timers: bool, aardvark: bool) -> PbftConfig:
     return PbftConfig.campaign_scale(**overrides)
 
 
-def _build_target(target_name: str, tool_names: List[str], fixed_timers: bool, aardvark: bool):
-    """Rebuild (target, plugins) from CLI-level choices (campaign + resume)."""
-    if target_name == "pbft":
-        plugins = _build_plugins(tool_names)
-        target = PbftTarget(plugins, config=_pbft_config(fixed_timers, aardvark))
-    else:
-        plugins = [RoutingPoisonPlugin()]
-        target = DhtTarget(plugins)
-    return target, plugins
+def _recipe(args) -> dict:
+    """What is explored, and how. A checkpoint records it as its context,
+    so ``repro resume`` and a restarted shard rebuild the campaign they
+    continue, not the one this invocation's flags happen to describe."""
+    return {
+        "strategy": args.strategy,
+        "target": args.target,
+        "tools": args.tools,
+        "fixed_timers": args.fixed_timers,
+        "aardvark": args.aardvark,
+    }
 
 
-def _build_telemetry(
-    path: Optional[str],
-    progress: bool,
-    append: bool = False,
-    resume_seq: Optional[int] = None,
-):
-    """Assemble the campaign event bus from CLI flags (None if unused)."""
+def _build_target(recipe: dict):
+    """(target, plugins) for a recipe — this invocation's or a checkpoint's."""
+    if recipe.get("target", "pbft") == "pbft":
+        plugins = _build_plugins(recipe.get("tools", "mac,clients").split(","))
+        config = _pbft_config(recipe.get("fixed_timers"), recipe.get("aardvark"))
+        return PbftTarget(plugins, config=config), plugins
+    plugins = [RoutingPoisonPlugin()]
+    return DhtTarget(plugins), plugins
+
+
+#: ``--strategy`` name -> ``builder(target, plugins, seed, config)``. Only
+#: avd and hybrid are backed by a controller: they alone take its config,
+#: checkpoint, publish telemetry and shard.
+_STRATEGIES = {
+    "avd": AvdExploration,
+    "hybrid": HybridExploration,
+    "random": lambda target, plugins, seed, config: RandomExploration(target, seed),
+    "genetic": lambda target, plugins, seed, config: GeneticExploration(target, plugins, seed),
+}
+
+
+def _open_bus(path: Optional[str], progress: bool, resume_seq: Optional[int] = None):
+    """The campaign event bus these flags ask for (None if neither does).
+
+    Given a checkpoint's telemetry cursor the JSONL stream is appended to,
+    after dropping a killed run's orphan events past the cursor.
+    """
     if not path and not progress:
         return None
     from .telemetry import JsonlSink, TelemetryBus, TtyProgressSink
 
     bus = TelemetryBus()
     if path:
-        bus.attach(JsonlSink(path, append=append, resume_seq=resume_seq))
+        bus.attach(JsonlSink(path, append=resume_seq is not None, resume_seq=resume_seq))
     if progress:
         bus.attach(TtyProgressSink())
     return bus
 
 
-def _close_telemetry(bus) -> None:
-    if bus is not None:
-        bus.close()
+def _run_closing(job, bus, refusal: str = ""):
+    """Run ``job()`` and close the bus, whatever happens. A ``ValueError``
+    (a strategy refusing the spec, a checkpoint that does not match its
+    campaign) is the user's to read: a one-line exit, not a traceback."""
+    try:
+        return job()
+    except ValueError as exc:
+        raise SystemExit(f"{refusal}{exc}")
+    finally:
+        if bus is not None:
+            bus.close()
 
 
-def _print_campaign_summary(campaign) -> None:
+def _report(campaign: CampaignResult, out: Optional[str], stream: Optional[str] = None) -> None:
+    """Print the campaign summary; save the results if asked to."""
+    if stream:
+        print(f"telemetry written to {stream}")
     print(describe_best(compare_campaigns([campaign])))
     print("impact per test:", sparkline(campaign.impacts()))
     failures = campaign.failures()
@@ -181,97 +217,70 @@ def _print_campaign_summary(campaign) -> None:
             kinds[failure.kind] = kinds.get(failure.kind, 0) + 1
         rendered = ", ".join(f"{kind}: {count}" for kind, count in sorted(kinds.items()))
         print(f"failures: {len(failures)} quarantined ({rendered})")
+    if out:
+        save_campaign(campaign, out)
+        print(f"campaign saved to {out}")
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-def _parse_hosts(args) -> tuple:
-    """The socket-backend host list from --hosts (validated)."""
-    hosts = tuple(h.strip() for h in (args.hosts or "").split(",") if h.strip())
-    if args.backend == "socket" and not hosts:
-        raise SystemExit("--backend socket requires --hosts host:port[,host:port...]")
-    if args.backend != "socket" and hosts:
-        raise SystemExit("--hosts only applies to --backend socket")
-    return hosts
-
-
 def cmd_campaign(args) -> int:
-    if args.novelty_weight is not None and args.strategy not in ("avd", "hybrid"):
-        raise SystemExit("--novelty-weight requires --strategy avd or hybrid")
+    # The other strategies refuse these themselves, but only once they run:
+    # by then --telemetry PATH has been opened, and truncated.
+    if args.strategy not in ("avd", "hybrid"):
+        controller_only = {
+            "--novelty-weight": args.novelty_weight is not None,
+            "--shards": args.shards > 1,
+            "--checkpoint": args.checkpoint,
+            "--telemetry": args.telemetry,
+            "--progress": args.progress,
+        }
+        for flag, given in controller_only.items():
+            if given:
+                raise SystemExit(
+                    f"{flag} requires --strategy avd or hybrid (only they carry "
+                    "a controller's resumable state and event bus)"
+                )
+    novelty_weight = args.novelty_weight
+    if novelty_weight is None:
+        hybrid = args.strategy == "hybrid"
+        novelty_weight = HybridExploration.DEFAULT_NOVELTY_WEIGHT if hybrid else 0.0
     config = ControllerConfig(
         fault_isolation=not args.no_fault_isolation,
         scenario_timeout=args.scenario_timeout,
         retry=RetryPolicy(max_attempts=args.retries),
-        novelty_weight=args.novelty_weight if args.novelty_weight is not None else 0.0,
+        novelty_weight=novelty_weight,
+    )
+    recipe = _recipe(args)
+    workers = resolve_workers(args.workers)
+    spec = CampaignSpec(
+        budget=args.budget,
+        workers=workers,
+        batch_size=args.batch_size,
+        checkpoint_every=args.checkpoint_every,
+        hosts=[host.strip() for host in (args.hosts or "").split(",") if host.strip()],
     )
     if args.shards > 1:
-        return _cmd_campaign_sharded(args, config)
+        return _cmd_campaign_sharded(args, config, recipe, spec)
     if args.shard_index is not None:
         raise SystemExit("--shard-index requires --shards > 1")
-    target, plugins = _build_target(
-        args.target, args.tools.split(","), args.fixed_timers, args.aardvark
-    )
-    if args.strategy == "avd":
-        strategy = AvdExploration(target, plugins, seed=args.seed, config=config)
-    elif args.strategy == "hybrid":
-        # An explicit --novelty-weight already sits in the config; otherwise
-        # the strategy applies its own default blend.
-        strategy = HybridExploration(target, plugins, seed=args.seed, config=config)
-    elif args.strategy == "random":
-        strategy = RandomExploration(target, seed=args.seed)
-    else:
-        strategy = GeneticExploration(target, plugins, seed=args.seed)
-    resumable = args.strategy in ("avd", "hybrid")
-    if args.checkpoint and not resumable:
-        raise SystemExit(
-            "--checkpoint requires --strategy avd or hybrid (only they are resumable)"
-        )
-    if (args.telemetry or args.progress) and not resumable:
-        raise SystemExit(
-            "--telemetry/--progress require --strategy avd or hybrid "
-            "(only they publish campaign events)"
-        )
+    target, plugins = _build_target(recipe)
+    strategy = _STRATEGIES[args.strategy](target, plugins, args.seed, config)
     if args.checkpoint:
-        # Everything `repro resume` needs to rebuild this campaign.
-        strategy.controller.checkpoint_context = {
-            "strategy": args.strategy,
-            "target": args.target,
-            "tools": args.tools,
-            "fixed_timers": bool(args.fixed_timers),
-            "aardvark": bool(args.aardvark),
-            "out": args.out,
-            "telemetry": args.telemetry,
-        }
-    workers = resolve_workers(args.workers)
+        # With the recipe, everything `repro resume` needs to carry on.
+        strategy.controller.checkpoint_context = dict(
+            recipe, out=args.out, telemetry=args.telemetry
+        )
     note = f" on {workers} workers" if workers > 1 else ""
     print(
         f"exploring {target.hyperspace.size:,} scenarios with "
         f"'{args.strategy}' for {args.budget} tests{note} ..."
     )
-    telemetry = _build_telemetry(args.telemetry, args.progress)
-    try:
-        campaign = run_campaign(
-            strategy,
-            CampaignSpec(
-                budget=args.budget,
-                workers=workers,
-                batch_size=args.batch_size,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                telemetry=telemetry,
-                backend=args.backend,
-                hosts=_parse_hosts(args),
-            ),
-        )
-    finally:
-        _close_telemetry(telemetry)
-    if args.telemetry:
-        print(f"telemetry written to {args.telemetry}")
-    _print_campaign_summary(campaign)
-    if args.out:
-        save_campaign(campaign, args.out)
-        print(f"campaign saved to {args.out}")
+    bus = _open_bus(args.telemetry, args.progress)
+    spec = spec.with_overrides(checkpoint_path=args.checkpoint, telemetry=bus)
+    campaign = _run_closing(lambda: run_campaign(strategy, spec), bus)
+    _report(campaign, args.out, args.telemetry)
     return 0
 
 
@@ -282,72 +291,57 @@ def _load_checkpoint_or_exit(path) -> dict:
         raise SystemExit(f"cannot resume: {exc}")
 
 
+def _telemetry_cursor(data: dict) -> int:
+    return int(data.get("telemetry", {}).get("seq", 0))
+
+
 def cmd_resume(args) -> int:
     data = _load_checkpoint_or_exit(args.checkpoint)
     context = data.get("context", {})
     run_params = data.get("run", {})
-    target, plugins = _build_target(
-        context.get("target", "pbft"),
-        context.get("tools", "mac,clients").split(","),
-        bool(context.get("fixed_timers")),
-        bool(context.get("aardvark")),
+    # Telemetry continues on the stream the campaign started, or starts
+    # afresh on a new path given here.
+    stream = args.telemetry or context.get("telemetry")
+    continuing = stream == context.get("telemetry")
+    bus = _open_bus(
+        stream, args.progress, resume_seq=_telemetry_cursor(data) if continuing else None
     )
-    # Telemetry continues on the stream the campaign started (append mode,
-    # with the sequence cursor restored from the checkpoint), or on a new
-    # path given here.
-    telemetry_path = args.telemetry or context.get("telemetry")
-    continuing = telemetry_path == context.get("telemetry")
-    telemetry = _build_telemetry(
-        telemetry_path,
-        args.progress,
-        append=continuing,
-        # Orphan events past the checkpoint's cursor (from a killed run)
-        # are truncated: the resumed controller republishes those seqs.
-        resume_seq=(
-            int(data.get("telemetry", {}).get("seq", 0)) if continuing else None
-        ),
-    )
-    controller = restore_controller(data, target, plugins, telemetry=telemetry)
-    budget = args.budget if args.budget is not None else int(run_params.get("budget", 0))
-    if budget < 1:
-        raise SystemExit("checkpoint carries no budget; pass --budget explicitly")
-    done = len(controller.results)
-    if done >= budget:
-        _close_telemetry(telemetry)
-        print(f"campaign already complete ({done}/{budget} tests); nothing to resume")
-    else:
+
+    def job():
+        controller = restore_controller(data, *_build_target(context), telemetry=bus)
+        budget = args.budget if args.budget is not None else int(run_params.get("budget", 0))
+        if budget < 1:
+            raise SystemExit("checkpoint carries no budget; pass --budget explicitly")
+        done = len(controller.results)
+        if done >= budget:
+            print(f"campaign already complete ({done}/{budget} tests); nothing to resume")
+            return controller, None
+        print(f"resuming campaign at test {done}/{budget} from {args.checkpoint} ...")
         # batch_size comes from the checkpoint: the trajectory depends on
         # it. The worker count is override-safe (wall-clock only).
         workers = args.workers if args.workers is not None else run_params.get("workers", 1)
-        print(f"resuming campaign at test {done}/{budget} from {args.checkpoint} ...")
-        try:
-            controller.run(
-                CampaignSpec(
-                    budget=budget,
-                    workers=workers,
-                    batch_size=run_params.get("batch_size"),
-                    checkpoint_path=args.checkpoint,
-                    checkpoint_every=int(run_params.get("checkpoint_every", 25)),
-                )
+        controller.run(
+            CampaignSpec(
+                budget=budget,
+                workers=workers,
+                batch_size=run_params.get("batch_size"),
+                checkpoint_path=args.checkpoint,
+                checkpoint_every=int(run_params.get("checkpoint_every", 25)),
             )
-        finally:
-            _close_telemetry(telemetry)
-        if telemetry_path:
-            print(f"telemetry written to {telemetry_path}")
+        )
+        return controller, stream
+
+    controller, written = _run_closing(job, bus, "cannot resume: ")
     # A checkpoint whose context predates the strategy key keeps the "avd"
     # label resume always gave it.
     campaign = CampaignResult(
         strategy=context.get("strategy", "avd"), results=list(controller.results)
     )
-    _print_campaign_summary(campaign)
-    out = args.out or context.get("out")
-    if out:
-        save_campaign(campaign, out)
-        print(f"campaign saved to {out}")
+    _report(campaign, args.out or context.get("out"), written)
     return 0
 
 
-def _cmd_campaign_sharded(args, config) -> int:
+def _cmd_campaign_sharded(args, config, recipe: dict, spec: CampaignSpec) -> int:
     """The ``--shards > 1`` path of ``repro campaign``.
 
     Without ``--shard-index``: every shard runs in this process, rounds
@@ -355,9 +349,9 @@ def _cmd_campaign_sharded(args, config) -> int:
     only that shard runs here, synchronizing with its partners through
     the summary files in ``--shard-dir``, so N cooperating processes
     (one per shard) produce byte-identical artifacts to the interleaved
-    driver. A shard whose checkpoint already exists resumes it.
+    driver. A shard whose checkpoint already exists resumes it, on the
+    recipe the checkpoint recorded (as ``repro resume`` does).
     """
-    from dataclasses import replace as dc_replace
     from pathlib import Path
 
     from .core.shard import (
@@ -370,8 +364,6 @@ def _cmd_campaign_sharded(args, config) -> int:
         shard_telemetry_path,
     )
 
-    if args.strategy not in ("avd", "hybrid"):
-        raise SystemExit("--shards requires --strategy avd or hybrid")
     for value, name in (
         (args.checkpoint, "--checkpoint"),
         (args.telemetry, "--telemetry"),
@@ -382,10 +374,6 @@ def _cmd_campaign_sharded(args, config) -> int:
                 f"{name} does not combine with --shards: per-shard checkpoints "
                 "and telemetry land in --shard-dir; fold them with `repro merge`"
             )
-    if args.strategy == "hybrid" and args.novelty_weight is None:
-        config = dc_replace(
-            config, novelty_weight=HybridExploration.DEFAULT_NOVELTY_WEIGHT
-        )
     plan = ShardPlan(
         campaign_seed=args.seed,
         shards=args.shards,
@@ -393,98 +381,76 @@ def _cmd_campaign_sharded(args, config) -> int:
         exchange_every=args.exchange_every,
     )
     directory = Path(args.shard_dir)
-    spec_template = CampaignSpec(
-        budget=plan.budget,
-        workers=args.workers,
-        batch_size=args.batch_size,
-        checkpoint_every=args.checkpoint_every,
-        backend=args.backend,
-        hosts=_parse_hosts(args),
-    )
-    context = {
-        "target": args.target,
-        "tools": args.tools,
-        "fixed_timers": bool(args.fixed_timers),
-        "aardvark": bool(args.aardvark),
-    }
 
     def factory(plan, index, bus):
-        target, plugins = _build_target(
-            args.target, args.tools.split(","), args.fixed_timers, args.aardvark
-        )
         controller = build_shard_controller(
-            target, plugins, plan, index, config=config, telemetry=bus
+            *_build_target(recipe), plan, index, config=config, telemetry=bus
         )
-        controller.checkpoint_context.update(context)
+        controller.checkpoint_context.update(recipe)
         return controller
 
-    if args.shard_index is not None:
-        if args.shard_index >= plan.shards:
+    if args.shard_index is None:
+        if any(shard_checkpoint_path(directory, i).exists() for i in range(plan.shards)):
             raise SystemExit(
-                f"--shard-index {args.shard_index} out of range for --shards {plan.shards}"
+                f"{directory} already holds shard checkpoints; resume individual "
+                "shards with --shard-index, or merge/clear the directory first"
             )
-        index = args.shard_index
-        directory.mkdir(parents=True, exist_ok=True)
-        checkpoint = shard_checkpoint_path(directory, index)
-        stream = shard_telemetry_path(directory, index)
-        if checkpoint.exists():
-            data = _load_checkpoint_or_exit(checkpoint)
-            telemetry = _build_telemetry(
-                str(stream),
-                args.progress,
-                append=True,
-                resume_seq=int(data.get("telemetry", {}).get("seq", 0)),
-            )
-            target, plugins = _build_target(
-                args.target, args.tools.split(","), args.fixed_timers, args.aardvark
-            )
-            runner = resume_shard_runner(
-                directory, index, target, plugins, spec=spec_template, telemetry=telemetry
-            )
-            print(f"resuming shard {index}/{plan.shards} from {checkpoint} ...")
-        else:
-            telemetry = _build_telemetry(str(stream), args.progress)
-            runner = ShardRunner(
-                factory(plan, index, telemetry), plan, index, directory,
-                spec=spec_template,
-            )
+        print(
+            f"exploring with {plan.shards} shards x "
+            f"{plan.rounds} rounds for {plan.budget} tests into {directory} ..."
+        )
+        runners = run_sharded_campaign(
+            plan,
+            directory,
+            factory,
+            spec=spec,
+            telemetry_paths=[shard_telemetry_path(directory, i) for i in range(plan.shards)],
+        )
+        for runner in runners:
+            best = runner.controller.best
+            best_note = f"best impact {best.impact:.3f}" if best else "no results"
             print(
-                f"running shard {index}/{plan.shards} "
-                f"({plan.shard_budget(index)} of {plan.budget} tests, "
-                f"{plan.rounds} exchange rounds) in {directory} ..."
+                f"  shard {runner.index}: {len(runner.controller.results)} tests, {best_note}"
             )
-        try:
-            runner.run()
-        finally:
-            _close_telemetry(telemetry)
-        campaign = CampaignResult(strategy=args.strategy, results=list(runner.controller.results))
-        _print_campaign_summary(campaign)
-        print(f"merge all shards when done: repro merge {directory}")
+        print(f"fold the shards into one report: repro merge {directory}")
         return 0
 
-    if any(shard_checkpoint_path(directory, i).exists() for i in range(plan.shards)):
-        raise SystemExit(
-            f"{directory} already holds shard checkpoints; resume individual "
-            "shards with --shard-index, or merge/clear the directory first"
+    index = args.shard_index
+    if index >= plan.shards:
+        raise SystemExit(f"--shard-index {index} out of range for --shards {plan.shards}")
+    directory.mkdir(parents=True, exist_ok=True)
+    checkpoint = shard_checkpoint_path(directory, index)
+    stream = str(shard_telemetry_path(directory, index))
+    if checkpoint.exists():
+        data = _load_checkpoint_or_exit(checkpoint)
+        # A restarted shard carries on with the campaign its checkpoint
+        # recorded, not whichever one this invocation's flags spell.
+        recipe = data.get("context", {})
+        bus = _open_bus(stream, args.progress, resume_seq=_telemetry_cursor(data))
+        print(f"resuming shard {index}/{plan.shards} from {checkpoint} ...")
+        results = _run_closing(
+            lambda: resume_shard_runner(
+                directory, index, *_build_target(recipe), spec=spec, telemetry=bus
+            ).run(),
+            bus,
+            "cannot resume: ",
         )
-    print(
-        f"exploring with {plan.shards} shards x "
-        f"{plan.rounds} rounds for {plan.budget} tests into {directory} ..."
-    )
-    runners = run_sharded_campaign(
-        plan,
-        directory,
-        factory,
-        spec=spec_template,
-        telemetry_paths=[shard_telemetry_path(directory, i) for i in range(plan.shards)],
-    )
-    for runner in runners:
-        best = runner.controller.best
-        best_note = f"best impact {best.impact:.3f}" if best else "no results"
+    else:
+        bus = _open_bus(stream, args.progress)
         print(
-            f"  shard {runner.index}: {len(runner.controller.results)} tests, {best_note}"
+            f"running shard {index}/{plan.shards} "
+            f"({plan.shard_budget(index)} of {plan.budget} tests, "
+            f"{plan.rounds} exchange rounds) in {directory} ..."
         )
-    print(f"fold the shards into one report: repro merge {directory}")
+        results = _run_closing(
+            lambda: ShardRunner(
+                factory(plan, index, bus), plan, index, directory, spec=spec
+            ).run(),
+            bus,
+        )
+    label = recipe.get("strategy", args.strategy)
+    _report(CampaignResult(strategy=label, results=list(results)), out=None)
+    print(f"merge all shards when done: repro merge {directory}")
     return 0
 
 
@@ -854,9 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--target", choices=("pbft", "dht"), default="pbft")
     campaign.add_argument("--tools", default="mac,clients",
                           help=f"comma list of {', '.join(sorted(_TOOL_FACTORIES))}")
-    campaign.add_argument(
-        "--strategy", choices=("avd", "hybrid", "random", "genetic"), default="avd"
-    )
+    campaign.add_argument("--strategy", choices=tuple(_STRATEGIES), default="avd")
     campaign.add_argument(
         "--novelty-weight", type=float, default=None, metavar="W",
         help="blend coverage novelty into parent selection (0 = pure impact, "
@@ -872,19 +836,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--batch-size", type=_positive_int, default=None,
-        help="scenarios generated speculatively per round "
-             "(default: 1 serial, 2x workers parallel)",
-    )
-    campaign.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="process",
-        help="executor backend for parallel runs: process (fork pool, "
-             "default), inprocess (no processes; debugging), socket "
-             "(remote repro workers via --hosts); the exploration "
-             "trajectory does not depend on this",
+        help="scenarios generated speculatively per round (default: twice "
+             "the larger of --workers and the --hosts count when there are "
+             "hosts or more than one worker, else 1)",
     )
     campaign.add_argument(
         "--hosts", default=None, metavar="HOST:PORT[,...]",
-        help="socket-backend worker endpoints (see `repro worker`)",
+        help="run scenarios on these `repro worker` endpoints instead of on "
+             "local worker processes; the exploration trajectory does not "
+             "depend on this",
     )
     campaign.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
@@ -990,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     merge.set_defaults(func=cmd_merge)
 
     worker = sub.add_parser(
-        "worker", help="serve scenario executions to socket-backend campaigns"
+        "worker", help="serve scenario executions to campaigns run with --hosts"
     )
     worker.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",

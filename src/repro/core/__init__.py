@@ -6,7 +6,7 @@ of test scenarios (:mod:`repro.core.hyperspace`) through tool plugins
 Baseline strategies and the attacker power model live alongside.
 """
 
-from .backends import BACKEND_NAMES, WorkStealingScheduler
+from .backends import WorkStealingScheduler
 from .campaign import CampaignResult, compare_campaigns, run_campaign
 from .controller import ControllerConfig, TestController
 from .coverage import CoverageMap, extract_features, signature_of
@@ -81,7 +81,6 @@ __all__ = [
     "AnnealingExploration",
     "AttackerPower",
     "AvdExploration",
-    "BACKEND_NAMES",
     "CampaignResult",
     "CampaignSpec",
     "ChoiceDimension",

@@ -13,10 +13,10 @@ Three layers run a batch of scenarios:
 
 There are two ways to open a channel and one protocol behind both:
 
-``Channel.spawn`` (``--backend process``)
+``Channel.spawn`` (``workers > 1``, no hosts)
     Starts a child process that serves the other end of a
     ``socket.socketpair()`` on its main thread.
-``Channel.dial`` (``--backend socket``)
+``Channel.dial`` (one per ``--hosts`` endpoint)
     Connects to a ``repro worker`` listening on ``host:port``.
 
 Both send the same hello, which carries the pickled target. A spawned
@@ -26,8 +26,8 @@ method would matter, and a target that cannot be pickled would run on
 children but not on hosts. One blob keeps one contract: what the worker
 executes is exactly what crossed the wire.
 
-``--backend inprocess`` opens no channel at all; the policy layer runs
-those batches on its own executor.
+With neither hosts nor more than one worker no channel is opened at all;
+the policy layer runs those batches on its own executor.
 
 Trouble on a channel is reported in one vocabulary. :exc:`ChannelError`
 means the worker is gone (died, connection torn, unexpected reply) and
@@ -39,7 +39,7 @@ Determinism: a channel chooses *where* a scenario runs, never *what* it
 computes — every scenario's seed derives from ``(campaign_seed, key)``,
 and the scheduler returns results in submission order. The conformance
 suite (``tests/core/test_backends.py``) pins trajectory identity across
-all three ``--backend`` names.
+dialled, spawned and no channels.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ from .worker import (
     send_frame,
     serve_socket,
 )
-
-#: Names accepted by ``--backend`` / ``CampaignSpec.backend``.
-BACKEND_NAMES = ("process", "inprocess", "socket")
 
 #: Seconds a dialled worker gets to accept the connection and answer the
 #: hello (a spawned child gets no limit: it is this program, and if it
@@ -286,7 +283,6 @@ class Channel:
 
 
 __all__ = [
-    "BACKEND_NAMES",
     "CONNECT_TIMEOUT",
     "Channel",
     "ChannelError",

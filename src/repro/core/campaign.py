@@ -81,36 +81,17 @@ class CampaignResult:
 def run_campaign(strategy: ExplorationStrategy, spec: CampaignSpec) -> CampaignResult:
     """Run a strategy to its spec'd budget and wrap the results.
 
-    ``workers``/``batch_size`` enable concurrent scenario execution for the
-    strategies that support it (AVD, random, exhaustive); the result
-    trajectory depends only on ``(seed, batch_size)``, never on ``workers``.
-
-    ``checkpoint_path`` periodically persists the campaign state so a
-    killed run can be resumed bit-identically, and ``telemetry`` attaches
-    a campaign event bus; only strategies that carry the corresponding
-    state support them (currently AVD).
+    This is the one front door: every strategy's ``run`` takes the spec and
+    nothing else, and reads from it what it can honour. ``workers``/
+    ``hosts``/``batch_size`` enable concurrent scenario execution for the
+    strategies that parallelize (AVD, random, exhaustive); the result
+    trajectory depends only on ``(seed, batch_size)``, never on where the
+    scenarios ran. ``checkpoint_path`` (periodic resumable state) and
+    ``telemetry`` (the campaign event bus) need a strategy that carries
+    that state — currently AVD; the others refuse them with ``ValueError``.
     """
-    if spec.checkpoint_path is not None and not getattr(
-        strategy, "supports_checkpoints", False
-    ):
-        raise ValueError(
-            f"strategy {strategy.name!r} does not support checkpointing "
-            "(only 'avd' campaigns are resumable)"
-        )
-    if spec.telemetry is not None and not getattr(strategy, "supports_telemetry", False):
-        raise ValueError(
-            f"strategy {strategy.name!r} does not publish telemetry "
-            "(only 'avd' campaigns carry the event bus)"
-        )
     try:
-        if getattr(strategy, "supports_spec", False):
-            results = strategy.run(spec)
-        elif spec.workers == 1 and spec.batch_size is None:
-            results = strategy.run(spec.budget)
-        else:
-            results = strategy.run(
-                spec.budget, workers=spec.workers, batch_size=spec.batch_size
-            )
+        results = strategy.run(spec)
     finally:
         # The strategy has closed its executor by now; say what the
         # snapshot cache did for (or to) this campaign.

@@ -39,7 +39,7 @@ from .coverage import CoverageMap
 from .executor import Target
 from .failures import Quarantine, RetryPolicy, ScenarioFailure
 from .hyperspace import CoordsKey
-from .parallel import ParallelScenarioExecutor, resolve_workers
+from .parallel import ParallelScenarioExecutor
 from .plugin import ToolPlugin
 from .sampling import PluginSampler, TopSet, weighted_choice
 from .scenario import ScenarioResult, TestScenario
@@ -153,18 +153,15 @@ class TestController:
         #: parent impact by child key, for fitness-gain accounting.
         self._parent_impact: Dict[CoordsKey, float] = {}
 
-        #: Effective novelty blend for this campaign (a CampaignSpec may
-        #: override the config value per run; checkpoints persist it).
+        #: Novelty blend for this campaign (checkpoints persist it).
         self.novelty_weight: float = config.novelty_weight
         #: The campaign-global seen-behaviour map (coverage signatures).
         self.coverage = CoverageMap()
         #: Coverage signature per executed scenario key.
         self._signatures: Dict[CoordsKey, str] = {}
-        #: Feature tuple per executed scenario key (for live novelty
-        #: re-scoring during parent selection).
+        #: Feature tuple per parent candidate (Pi and the novelty corpus),
+        #: for live novelty re-scoring during parent selection.
         self._features: Dict[CoordsKey, Tuple[str, ...]] = {}
-        #: Novelty score each scenario earned when absorbed.
-        self._novelty: Dict[CoordsKey, float] = {}
         #: Bounded corpus of scenarios that exhibited never-seen behaviour
         #: (extra parent candidates beyond Pi; insertion-ordered).
         self._novel_corpus: Dict[CoordsKey, ScenarioResult] = {}
@@ -418,11 +415,14 @@ class TestController:
         novel, novelty = self.coverage.observe(signature, features)
         self._signatures[result.key] = signature
         self._features[result.key] = features
-        self._novelty[result.key] = novelty
         if novel:
             self._novel_corpus[result.key] = result
             while len(self._novel_corpus) > NOVEL_CORPUS_CAP:
                 self._novel_corpus.pop(next(iter(self._novel_corpus)))
+        # A result becomes a parent candidate now or never, so tuples of
+        # keys outside Pi and the corpus can never be read again.
+        live = {entry.key for entry in self.top_set.entries}.union(self._novel_corpus)
+        self._features = {key: kept for key, kept in self._features.items() if key in live}
         if self.telemetry.active:
             self.telemetry.publish(
                 CoverageObserved(
@@ -440,10 +440,11 @@ class TestController:
 
         Spec semantics (see :class:`repro.core.spec.CampaignSpec`):
 
-        - ``workers`` sets how many scenarios execute concurrently (on
-          local worker processes; ``0``/``None`` means one per CPU);
+        - ``workers`` sets how many scenarios execute concurrently on
+          local worker processes (``0``/``None`` means one per CPU) and
+          ``hosts`` sends them to ``repro worker`` processes instead;
           ``batch_size`` controls speculative generation per round and
-          defaults to ``1`` serially, ``2 * workers`` otherwise.
+          defaults to two per worker slot, or ``1`` with no workers.
         - ``checkpoint_path`` makes the run crash-safe across process
           death: a versioned checkpoint is written atomically at least
           every ``checkpoint_every`` executed scenarios, and once more
@@ -464,25 +465,13 @@ class TestController:
         """
         if spec.telemetry is not None:
             self.telemetry = spec.telemetry
-        if spec.novelty_weight is not None:
-            self.novelty_weight = spec.novelty_weight
         if self.telemetry.seq < self._telemetry_seq_floor:
             # Resume: never reuse sequence numbers the checkpointed stream
             # already assigned (the JSONL sink appends past them).
             self.telemetry.seq = self._telemetry_seq_floor
-        workers = resolve_workers(spec.workers)
-        batch_size = spec.batch_size
-        if batch_size is None:
-            batch_size = 1 if workers == 1 else 2 * workers
         self._checkpoint_path = spec.checkpoint_path
         self._checkpoint_every = spec.checkpoint_every
         self._last_checkpoint_at = len(self.results)
-        self._run_params = {
-            "budget": spec.budget,
-            "workers": workers,
-            "batch_size": batch_size,
-            "checkpoint_every": spec.checkpoint_every,
-        }
         coverage_on = self.novelty_weight > 0.0
         # Coverage capture is sampled at deployment construction, so the
         # toggle only needs to cover this run; the previous override is
@@ -492,14 +481,20 @@ class TestController:
             with ParallelScenarioExecutor(
                 self.target,
                 campaign_seed=self.campaign_seed,
-                workers=workers,
+                workers=spec.workers,
                 timeout=self.config.scenario_timeout,
                 retry=self.config.retry,
                 telemetry=self.telemetry,
                 coverage_capture=coverage_on,
-                backend=spec.backend,
                 hosts=spec.hosts,
             ) as pool:
+                batch_size = spec.batch_size or pool.default_batch_size
+                self._run_params = {
+                    "budget": spec.budget,
+                    "workers": pool.workers,
+                    "batch_size": batch_size,
+                    "checkpoint_every": spec.checkpoint_every,
+                }
                 results = self._run_batched(spec.budget, batch_size, pool)
         finally:
             if coverage_on:

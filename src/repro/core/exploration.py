@@ -9,56 +9,65 @@ cites GA-based meta-heuristics [Inkumsah & Xie] as kin of its approach).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from .controller import ControllerConfig, TestController
 from .executor import ScenarioExecutor, Target
-from .hyperspace import Hyperspace, coords_key
-from .parallel import ParallelScenarioExecutor, resolve_workers
+from .hyperspace import CoordsKey, Hyperspace, coords_key
+from .parallel import ParallelScenarioExecutor
 from .plugin import ToolPlugin
 from .scenario import ScenarioResult, TestScenario
 from .spec import CampaignSpec
 
 
-class ExplorationStrategy:
-    """Common interface: run ``budget`` tests, return ordered results.
+def fresh_random_scenario(
+    hyperspace: Hyperspace, rng: random.Random, seen: Set[CoordsKey]
+) -> Optional[TestScenario]:
+    """A uniformly drawn scenario whose key is not in ``seen`` (64 tries)."""
+    for _ in range(64):
+        coords = hyperspace.random_coords(rng)
+        if coords_key(coords) not in seen:
+            return TestScenario(coords=coords, origin="random")
+    return None
 
-    ``workers``/``batch_size`` request concurrent scenario execution.
-    Strategies whose next test depends on the previous result (annealing,
-    generational GAs between generations) are inherently sequential and
-    ignore them; for the strategies that do parallelize, the result
-    trajectory is independent of ``workers`` (see
+
+class ExplorationStrategy:
+    """Common interface: run a :class:`CampaignSpec`, return ordered results.
+
+    ``spec.workers``/``hosts``/``batch_size`` request concurrent scenario
+    execution. Strategies whose next test depends on the previous result
+    (annealing, generational GAs between generations) are inherently
+    sequential and ignore them; for the strategies that do parallelize,
+    the result trajectory is independent of where scenarios run (see
     :mod:`repro.core.parallel`).
     """
 
     name = "strategy"
-    #: Strategies with resumable state override this (see AVD).
-    supports_checkpoints = False
-    #: Strategies whose ``run`` accepts a :class:`CampaignSpec` directly.
-    supports_spec = False
-    #: Strategies that publish campaign telemetry events (see AVD).
-    supports_telemetry = False
 
-    def run(
-        self,
-        budget: int,
-        workers: Optional[int] = 1,
-        batch_size: Optional[int] = None,
-    ) -> List[ScenarioResult]:
+    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         raise NotImplementedError
+
+    def _refuse_campaign_state(self, spec: CampaignSpec) -> None:
+        """Called first by strategies with no resumable state and no bus."""
+        if spec.checkpoint_path is not None:
+            raise ValueError(
+                f"strategy {self.name!r} does not support checkpointing "
+                "(only 'avd' campaigns are resumable)"
+            )
+        if spec.telemetry is not None:
+            raise ValueError(
+                f"strategy {self.name!r} does not publish telemetry "
+                "(only 'avd' campaigns carry the event bus)"
+            )
 
 
 class AvdExploration(ExplorationStrategy):
     """The paper's feedback-driven exploration (Algorithm 1)."""
 
     name = "avd"
-    #: The controller's state is checkpointable and resumable.
-    supports_checkpoints = True
-    supports_spec = True
-    #: The controller publishes the full telemetry event stream.
-    supports_telemetry = True
 
     def __init__(
         self,
@@ -88,7 +97,7 @@ class HybridExploration(AvdExploration):
     name = "hybrid"
 
     #: Default impact/novelty blend when neither the constructor nor the
-    #: spec overrides it. Impact-dominant: novelty widens the parent pool,
+    #: config sets one. Impact-dominant: novelty widens the parent pool,
     #: it does not replace the paper's fitness signal.
     DEFAULT_NOVELTY_WEIGHT = 0.4
 
@@ -107,42 +116,32 @@ class HybridExploration(AvdExploration):
         super().__init__(target, plugins, seed=seed, config=config)
 
 
-class RandomExploration(ExplorationStrategy):
-    """Uniform random sampling of the hyperspace (Figure 2's baseline).
+class _OpenLoopExploration(ExplorationStrategy):
+    """Strategies whose next scenario never depends on a result.
 
-    Scenario generation never looks at results, so the sampled trajectory
-    is identical for every ``workers``/``batch_size`` combination.
+    Generation is open-loop, so the trajectory is identical for every
+    ``workers``/``hosts``/``batch_size`` combination and batches only
+    bound how much is in flight; results keep generation order.
     """
 
-    name = "random"
-
-    def __init__(self, target: Target, seed: int = 0) -> None:
+    def __init__(self, target: Target, seed: int) -> None:
         self.target = target
         self.seed = seed
-        self.rng = random.Random(seed)
         self.results: List[ScenarioResult] = []
-        self._seen = set()
 
-    def run(
-        self,
-        budget: int,
-        workers: Optional[int] = 1,
-        batch_size: Optional[int] = None,
-    ) -> List[ScenarioResult]:
-        workers = resolve_workers(workers)
-        if batch_size is None:
-            batch_size = 2 * workers
+    def _next_scenario(self) -> Optional[TestScenario]:
+        """The next scenario to execute, or None when there is none left."""
+        raise NotImplementedError
+
+    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
+        self._refuse_campaign_state(spec)
         with ParallelScenarioExecutor(
-            self.target, campaign_seed=self.seed, workers=workers
+            self.target, campaign_seed=self.seed, workers=spec.workers, hosts=spec.hosts
         ) as pool:
-            while len(self.results) < budget:
-                batch: List[TestScenario] = []
-                while len(batch) < min(batch_size, budget - len(self.results)):
-                    scenario = self._fresh_random()
-                    if scenario is None:
-                        break
-                    self._seen.add(scenario.key)
-                    batch.append(scenario)
+            batch_size = spec.batch_size or pool.default_batch_size
+            while len(self.results) < spec.budget:
+                room = min(batch_size, spec.budget - len(self.results))
+                batch = list(itertools.islice(iter(self._next_scenario, None), room))
                 if not batch:
                     break
                 self.results.extend(
@@ -150,16 +149,29 @@ class RandomExploration(ExplorationStrategy):
                 )
         return self.results
 
-    def _fresh_random(self) -> Optional[TestScenario]:
-        for _ in range(64):
-            coords = self.target.hyperspace.random_coords(self.rng)
-            if coords_key(coords) not in self._seen:
-                return TestScenario(coords=coords, origin="random")
-        return None
+
+class RandomExploration(_OpenLoopExploration):
+    """Uniform random sampling of the hyperspace (Figure 2's baseline)."""
+
+    name = "random"
+
+    def __init__(self, target: Target, seed: int = 0) -> None:
+        super().__init__(target, seed)
+        self.rng = random.Random(seed)
+        self._seen: Set[CoordsKey] = set()
+
+    def _next_scenario(self) -> Optional[TestScenario]:
+        scenario = fresh_random_scenario(self.target.hyperspace, self.rng, self._seen)
+        if scenario is not None:
+            self._seen.add(scenario.key)
+        return scenario
 
 
-class ExhaustiveExploration(ExplorationStrategy):
-    """Grid sweep of a (restricted) hyperspace — used for Figure 3."""
+class ExhaustiveExploration(_OpenLoopExploration):
+    """Row-major grid sweep of a (restricted) hyperspace — used for Figure 3.
+
+    ``budget=hyperspace.size`` sweeps the whole grid.
+    """
 
     name = "exhaustive"
 
@@ -169,40 +181,15 @@ class ExhaustiveExploration(ExplorationStrategy):
         seed: int = 0,
         hyperspace: Optional[Hyperspace] = None,
     ) -> None:
-        self.target = target
-        self.campaign_seed = seed
+        super().__init__(target, seed)
         self.hyperspace = hyperspace if hyperspace is not None else target.hyperspace
-        self.results: List[ScenarioResult] = []
+        self._grid = (
+            TestScenario(coords=coords, origin="exhaustive")
+            for coords in self.hyperspace.iter_grid()
+        )
 
-    def run(
-        self,
-        budget: Optional[int] = None,
-        workers: Optional[int] = 1,
-        batch_size: Optional[int] = None,
-    ) -> List[ScenarioResult]:
-        workers = resolve_workers(workers)
-        # The grid is predetermined, so sweeping it is embarrassingly
-        # parallel; batches preserve row-major result order.
-        if batch_size is None:
-            batch_size = 4 * workers
-        grid = self.hyperspace.iter_grid()
-        with ParallelScenarioExecutor(
-            self.target, campaign_seed=self.campaign_seed, workers=workers
-        ) as pool:
-            while budget is None or len(self.results) < budget:
-                room = batch_size
-                if budget is not None:
-                    room = min(room, budget - len(self.results))
-                batch = [
-                    TestScenario(coords=coords, origin="exhaustive")
-                    for coords in itertools.islice(grid, room)
-                ]
-                if not batch:
-                    break
-                self.results.extend(
-                    pool.execute_batch(batch, start_index=len(self.results))
-                )
-        return self.results
+    def _next_scenario(self) -> Optional[TestScenario]:
+        return next(self._grid, None)
 
 
 class GeneticExploration(ExplorationStrategy):
@@ -231,13 +218,10 @@ class GeneticExploration(ExplorationStrategy):
         self.results: List[ScenarioResult] = []
         self._seen = set()
 
-    def run(
-        self,
-        budget: int,
-        workers: Optional[int] = 1,
-        batch_size: Optional[int] = None,
-    ) -> List[ScenarioResult]:
+    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         # Generations depend on each other; execution stays sequential.
+        self._refuse_campaign_state(spec)
+        budget = spec.budget
         population: List[ScenarioResult] = []
         while len(self.results) < budget:
             if not population:
@@ -280,11 +264,7 @@ class GeneticExploration(ExplorationStrategy):
         return children
 
     def _random_scenario(self) -> Optional[TestScenario]:
-        for _ in range(64):
-            coords = self.target.hyperspace.random_coords(self.rng)
-            if coords_key(coords) not in self._seen:
-                return TestScenario(coords=coords, origin="random")
-        return None
+        return fresh_random_scenario(self.target.hyperspace, self.rng, self._seen)
 
 
 class AnnealingExploration(ExplorationStrategy):
@@ -319,15 +299,10 @@ class AnnealingExploration(ExplorationStrategy):
         self.results: List[ScenarioResult] = []
         self._seen = set()
 
-    def run(
-        self,
-        budget: int,
-        workers: Optional[int] = 1,
-        batch_size: Optional[int] = None,
-    ) -> List[ScenarioResult]:
+    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         # A single walker: each step needs the previous step's impact.
-        import math
-
+        self._refuse_campaign_state(spec)
+        budget = spec.budget
         current = self._evaluate(self._random_scenario())
         if current is None:
             return self.results
@@ -361,11 +336,7 @@ class AnnealingExploration(ExplorationStrategy):
         return result
 
     def _random_scenario(self) -> Optional[TestScenario]:
-        for _ in range(64):
-            coords = self.target.hyperspace.random_coords(self.rng)
-            if coords_key(coords) not in self._seen:
-                return TestScenario(coords=coords, origin="random")
-        return None
+        return fresh_random_scenario(self.target.hyperspace, self.rng, self._seen)
 
 
 __all__ = [

@@ -6,9 +6,9 @@ serialized with sorted keys and compact separators, every list is sorted
 by an explicit rule, and nothing clock- or host-derived is included — so
 the merged bytes are a pure function of the shard contents, which are
 themselves a pure function of ``(campaign_seed, shards, budget,
-exchange_every, batch_size)``. Re-running the campaign, changing the
-executor backend, or merging in a different order all produce the same
-file, and CI ``cmp``'s it.
+exchange_every, batch_size)``. Re-running the campaign, changing where
+its scenarios execute, or merging in a different order all produce the
+same file, and CI ``cmp``'s it.
 
 Stream stitching: each shard's events are tagged with the merge-envelope
 keys ``shard`` (who produced it) and ``shard_seq`` (its original sequence

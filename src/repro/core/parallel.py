@@ -10,16 +10,20 @@ test — so nothing in the algorithm requires them to run one at a time.
 every decision about them: batching, submission-order results, telemetry
 publication, degradation to local execution, and per-suspect retry. Where
 a scenario runs is mechanism (:mod:`repro.core.backends`): a
-:class:`~repro.core.backends.Channel` per worker — a child process for
-``--backend process``, a ``repro worker`` host for ``--backend socket`` —
-all speaking one protocol to one worker loop (:mod:`repro.core.worker`),
-pulled by one :class:`~repro.core.backends.WorkStealingScheduler`.
+:class:`~repro.core.backends.Channel` per worker, all speaking one protocol
+to one worker loop (:mod:`repro.core.worker`), pulled by one
+:class:`~repro.core.backends.WorkStealingScheduler`. Which workers is not
+configured, it follows from the two things a caller already says: ``hosts``
+given, one dialled ``repro worker`` session per host; else ``workers > 1``,
+that many spawned child processes; else none. The default batch
+(``2 * max(workers, len(hosts))`` with workers, else 1) follows the same
+rule, so asking for workers or hosts is enough to use them.
 
 A batch takes one of two routes:
 
-- **Local.** A batch of at most one scenario, ``--backend inprocess``,
-  ``workers=1`` on the process backend, or an executor that has degraded:
-  the scenarios run on this object's own
+- **Local.** A batch of at most one scenario, an executor with no workers
+  (``workers=1`` and no hosts), or one that has degraded: the scenarios
+  run on this object's own
   :class:`~repro.core.executor.ScenarioExecutor`, on the calling thread.
   With ``batch_size=1`` this *is* the paper's serial loop. Local execution
   is deliberately not modelled as one more channel: channels are driven
@@ -41,7 +45,7 @@ measurements:
 Together these give the determinism guarantee the test harnesses in
 ``tests/core/test_parallel.py`` and ``tests/core/test_backends.py``
 enforce: for a fixed ``(seed, batch_size)`` the exploration trajectory is
-bit-identical regardless of worker count *and* backend choice.
+bit-identical regardless of worker count *and* of where the workers are.
 
 Degradation. The target travels to every worker as one pickled blob in the
 session hello. A target that cannot be pickled, a set of hosts none of
@@ -74,7 +78,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry.bus import TelemetryBus
 from .backends import (
-    BACKEND_NAMES,
     Channel,
     ChannelError,
     ChannelTimeout,
@@ -139,15 +142,8 @@ class ParallelScenarioExecutor:
         sleep: Callable[[float], None] = time.sleep,
         telemetry: Optional[TelemetryBus] = None,
         coverage_capture: bool = False,
-        backend: str = "process",
         hosts: Sequence[str] = (),
     ) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown executor backend {backend!r} (choose from {', '.join(BACKEND_NAMES)})"
-            )
-        if backend == "socket" and not hosts:
-            raise ValueError("the socket backend needs at least one --hosts worker")
         self.target = target
         #: Propagated to every worker in the hello (and assumed already
         #: set in *this* process by the caller) so deployments on both
@@ -164,7 +160,6 @@ class ParallelScenarioExecutor:
         self.workers = resolve_workers(workers)
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        self.backend_name = backend
         self.hosts = tuple(hosts)
         #: Scenarios executed through this instance (either route).
         self.executed = 0
@@ -178,13 +173,17 @@ class ParallelScenarioExecutor:
         self._local = ScenarioExecutor(
             target, campaign_seed=campaign_seed, timeout=timeout, retry=retry, sleep=sleep
         )
-        #: One label per worker to open: host endpoints, or child names.
+        #: One label per worker to open: host endpoints, else child names.
         #: Empty means every batch runs locally.
-        self._endpoints: Tuple[str, ...] = ()
-        if backend == "socket":
-            self._endpoints = self.hosts
-        elif backend == "process" and self.workers > 1:
+        self._endpoints: Tuple[str, ...] = self.hosts
+        if not self.hosts and self.workers > 1:
             self._endpoints = tuple(f"repro-worker-{n}" for n in range(self.workers))
+        #: Batch size for callers that were not given one. Never 1 when
+        #: there are workers: a batch of one always runs locally, which
+        #: would leave them idle without a word.
+        self.default_batch_size = (
+            2 * max(self.workers, len(self.hosts)) if self._endpoints else 1
+        )
         self._channels: List[Channel] = []
         #: The session hello, built (target pickled) at the first open.
         self._hello: Optional[Dict[str, Any]] = None
@@ -215,9 +214,7 @@ class ParallelScenarioExecutor:
         """Stop using workers for good, and say so once."""
         self.fallback_serial = True
         self.fallback_reason = reason
-        _LOG.warning(
-            "%s backend degraded to in-process execution: %s", self.backend_name, reason
-        )
+        _LOG.warning("workers degraded to in-process execution: %s", reason)
         self.close()
 
     def _live_channels(self) -> List[Channel]:
@@ -253,7 +250,7 @@ class ParallelScenarioExecutor:
         refused: List[str] = []
         for endpoint in self._endpoints:
             try:
-                if self.backend_name == "socket":
+                if self.hosts:
                     channel = Channel.dial(endpoint, self._hello)
                 else:
                     channel = Channel.spawn(endpoint, self._hello, siblings=channels)

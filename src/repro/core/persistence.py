@@ -226,9 +226,6 @@ def checkpoint_to_dict(controller) -> Dict[str, Any]:
             "uniform_plugin_choice": config.uniform_plugin_choice,
             "fault_isolation": config.fault_isolation,
             "scenario_timeout": config.scenario_timeout,
-            # The *effective* weight (spec overrides included), so a
-            # resume without an explicit --novelty-weight keeps sampling
-            # the way the original campaign did.
             "novelty_weight": controller.novelty_weight,
             "retry": config.retry.to_dict(),
         },
@@ -270,10 +267,6 @@ def checkpoint_to_dict(controller) -> Dict[str, Any]:
             "features": [
                 [_key_to_jsonable(key), list(features)]
                 for key, features in controller._features.items()
-            ],
-            "novelty": [
-                [_key_to_jsonable(key), score]
-                for key, score in controller._novelty.items()
             ],
             "corpus": [_key_to_jsonable(key) for key in controller._novel_corpus],
         },
@@ -442,10 +435,6 @@ def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
     controller._features = {
         _key_from_jsonable(key): tuple(str(feature) for feature in features)
         for key, features in coverage_data.get("features", [])
-    }
-    controller._novelty = {
-        _key_from_jsonable(key): float(score)
-        for key, score in coverage_data.get("novelty", [])
     }
     by_key = {result.key: result for result in controller.results}
     controller._novel_corpus = {

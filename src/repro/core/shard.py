@@ -195,7 +195,7 @@ class ShardRunner:
         self.plan = plan
         self.index = index
         self.directory = Path(directory)
-        #: Per-round template for worker/batch/backend/telemetry choices;
+        #: Per-round template for worker/host/batch/telemetry choices;
         #: budget/checkpoint fields are overridden per round.
         self.spec = spec if spec is not None else CampaignSpec(budget=plan.budget)
         controller.region_filter = plan.region_filter(index)

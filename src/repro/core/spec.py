@@ -5,11 +5,12 @@ besides the strategy (``budget, workers, batch_size, checkpoint_path,
 checkpoint_every, ...``) is one validated dataclass that every layer —
 CLI, bench, exploration strategies, tests — passes along unchanged.
 
-The spec is declarative: ``workers=0``/``None`` still means "one per
-CPU" and ``batch_size=None`` still means "1 serial, 2x workers
-parallel" — resolution happens inside the controller, exactly as
-before, so a spec hashes/compares the same way regardless of the
-machine it later runs on.
+The spec is declarative: ``workers=0``/``None`` means "one per CPU" and
+``batch_size=None`` means "the executor's default" — resolution happens
+inside :class:`~repro.core.parallel.ParallelScenarioExecutor`, so a spec
+hashes/compares the same way regardless of the machine it later runs on.
+*Where* scenarios run is not a field of its own: it follows from ``hosts``
+and ``workers`` (see :mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ class CampaignSpec:
     #: Concurrent scenario executions; 0/None = one per CPU. The
     #: exploration trajectory never depends on this.
     workers: Optional[int] = 1
-    #: Scenarios generated speculatively per round; None = 1 serially,
-    #: ``2 * workers`` on a pool. The trajectory is a pure function of
-    #: ``(seed, batch_size)``.
+    #: Scenarios generated speculatively per round; None = ``2 *
+    #: max(workers, len(hosts))`` when there are hosts or ``workers > 1``,
+    #: else 1. The trajectory is a pure function of ``(seed, batch_size)``.
     batch_size: Optional[int] = None
     #: Resumable checkpoint file (AVD only); None disables checkpointing.
     checkpoint_path: Optional[str] = None
@@ -39,31 +40,15 @@ class CampaignSpec:
     checkpoint_every: int = 25
     #: Telemetry bus receiving the campaign's event stream (optional).
     telemetry: Optional["TelemetryBus"] = None
-    #: Coverage-novelty blend for parent selection (AVD only). ``None``
-    #: keeps the strategy's configured weight; ``0.0`` forces the paper's
-    #: pure impact sampling; ``1.0`` selects purely by behaviour novelty.
-    novelty_weight: Optional[float] = None
-    #: Where scenarios execute: ``"process"`` (local worker processes, the
-    #: default), ``"inprocess"`` (no workers — debugging/profiling), or
-    #: ``"socket"`` (remote ``repro worker`` hosts). The exploration
+    #: ``host:port`` endpoints of ``repro worker`` processes. When given,
+    #: scenarios run there instead of on local workers. The exploration
     #: trajectory never depends on this (see :mod:`repro.core.backends`).
-    backend: str = "process"
-    #: ``host:port`` endpoints for the socket backend (ignored otherwise).
     hosts: Tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        from .backends import BACKEND_NAMES  # lazy: spec stays import-light
-
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(available: {', '.join(BACKEND_NAMES)})"
-            )
         # Normalize hosts to a tuple so specs stay hashable/frozen even
         # when built with a list.
         object.__setattr__(self, "hosts", tuple(self.hosts))
-        if self.backend == "socket" and not self.hosts:
-            raise ValueError("the socket backend needs at least one host:port")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -72,10 +57,6 @@ class CampaignSpec:
             raise ValueError("checkpoint_every must be >= 1")
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 = auto), got {self.workers}")
-        if self.novelty_weight is not None and not 0.0 <= self.novelty_weight <= 1.0:
-            raise ValueError(
-                f"novelty_weight must be in [0, 1], got {self.novelty_weight}"
-            )
 
     def with_overrides(self, **changes) -> "CampaignSpec":
         """A copy with the given fields replaced (re-validated)."""

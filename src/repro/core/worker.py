@@ -7,10 +7,10 @@ It is the only worker loop in the tree and serves both kinds of worker:
 
 - a **local worker** is a child process of the controller that calls
   :func:`serve_socket` on one end of a ``socket.socketpair()``
-  (``--backend process``);
+  (``--workers N``);
 - a **remote worker** is a ``repro worker`` process whose
   :class:`WorkerServer` accepts TCP connections and serves each on its own
-  thread (``--backend socket --hosts a:9001,b:9001``).
+  thread (``--hosts a:9001,b:9001``).
 
 Either way the contract is the one :mod:`repro.core.parallel` states: one
 :class:`~repro.core.executor.ScenarioExecutor` per session, the target

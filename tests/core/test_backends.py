@@ -1,11 +1,12 @@
-"""Backend-conformance suite: every executor backend, one trajectory.
+"""Placement-conformance suite: wherever scenarios run, one trajectory.
 
-The contract under test (see ``repro.core.backends``): a backend chooses
-*where* scenarios run, never *what* they compute. For a fixed ``(seed,
-batch_size)`` the exploration trajectory — Pi, Omega, mu, the plugin
-fitness-gain statistics, and the per-scenario ``sched`` telemetry — is
-bit-identical across ``inprocess``, ``process``, and ``socket``,
-including a two-worker localhost socket run. The work-stealing scheduler
+The contract under test (see ``repro.core.backends``): ``workers`` and
+``hosts`` choose *where* scenarios run, never *what* they compute. For a
+fixed ``(seed, batch_size)`` the exploration trajectory — Pi, Omega, mu,
+the plugin fitness-gain statistics, and the per-scenario ``sched``
+telemetry — is bit-identical in-process (``workers=1``), on spawned local
+workers (``workers=2``), and on dialled ``repro worker`` hosts, including
+a two-worker localhost run. The work-stealing scheduler
 is additionally pinned on its own: fast channels drain the queue a
 straggler would have idled on, and a dying channel loses exactly the one
 task it was holding.
@@ -40,17 +41,13 @@ def worker_pair():
             server.shutdown()
 
 
-def run_with_backend(seed, backend, hosts=(), workers=2):
+def run_placed(seed, workers=1, hosts=()):
+    """One campaign at the shared ``BATCH``; ``workers=1`` and no hosts is
+    the in-process reference."""
     target, plugins = make_hill_target((LoadPlugin(),))
     controller = TestController(target, plugins, seed=seed)
     controller.run(
-        CampaignSpec(
-            budget=BUDGET,
-            workers=workers,
-            batch_size=BATCH,
-            backend=backend,
-            hosts=hosts,
-        )
+        CampaignSpec(budget=BUDGET, workers=workers, batch_size=BATCH, hosts=hosts)
     )
     return controller
 
@@ -69,31 +66,31 @@ def controller_state(controller):
 
 
 # ---------------------------------------------------------------------------
-# trajectory identity across backends
+# trajectory identity across placements
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_process_backend_matches_inprocess_reference(seed):
-    reference = run_with_backend(seed, "inprocess")
-    pooled = run_with_backend(seed, "process")
+    reference = run_placed(seed)
+    pooled = run_placed(seed, workers=2)
     assert controller_state(pooled) == controller_state(reference)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_socket_backend_matches_inprocess_reference(seed, worker_pair):
-    reference = run_with_backend(seed, "inprocess")
-    remote = run_with_backend(seed, "socket", hosts=worker_pair)
+    reference = run_placed(seed)
+    remote = run_placed(seed, workers=2, hosts=worker_pair)
     assert controller_state(remote) == controller_state(reference)
 
 
 def test_two_worker_socket_run_is_stable_run_to_run(worker_pair):
-    first = run_with_backend(SEEDS[0], "socket", hosts=worker_pair)
-    second = run_with_backend(SEEDS[0], "socket", hosts=worker_pair)
+    first = run_placed(SEEDS[0], workers=2, hosts=worker_pair)
+    second = run_placed(SEEDS[0], workers=2, hosts=worker_pair)
     assert controller_state(first) == controller_state(second)
 
 
 def test_socket_backend_with_one_worker_matches_two(worker_pair):
-    one = run_with_backend(SEEDS[1], "socket", hosts=worker_pair[:1], workers=1)
-    two = run_with_backend(SEEDS[1], "socket", hosts=worker_pair)
+    one = run_placed(SEEDS[1], hosts=worker_pair[:1])
+    two = run_placed(SEEDS[1], workers=2, hosts=worker_pair)
     assert controller_state(one) == controller_state(two)
 
 
@@ -101,20 +98,34 @@ def test_unreachable_socket_hosts_degrade_to_local_execution():
     # Nothing listens on this port; the campaign must still complete with
     # the reference trajectory (fallback contract, same as a non-picklable
     # target on the process pool).
-    reference = run_with_backend(SEEDS[2], "inprocess")
-    degraded = run_with_backend(SEEDS[2], "socket", hosts=("127.0.0.1:9",))
+    reference = run_placed(SEEDS[2])
+    degraded = run_placed(SEEDS[2], workers=2, hosts=("127.0.0.1:9",))
     assert controller_state(degraded) == controller_state(reference)
 
 
-def test_spec_rejects_socket_without_hosts():
-    with pytest.raises(ValueError):
+def test_spec_has_no_backend_field():
+    # Placement is derived from workers/hosts; there is nothing to name.
+    with pytest.raises(TypeError):
         CampaignSpec(budget=4, backend="socket")
-    with pytest.raises(ValueError):
-        CampaignSpec(budget=4, backend="carrier-pigeon")
+
+
+def test_hosts_alone_run_on_the_hosts():
+    # No workers=, no batch_size=: naming a host must be enough to use it.
+    # (The default batch used to be 1 here, and a batch of one always runs
+    # locally — the campaign finished without ever opening a session.)
+    server = WorkerServer().serve_in_thread()
+    try:
+        target, plugins = make_hill_target((LoadPlugin(),))
+        controller = TestController(target, plugins, seed=SEEDS[0])
+        controller.run(CampaignSpec(budget=6, hosts=(server.endpoint,)))
+        assert len(controller.results) == 6
+        assert server.sessions_served == 1
+    finally:
+        server.shutdown()
 
 
 # ---------------------------------------------------------------------------
-# sched telemetry counters are backend- and worker-invariant
+# sched telemetry counters are placement- and worker-invariant
 # ---------------------------------------------------------------------------
 class _Recorder:
     def __init__(self):
@@ -127,7 +138,7 @@ class _Recorder:
         pass
 
 
-def recorded_sched(seed, backend, hosts=(), **kwargs):
+def recorded_sched(seed, **kwargs):
     from repro.telemetry import TelemetryBus
 
     recorder = _Recorder()
@@ -136,7 +147,7 @@ def recorded_sched(seed, backend, hosts=(), **kwargs):
     target, plugins = make_hill_target((LoadPlugin(),))
     controller = TestController(target, plugins, seed=seed, telemetry=bus)
     kwargs.setdefault("batch_size", BATCH)
-    controller.run(CampaignSpec(budget=BUDGET, backend=backend, hosts=hosts, **kwargs))
+    controller.run(CampaignSpec(budget=BUDGET, **kwargs))
     bus.close()
     return [
         event.sched
@@ -147,15 +158,15 @@ def recorded_sched(seed, backend, hosts=(), **kwargs):
 
 def test_sched_counters_identical_across_backends(worker_pair):
     seed = SEEDS[0]
-    reference = recorded_sched(seed, "inprocess", workers=2)
+    reference = recorded_sched(seed, workers=1)
     assert reference  # the stream actually carried sched counters
-    assert recorded_sched(seed, "process", workers=2) == reference
-    assert recorded_sched(seed, "process", workers=4) == reference
-    assert recorded_sched(seed, "socket", hosts=worker_pair, workers=2) == reference
+    assert recorded_sched(seed, workers=2) == reference
+    assert recorded_sched(seed, workers=4) == reference
+    assert recorded_sched(seed, hosts=worker_pair, workers=2) == reference
 
 
 def test_serial_run_emits_batch_of_one_counters():
-    scheds = recorded_sched(SEEDS[0], "process", workers=1, batch_size=1)
+    scheds = recorded_sched(SEEDS[0], workers=1, batch_size=1)
     assert scheds == [SERIAL_SCHED] * BUDGET
     assert SERIAL_SCHED == batch_sched(1, 0)
 

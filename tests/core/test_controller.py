@@ -128,7 +128,7 @@ def test_guided_beats_random_on_structured_landscape():
 
         target, _ = make_hill_target((LoadPlugin(),))
         random_strategy = RandomExploration(target, seed=seed)
-        random_strategy.run(60)
+        random_strategy.run(CampaignSpec(budget=60))
         random_hits += sum(1 for r in random_strategy.results if r.impact > 0.5)
     assert guided_hits > random_hits * 1.5
 

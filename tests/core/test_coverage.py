@@ -193,7 +193,7 @@ def coverage_state(controller: TestController):
     return {
         "seen": controller.coverage.to_state(),
         "signatures": dict(controller._signatures),
-        "novelty": dict(controller._novelty),
+        "features": dict(controller._features),
         "corpus": list(controller._novel_corpus),
     }
 
@@ -204,8 +204,8 @@ def test_novelty_weight_zero_is_plain_avd_bit_for_bit():
     reference = trajectory(baseline.run(CampaignSpec(budget=60)))
 
     target, plugins = fresh_target()
-    hybrid = HybridExploration(target, plugins, seed=7)
-    forced = trajectory(hybrid.run(CampaignSpec(budget=60, novelty_weight=0.0)))
+    hybrid = HybridExploration(target, plugins, seed=7, novelty_weight=0.0)
+    forced = trajectory(hybrid.run(CampaignSpec(budget=60)))
 
     assert forced == reference
     # The legacy path records no coverage at all.
@@ -233,7 +233,7 @@ def test_novelty_weight_validation():
     with pytest.raises(ValueError, match="novelty_weight"):
         ControllerConfig(novelty_weight=1.5)
     with pytest.raises(ValueError, match="novelty_weight"):
-        CampaignSpec(budget=1, novelty_weight=-0.1)
+        ControllerConfig(novelty_weight=-0.1)
 
 
 def test_hybrid_records_a_signature_for_every_scenario():
@@ -245,6 +245,20 @@ def test_hybrid_records_a_signature_for_every_scenario():
     assert sum(controller.coverage.seen.values()) == len(results)
     assert 1 <= len(controller.coverage) <= len(results)
     assert len(controller._novel_corpus) <= NOVEL_CORPUS_CAP
+
+
+def test_features_are_kept_for_parent_candidates_only():
+    """`_sample_parent` re-scores Pi and the novelty corpus, and a result
+    joins either when absorbed or never: nobody else's feature tuple is
+    kept (or re-serialised into every checkpoint)."""
+    target, plugins = fresh_target()
+    strategy = HybridExploration(target, plugins, seed=3)
+    strategy.run(CampaignSpec(budget=60))
+    controller = strategy.controller
+    candidates = {entry.key for entry in controller.top_set.entries}
+    candidates.update(controller._novel_corpus)
+    assert set(controller._features) == candidates
+    assert len(controller._features) < len(controller.results)
 
 
 def test_foreign_pi_entry_scores_neutral_novelty_in_parent_selection(monkeypatch):

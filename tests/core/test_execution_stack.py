@@ -74,7 +74,7 @@ def process_gone(pid):
 def test_scenario_deadline_fires_inside_local_workers():
     target = HangingTarget([MaskPlugin()], poison=range(256))
     with ParallelScenarioExecutor(
-        target, campaign_seed=1, workers=2, timeout=0.05, retry=ONE_ATTEMPT, backend="process"
+        target, campaign_seed=1, workers=2, timeout=0.05, retry=ONE_ATTEMPT
     ) as pool:
         assert pool._wait_budget() >= 10.0  # the parent backstop is far away
         started = time.monotonic()
@@ -180,7 +180,7 @@ def test_unreachable_hosts_set_a_reason_and_log_once(caplog):
     scenarios = make_batch(target, 6)
     with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
         with ParallelScenarioExecutor(
-            target, campaign_seed=4, backend="socket", hosts=("127.0.0.1:9",)
+            target, campaign_seed=4, hosts=("127.0.0.1:9",)
         ) as pool:
             first = pool.execute_batch(scenarios[:3], start_index=0)
             second = pool.execute_batch_isolated(scenarios[3:], start_index=3)
@@ -245,7 +245,7 @@ def test_bounded_worker_finishes_the_sessions_it_admitted():
     serving = threading.Thread(target=server.serve_forever, args=(1,), daemon=True)
     serving.start()
     with ParallelScenarioExecutor(
-        target, campaign_seed=6, backend="socket", hosts=(server.endpoint,)
+        target, campaign_seed=6, hosts=(server.endpoint,)
     ) as pool:
         for start in (0, 4, 8):
             pool.execute_batch(make_batch(target, 4, seed=start), start_index=start)

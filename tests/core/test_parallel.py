@@ -94,8 +94,10 @@ def test_batched_run_executes_exactly_budget_unique_tests():
 def test_random_exploration_trajectory_is_worker_independent():
     serial_target, _ = make_hill_target((LoadPlugin(),))
     parallel_target, _ = make_hill_target((LoadPlugin(),))
-    serial = RandomExploration(serial_target, seed=7).run(20)
-    parallel = RandomExploration(parallel_target, seed=7).run(20, workers=3)
+    serial = RandomExploration(serial_target, seed=7).run(CampaignSpec(budget=20))
+    parallel = RandomExploration(parallel_target, seed=7).run(
+        CampaignSpec(budget=20, workers=3)
+    )
     assert trajectory(serial) == trajectory(parallel)
 
 

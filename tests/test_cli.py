@@ -335,12 +335,16 @@ def test_sub_one_counts_fail_with_a_clear_error(argv, capsys):
     assert "must be >=" in err or "expected an integer" in err
 
 
-def test_socket_backend_flag_validation(tmp_path):
-    with pytest.raises(SystemExit, match="--hosts"):
+def test_backend_flag_is_gone(capsys):
+    """Placement follows from --workers/--hosts: `--backend` is an unknown
+    argument (exit 2) and --help does not list it."""
+    with pytest.raises(SystemExit) as excinfo:
         main(["campaign", "--tools", "mac", "--budget", "2", "--backend", "socket"])
-    with pytest.raises(SystemExit, match="--backend socket"):
-        main(["campaign", "--tools", "mac", "--budget", "2",
-              "--hosts", "127.0.0.1:9123"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["campaign", "--help"])
+    assert "--backend" not in capsys.readouterr().out
 
 
 def test_shard_flag_validation(tmp_path):
@@ -355,6 +359,33 @@ def test_shard_flag_validation(tmp_path):
     with pytest.raises(SystemExit, match="repro merge"):
         main(["campaign", "--tools", "mac", "--budget", "4", "--shards", "2",
               "--shard-dir", str(tmp_path / "s"), "--out", str(tmp_path / "o.json")])
+
+
+def test_restarted_shard_rebuilds_from_its_checkpoint_recipe(tmp_path, monkeypatch):
+    """A restarted --shard-index continues the campaign its checkpoint
+    recorded, not the one this invocation's flags describe: started with
+    --aardvark and --tools mac, restarted with neither, it still builds the
+    aardvark config and the mac toolbox (a toolbox mismatch used to be a
+    ValueError traceback, a dropped --aardvark a silent config switch)."""
+    import repro.cli as cli
+
+    built = []
+    real_config = cli._pbft_config
+
+    def recording_config(fixed_timers, aardvark):
+        built.append((fixed_timers, aardvark))
+        return real_config(fixed_timers, aardvark)
+
+    monkeypatch.setattr(cli, "_pbft_config", recording_config)
+    # One exchange round, so shard 0 finishes without waiting for shard 1.
+    base = ["campaign", "--budget", "4", "--seed", "3", "--shards", "2",
+            "--shard-index", "0", "--exchange-every", "2",
+            "--shard-dir", str(tmp_path / "s")]
+    assert main(base + ["--tools", "mac", "--aardvark"]) == 0
+    assert main(base + ["--tools", "mac,clients"]) == 0
+    assert built == [(False, True), (False, True)]
+    context = json.loads((tmp_path / "s" / "shard-0.checkpoint.json").read_text())["context"]
+    assert context["aardvark"] is True and context["tools"] == "mac"
 
 
 def test_sharded_campaign_merges_to_deterministic_bytes(tmp_path, capsys):
@@ -412,7 +443,7 @@ def test_worker_command_serves_a_socket_campaign(tmp_path, capsys):
         out_file = tmp_path / "sock.json"
         assert main(["campaign", "--tools", "mac", "--budget", "4", "--seed", "5",
                      "--workers", "2", "--batch-size", "2",
-                     "--backend", "socket", "--hosts", server.endpoint,
+                     "--hosts", server.endpoint,
                      "--out", str(out_file)]) == 0
         remote = json.loads(out_file.read_text())
         ref_file = tmp_path / "ref.json"
