@@ -4,7 +4,6 @@ Commands
 --------
 campaign    run an AVD (or baseline) campaign against a target
 resume      continue a killed campaign from its checkpoint file
-merge       fold a sharded campaign's artifacts into one canonical report
 worker      serve scenario executions to campaigns run with --hosts
 explain     attribute a recorded campaign (telemetry JSONL) to its plugins
 bigmac      sweep the Big MAC mask family against PBFT
@@ -15,8 +14,8 @@ power       tests-to-find along the attacker power ladder
 lint        determinism/picklability/plugin-API static analysis
 audit       attack-surface manifest + SRF validation-order audit
 
-``campaign``, ``resume`` and the ``--shards`` path assemble a campaign from
-the same parts: :func:`_recipe` / :func:`_build_target`, :func:`_open_bus`,
+``campaign`` and ``resume`` assemble a campaign from the same parts:
+:func:`_recipe` / :func:`_build_target`, :func:`_open_bus`,
 :func:`_run_closing` and :func:`_report`.
 """
 
@@ -98,16 +97,6 @@ def _workers_arg(text: str) -> int:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 _TOOL_FACTORIES = {
     "mac": MacCorruptionPlugin,
     "clients": lambda: ClientCountPlugin(10, 100, 10),
@@ -141,8 +130,8 @@ def _pbft_config(fixed_timers: bool, aardvark: bool) -> PbftConfig:
 
 def _recipe(args) -> dict:
     """What is explored, and how. A checkpoint records it as its context,
-    so ``repro resume`` and a restarted shard rebuild the campaign they
-    continue, not the one this invocation's flags happen to describe."""
+    so ``repro resume`` rebuilds the campaign it continues, not the one
+    its own flags happen to describe."""
     return {
         "strategy": args.strategy,
         "target": args.target,
@@ -164,7 +153,7 @@ def _build_target(recipe: dict):
 
 #: ``--strategy`` name -> ``builder(target, plugins, seed, config)``. Only
 #: avd and hybrid are backed by a controller: they alone take its config,
-#: checkpoint, publish telemetry and shard.
+#: checkpoint and publish telemetry.
 _STRATEGIES = {
     "avd": AvdExploration,
     "hybrid": HybridExploration,
@@ -231,7 +220,6 @@ def cmd_campaign(args) -> int:
     if args.strategy not in ("avd", "hybrid"):
         controller_only = {
             "--novelty-weight": args.novelty_weight is not None,
-            "--shards": args.shards > 1,
             "--checkpoint": args.checkpoint,
             "--telemetry": args.telemetry,
             "--progress": args.progress,
@@ -254,17 +242,6 @@ def cmd_campaign(args) -> int:
     )
     recipe = _recipe(args)
     workers = resolve_workers(args.workers)
-    spec = CampaignSpec(
-        budget=args.budget,
-        workers=workers,
-        batch_size=args.batch_size,
-        checkpoint_every=args.checkpoint_every,
-        hosts=[host.strip() for host in (args.hosts or "").split(",") if host.strip()],
-    )
-    if args.shards > 1:
-        return _cmd_campaign_sharded(args, config, recipe, spec)
-    if args.shard_index is not None:
-        raise SystemExit("--shard-index requires --shards > 1")
     target, plugins = _build_target(recipe)
     strategy = _STRATEGIES[args.strategy](target, plugins, args.seed, config)
     if args.checkpoint:
@@ -278,34 +255,33 @@ def cmd_campaign(args) -> int:
         f"'{args.strategy}' for {args.budget} tests{note} ..."
     )
     bus = _open_bus(args.telemetry, args.progress)
-    spec = spec.with_overrides(checkpoint_path=args.checkpoint, telemetry=bus)
+    spec = CampaignSpec(
+        budget=args.budget,
+        workers=workers,
+        batch_size=args.batch_size,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+        hosts=[host.strip() for host in (args.hosts or "").split(",") if host.strip()],
+        telemetry=bus,
+    )
     campaign = _run_closing(lambda: run_campaign(strategy, spec), bus)
     _report(campaign, args.out, args.telemetry)
     return 0
 
 
-def _load_checkpoint_or_exit(path) -> dict:
+def cmd_resume(args) -> int:
     try:
-        return load_checkpoint(path)
+        data = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot resume: {exc}")
-
-
-def _telemetry_cursor(data: dict) -> int:
-    return int(data.get("telemetry", {}).get("seq", 0))
-
-
-def cmd_resume(args) -> int:
-    data = _load_checkpoint_or_exit(args.checkpoint)
     context = data.get("context", {})
     run_params = data.get("run", {})
     # Telemetry continues on the stream the campaign started, or starts
     # afresh on a new path given here.
     stream = args.telemetry or context.get("telemetry")
     continuing = stream == context.get("telemetry")
-    bus = _open_bus(
-        stream, args.progress, resume_seq=_telemetry_cursor(data) if continuing else None
-    )
+    cursor = int(data.get("telemetry", {}).get("seq", 0))
+    bus = _open_bus(stream, args.progress, resume_seq=cursor if continuing else None)
 
     def job():
         controller = restore_controller(data, *_build_target(context), telemetry=bus)
@@ -338,158 +314,6 @@ def cmd_resume(args) -> int:
         strategy=context.get("strategy", "avd"), results=list(controller.results)
     )
     _report(campaign, args.out or context.get("out"), written)
-    return 0
-
-
-def _cmd_campaign_sharded(args, config, recipe: dict, spec: CampaignSpec) -> int:
-    """The ``--shards > 1`` path of ``repro campaign``.
-
-    Without ``--shard-index``: every shard runs in this process, rounds
-    interleaved (the reference driver — no concurrency needed). With it:
-    only that shard runs here, synchronizing with its partners through
-    the summary files in ``--shard-dir``, so N cooperating processes
-    (one per shard) produce byte-identical artifacts to the interleaved
-    driver. A shard whose checkpoint already exists resumes it, on the
-    recipe the checkpoint recorded (as ``repro resume`` does).
-    """
-    from pathlib import Path
-
-    from .core.shard import (
-        ShardPlan,
-        ShardRunner,
-        build_shard_controller,
-        resume_shard_runner,
-        run_sharded_campaign,
-        shard_checkpoint_path,
-        shard_telemetry_path,
-    )
-
-    for value, name in (
-        (args.checkpoint, "--checkpoint"),
-        (args.telemetry, "--telemetry"),
-        (args.out, "--out"),
-    ):
-        if value:
-            raise SystemExit(
-                f"{name} does not combine with --shards: per-shard checkpoints "
-                "and telemetry land in --shard-dir; fold them with `repro merge`"
-            )
-    plan = ShardPlan(
-        campaign_seed=args.seed,
-        shards=args.shards,
-        budget=args.budget,
-        exchange_every=args.exchange_every,
-    )
-    directory = Path(args.shard_dir)
-
-    def factory(plan, index, bus):
-        controller = build_shard_controller(
-            *_build_target(recipe), plan, index, config=config, telemetry=bus
-        )
-        controller.checkpoint_context.update(recipe)
-        return controller
-
-    if args.shard_index is None:
-        if any(shard_checkpoint_path(directory, i).exists() for i in range(plan.shards)):
-            raise SystemExit(
-                f"{directory} already holds shard checkpoints; resume individual "
-                "shards with --shard-index, or merge/clear the directory first"
-            )
-        print(
-            f"exploring with {plan.shards} shards x "
-            f"{plan.rounds} rounds for {plan.budget} tests into {directory} ..."
-        )
-        runners = run_sharded_campaign(
-            plan,
-            directory,
-            factory,
-            spec=spec,
-            telemetry_paths=[shard_telemetry_path(directory, i) for i in range(plan.shards)],
-        )
-        for runner in runners:
-            best = runner.controller.best
-            best_note = f"best impact {best.impact:.3f}" if best else "no results"
-            print(
-                f"  shard {runner.index}: {len(runner.controller.results)} tests, {best_note}"
-            )
-        print(f"fold the shards into one report: repro merge {directory}")
-        return 0
-
-    index = args.shard_index
-    if index >= plan.shards:
-        raise SystemExit(f"--shard-index {index} out of range for --shards {plan.shards}")
-    directory.mkdir(parents=True, exist_ok=True)
-    checkpoint = shard_checkpoint_path(directory, index)
-    stream = str(shard_telemetry_path(directory, index))
-    if checkpoint.exists():
-        data = _load_checkpoint_or_exit(checkpoint)
-        # A restarted shard carries on with the campaign its checkpoint
-        # recorded, not whichever one this invocation's flags spell.
-        recipe = data.get("context", {})
-        bus = _open_bus(stream, args.progress, resume_seq=_telemetry_cursor(data))
-        print(f"resuming shard {index}/{plan.shards} from {checkpoint} ...")
-        results = _run_closing(
-            lambda: resume_shard_runner(
-                directory, index, *_build_target(recipe), spec=spec, telemetry=bus
-            ).run(),
-            bus,
-            "cannot resume: ",
-        )
-    else:
-        bus = _open_bus(stream, args.progress)
-        print(
-            f"running shard {index}/{plan.shards} "
-            f"({plan.shard_budget(index)} of {plan.budget} tests, "
-            f"{plan.rounds} exchange rounds) in {directory} ..."
-        )
-        results = _run_closing(
-            lambda: ShardRunner(
-                factory(plan, index, bus), plan, index, directory, spec=spec
-            ).run(),
-            bus,
-        )
-    label = recipe.get("strategy", args.strategy)
-    _report(CampaignResult(strategy=label, results=list(results)), out=None)
-    print(f"merge all shards when done: repro merge {directory}")
-    return 0
-
-
-def cmd_merge(args) -> int:
-    from .core.merge import MergeError, merge_directory, report_to_bytes
-
-    try:
-        report, stream = merge_directory(args.shard_dir, shards=args.shards)
-    except (MergeError, OSError, ValueError) as exc:
-        raise SystemExit(f"cannot merge: {exc}")
-    payload = report_to_bytes(report)
-    if args.telemetry_out:
-        if stream is None:
-            raise SystemExit(
-                "cannot stitch telemetry: not every merged shard has a "
-                "telemetry stream in the shard directory"
-            )
-        with open(args.telemetry_out, "w", encoding="utf-8") as handle:
-            for line in stream:
-                handle.write(line)
-                handle.write("\n")
-        print(f"merged telemetry written to {args.telemetry_out}")
-    if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
-        best = report.get("best")
-        best_note = (
-            f"best impact {best['impact']:.3f} (shard {best['shard']}, "
-            f"test {best['test_index']})"
-            if best
-            else "no results"
-        )
-        print(
-            f"merged {len(report['shards'])} shards, {report['tests']} tests: "
-            f"{best_note}"
-        )
-        print(f"merged report written to {args.out}")
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
     return 0
 
 
@@ -846,27 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
              "local worker processes; the exploration trajectory does not "
              "depend on this",
     )
-    campaign.add_argument(
-        "--shards", type=_positive_int, default=1, metavar="N",
-        help="split the campaign across N deterministic hyperspace shards "
-             "(avd/hybrid only); fold the artifacts with `repro merge`",
-    )
-    campaign.add_argument(
-        "--shard-index", type=_non_negative_int, default=None, metavar="I",
-        help="run (or resume) only shard I in this process; launch one "
-             "process per shard with the same seed/budget/--shards and "
-             "they synchronize through --shard-dir",
-    )
-    campaign.add_argument(
-        "--shard-dir", default="shards", metavar="DIR",
-        help="directory for per-shard checkpoints, telemetry, and "
-             "exchange summaries (default: shards)",
-    )
-    campaign.add_argument(
-        "--exchange-every", type=_positive_int, default=25, metavar="K",
-        help="local tests per shard between Pi/coverage/fitness exchanges "
-             "(default: 25); part of the campaign's deterministic identity",
-    )
     campaign.add_argument("--fixed-timers", action="store_true")
     campaign.add_argument("--aardvark", action="store_true")
     campaign.add_argument("--out", help="save results to this JSON file")
@@ -927,27 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="live one-line campaign progress on stderr",
     )
     resume.set_defaults(func=cmd_resume)
-
-    merge = sub.add_parser(
-        "merge", help="fold sharded-campaign artifacts into one canonical report"
-    )
-    merge.add_argument(
-        "shard_dir", help="directory holding shard-<i>.checkpoint.json files"
-    )
-    merge.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="N",
-        help="require exactly shards 0..N-1 (default: every shard present)",
-    )
-    merge.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the canonical merged report to PATH (default: stdout); "
-             "the bytes are a pure function of (seed, shards, budget)",
-    )
-    merge.add_argument(
-        "--telemetry-out", default=None, metavar="PATH",
-        help="also stitch the per-shard telemetry streams into one JSONL",
-    )
-    merge.set_defaults(func=cmd_merge)
 
     worker = sub.add_parser(
         "worker", help="serve scenario executions to campaigns run with --hosts"

@@ -64,14 +64,6 @@ from .snapshot import (
     SnapshotRestoreError,
 )
 from . import snapshot
-from .merge import MergeError, merge_checkpoints, merge_directory, merge_streams, report_to_bytes
-from .shard import (
-    ShardPlan,
-    ShardRunner,
-    build_shard_controller,
-    resume_shard_runner,
-    run_sharded_campaign,
-)
 from .spec import CampaignSpec
 from .target import Target, verify_target
 from .worker import WorkerServer, parse_host
@@ -98,7 +90,6 @@ __all__ = [
     "HybridExploration",
     "Hyperspace",
     "IntRangeDimension",
-    "MergeError",
     "POWER_LADDER",
     "ParallelScenarioExecutor",
     "PluginSampler",
@@ -107,8 +98,6 @@ __all__ = [
     "RandomExploration",
     "RetryPolicy",
     "ScenarioExecutor",
-    "ShardPlan",
-    "ShardRunner",
     "ScenarioFailure",
     "ScenarioResult",
     "ScenarioTimeout",
@@ -125,7 +114,6 @@ __all__ = [
     "WorkStealingScheduler",
     "WorkerServer",
     "available_plugins",
-    "build_shard_controller",
     "compare_campaigns",
     "coords_key",
     "describe_best",
@@ -135,16 +123,10 @@ __all__ = [
     "heatmap",
     "load_campaign",
     "load_checkpoint",
-    "merge_checkpoints",
-    "merge_directory",
-    "merge_streams",
     "parse_host",
     "publish_executed",
-    "report_to_bytes",
     "resolve_workers",
     "restore_controller",
-    "resume_shard_runner",
-    "run_sharded_campaign",
     "save_campaign",
     "save_checkpoint",
     "signature_of",

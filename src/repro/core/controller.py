@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.trace import set_kind_capture
 from ..telemetry.bus import TelemetryBus
@@ -166,17 +166,6 @@ class TestController:
         #: (extra parent candidates beyond Pi; insertion-ordered).
         self._novel_corpus: Dict[CoordsKey, ScenarioResult] = {}
 
-        #: Sharded campaigns: when set, scenario generation only accepts
-        #: keys this predicate owns (see :mod:`repro.core.shard`); keys
-        #: outside the region are treated as already explored.
-        self.region_filter: Optional[Callable[[CoordsKey], bool]] = None
-        #: Results absorbed from partner shards (key -> (absorbed-after
-        #: local result count, result)), insertion-ordered. They live in
-        #: Pi/Omega/mu but never in ``results`` — the checkpoint replays
-        #: them at the recorded position so Pi's tie-breaking (stable
-        #: sort) is identical to the live run.
-        self._foreign: Dict[CoordsKey, Tuple[int, ScenarioResult]] = {}
-
     # ------------------------------------------------------------------
     # scenario generation (Algorithm 1)
     # ------------------------------------------------------------------
@@ -247,11 +236,9 @@ class TestController:
         )
         if not candidates:
             return None
-        # Entries absorbed from partner shards (absorb_foreign) sit in Pi
-        # without a feature tuple; feature_novelty scores them a neutral 0.5.
         weights = [
             (1.0 - weight) * (entry.impact + 0.02)
-            + weight * self.coverage.feature_novelty(self._features.get(entry.key))
+            + weight * self.coverage.feature_novelty(self._features[entry.key])
             for entry in candidates
         ]
         return weighted_choice(candidates, weights, self.rng)
@@ -333,8 +320,6 @@ class TestController:
         return None
 
     def _is_new(self, key: CoordsKey) -> bool:
-        if self.region_filter is not None and not self.region_filter(key):
-            return False
         return key not in self.history and key not in self._pending_keys
 
     # ------------------------------------------------------------------
@@ -380,25 +365,6 @@ class TestController:
         if result.scenario.plugin is not None:
             parent_impact = self._parent_impact.pop(result.key, 0.0)
             self.plugin_sampler.record(result.scenario.plugin, parent_impact, result.impact)
-
-    def absorb_foreign(self, result: ScenarioResult) -> bool:
-        """Absorb a partner shard's executed result into Pi/Omega/mu.
-
-        The result was executed elsewhere; it becomes a parent candidate
-        and dedup knowledge here but is *not* appended to ``results``
-        (those are this shard's own executions) and earns no plugin
-        fitness credit. Failures are never exchanged, so no quarantine
-        path. Returns False when the key is already known (idempotent —
-        partner Pi snapshots are cumulative across exchange rounds).
-        """
-        if result.key in self.history:
-            return False
-        self.history.add(result.key)
-        self._foreign[result.key] = (len(self.results), result)
-        self.top_set.offer(result)
-        if result.impact > self.max_impact:
-            self.max_impact = result.impact
-        return True
 
     def _observe_coverage(self, result: ScenarioResult) -> None:
         """Fold one measurement into the seen-behaviour map.
@@ -520,7 +486,7 @@ class TestController:
             room = min(batch_size, budget - len(self.results))
             while len(self.pending) < room:
                 if self.generate() is None:
-                    break  # hyperspace (locally) exhausted
+                    break  # hyperspace exhausted
             if not self.pending:
                 break
             batch = [self._dequeue() for _ in range(min(room, len(self.pending)))]

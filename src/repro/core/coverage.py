@@ -213,23 +213,6 @@ class CoverageMap:
             total += 1.0 / max(1, self.features.get(feature, 0))
         return total / len(observed)
 
-    def merge_counts(
-        self,
-        signature_pairs: Iterable[Sequence[Any]],
-        feature_pairs: Iterable[Sequence[Any]] = (),
-    ) -> None:
-        """Fold another map's observation counts into this one.
-
-        Used by sharded campaigns to absorb a partner shard's per-round
-        coverage delta: counts add, and entries unseen here are appended
-        in the order given (callers pass deltas in the partner's
-        first-seen order, so the merged map is deterministic).
-        """
-        for signature, count in signature_pairs:
-            self.seen[str(signature)] = self.seen.get(str(signature), 0) + int(count)
-        for feature, count in feature_pairs:
-            self.features[str(feature)] = self.features.get(str(feature), 0) + int(count)
-
     def __len__(self) -> int:
         return len(self.seen)
 

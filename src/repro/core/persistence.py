@@ -271,15 +271,6 @@ def checkpoint_to_dict(controller) -> Dict[str, Any]:
             "corpus": [_key_to_jsonable(key) for key in controller._novel_corpus],
         },
         "results": [_result_to_dict(result) for result in controller.results],
-        # Results absorbed from partner shards (sharded campaigns only):
-        # they sit in Pi/Omega/mu but are not this controller's own
-        # executions. ``after`` is how many local results existed when the
-        # foreign result was absorbed — replaying offers at that exact
-        # position keeps Pi's stable-sort tie-breaking bit-identical.
-        "foreign": [
-            {"after": after, "result": _result_to_dict(result)}
-            for after, result in controller._foreign.values()
-        ],
         "run": dict(controller._run_params),
         "context": dict(controller.checkpoint_context),
         # The telemetry cursor: how many events the bus has sequenced so
@@ -303,6 +294,12 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
         raise ValueError(
             f"not a campaign checkpoint: kind={data.get('kind')!r} "
             f"(expected {CHECKPOINT_KIND!r})"
+        )
+    if "shard" in data.get("context", {}):
+        # Its Pi/Omega held partner results this version no longer replays.
+        raise ValueError(
+            "checkpoint belongs to one shard of a sharded campaign; "
+            "sharding was removed, so it cannot be continued"
         )
     return data
 
@@ -352,25 +349,7 @@ def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
 
     # Replay the executed results through the normal absorption path:
     # Pi, Omega, mu, and the quarantine are rebuilt deterministically.
-    # Foreign results (absorbed from partner shards) are interleaved at
-    # the positions they were absorbed live, so equal-impact Pi ties
-    # resolve identically to the uninterrupted run.
-    foreign_entries = [
-        (int(item["after"]), _result_from_dict(item["result"]))
-        for item in data.get("foreign", [])
-    ]
-    foreign_cursor = 0
-
-    def _replay_foreign(upto: int) -> None:
-        nonlocal foreign_cursor
-        while foreign_cursor < len(foreign_entries) and (
-            foreign_entries[foreign_cursor][0] <= upto
-        ):
-            controller.absorb_foreign(foreign_entries[foreign_cursor][1])
-            foreign_cursor += 1
-
-    for index, entry in enumerate(data["results"]):
-        _replay_foreign(index)
+    for entry in data["results"]:
         result = _result_from_dict(entry)
         controller.history.add(result.key)
         controller.results.append(result)
@@ -382,7 +361,6 @@ def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
             controller.top_set.offer(result)
             if result.impact > controller.max_impact:
                 controller.max_impact = result.impact
-    _replay_foreign(len(data["results"]))
 
     # Fitness-gain stats are restored verbatim, not replayed: the replay
     # above has no parent-impact map for historical mutations.

@@ -15,7 +15,7 @@ and ``workers`` (see :mod:`repro.core.parallel`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
@@ -57,10 +57,6 @@ class CampaignSpec:
             raise ValueError("checkpoint_every must be >= 1")
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 = auto), got {self.workers}")
-
-    def with_overrides(self, **changes) -> "CampaignSpec":
-        """A copy with the given fields replaced (re-validated)."""
-        return replace(self, **changes)
 
 
 __all__ = ["CampaignSpec"]

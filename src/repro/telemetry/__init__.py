@@ -26,8 +26,8 @@ Reading a stream back goes through one shared, read-only reader
 (:func:`read_events` / :func:`parse_events`, :mod:`repro.telemetry.reader`)
 and one shared fold (:class:`CampaignView`, :mod:`repro.telemetry.view`):
 batch ``repro explain``, the live ``repro serve`` observatory
-(:mod:`repro.telemetry.serve`), ``repro merge``, and resume-time stream
-truncation all consume the wire format through the same code path.
+(:mod:`repro.telemetry.serve`), and resume-time stream truncation all
+consume the wire format through the same code path.
 """
 
 from .bus import TelemetryBus, TelemetrySink

@@ -108,12 +108,6 @@ def render_attribution(attribution: CampaignAttribution) -> str:
             f"(mean fill {mean_batch:.2f}, max {attribution.sched_max_batch}), "
             f"utilization {utilization:.0%}, mean queue depth {mean_depth:.2f}"
         )
-    if attribution.shard_events:
-        per_shard = ", ".join(
-            f"shard {shard}: {count}"
-            for shard, count in sorted(attribution.shard_events.items())
-        )
-        lines.append(f"shards: {len(attribution.shard_events)} merged ({per_shard} events)")
     if attribution.impact_curve:
         lines.append("impact per test: " + sparkline(attribution.impact_curve))
 

@@ -1,6 +1,6 @@
 """The one JSONL stream reader behind every telemetry consumer.
 
-``repro explain``, ``repro serve``, ``repro merge``, the resume-time
+``repro explain``, ``repro serve``, the resume-time
 orphan-tail truncation in :class:`~repro.telemetry.sinks.JsonlSink`, and
 the test helpers all read the same schema-versioned wire format — so
 they all read it through here instead of growing private copies of the
@@ -28,9 +28,7 @@ Both return an :class:`EventStream` iterator of decoded wire records
   consumer that already folded a prefix (``repro serve`` reconnecting,
   an incremental ``CampaignView``) continues where it stopped.
 - **validation** — every record passes
-  :func:`~repro.telemetry.schema.validate_event` (disable with
-  ``validate=False`` for raw re-serialization paths like ``repro
-  merge``, which preserve unknown-but-parseable records verbatim).
+  :func:`~repro.telemetry.schema.validate_event`.
 
 Reading is strictly read-only — the reader never writes, locks, or
 truncates the stream file — which is what lets ``repro serve`` attach
@@ -80,7 +78,7 @@ class EventStream:
         return record
 
 
-def _decode(stream_line: str, line_number: int, validate: bool) -> Dict[str, Any]:
+def _decode(stream_line: str, line_number: int) -> Dict[str, Any]:
     """One wire line -> record dict; SchemaError carries the line number."""
     try:
         record = json.loads(stream_line)
@@ -91,11 +89,10 @@ def _decode(stream_line: str, line_number: int, validate: bool) -> Dict[str, Any
             f"line {line_number}: event record must be an object, "
             f"got {type(record).__name__}"
         )
-    if validate:
-        try:
-            validate_event(record)
-        except SchemaError as exc:
-            raise SchemaError(f"line {line_number}: {exc}") from exc
+    try:
+        validate_event(record)
+    except SchemaError as exc:
+        raise SchemaError(f"line {line_number}: {exc}") from exc
     return record
 
 
@@ -106,12 +103,7 @@ def _skip(record: Dict[str, Any], from_seq: int) -> bool:
     return False
 
 
-def parse_events(
-    lines: Iterable[str],
-    *,
-    from_seq: int = 0,
-    validate: bool = True,
-) -> EventStream:
+def parse_events(lines: Iterable[str], *, from_seq: int = 0) -> EventStream:
     """Decode an in-memory iterable of JSONL lines into an event stream."""
     stream = EventStream()
 
@@ -125,25 +117,17 @@ def parse_events(
         ]
         for position, (line_number, line) in enumerate(entries):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if position == len(entries) - 1:
+                record = _decode(line, line_number)
+            except SchemaError as exc:
+                not_json = isinstance(exc.__cause__, json.JSONDecodeError)
+                if not_json and position == len(entries) - 1:
                     # A crash mid-write leaves a half-written final line;
                     # the complete prefix is still a valid stream. Yield
-                    # what we have and flag the truncation.
+                    # what we have and flag the truncation. (A final line
+                    # that parses but fails validation is corruption.)
                     stream.torn_tail = True
                     return
-                raise SchemaError(f"line {line_number}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise SchemaError(
-                    f"line {line_number}: event record must be an object, "
-                    f"got {type(record).__name__}"
-                )
-            if validate:
-                try:
-                    validate_event(record)
-                except SchemaError as exc:
-                    raise SchemaError(f"line {line_number}: {exc}") from exc
+                raise
             if not _skip(record, from_seq):
                 yield record
 
@@ -158,7 +142,6 @@ def read_events(
     follow: bool = False,
     poll_interval: float = FOLLOW_POLL_INTERVAL,
     stop: Optional[Callable[[], bool]] = None,
-    validate: bool = True,
 ) -> EventStream:
     """Read a telemetry JSONL file; the public reader behind every consumer.
 
@@ -171,7 +154,7 @@ def read_events(
     if not follow:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-        return parse_events(lines, from_seq=from_seq, validate=validate)
+        return parse_events(lines, from_seq=from_seq)
 
     stream = EventStream()
 
@@ -201,7 +184,7 @@ def read_events(
                         stripped = line.strip()
                         if not stripped:
                             continue
-                        record = _decode(stripped, line_number, validate)
+                        record = _decode(stripped, line_number)
                         if not _skip(record, from_seq):
                             yield record
                     continue  # drain any data written while we decoded

@@ -30,8 +30,7 @@ from .events import EVENT_TYPES, TelemetryEvent
 #: - **1** — the original eight event types.
 #: - **2** — adds ``CoverageObserved`` (coverage-guided exploration).
 #: - **3** — adds ``ScenarioExecuted.sched`` (batch-shape scheduler
-#:   counters) and the optional merge-envelope keys ``shard`` /
-#:   ``shard_seq`` that ``repro merge`` stamps onto stitched streams.
+#:   counters).
 #: New streams are written as the current version; older streams still
 #: validate (fields introduced later are only required at or above the
 #: version that introduced them).
@@ -40,11 +39,6 @@ SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
 
 #: Keys every wire record carries besides the event's own fields.
 ENVELOPE_KEYS = ("v", "seq", "type")
-
-#: Optional envelope keys a merged (``repro merge``) stream adds to every
-#: record: the shard that produced the event and its original sequence
-#: number in that shard's stream (``seq`` is re-assigned globally).
-MERGE_ENVELOPE_KEYS = ("shard", "shard_seq")
 
 #: Event fields that only became part of the wire format at a later
 #: schema version: ``(event type, field) -> version introduced``. Records
@@ -117,20 +111,13 @@ def validate_event(record: Dict[str, Any]) -> str:
     seq = record.get("seq")
     if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
         raise SchemaError(f"seq must be a non-negative integer, got {seq!r}")
-    for merge_key in MERGE_ENVELOPE_KEYS:
-        if merge_key in record:
-            value = record[merge_key]
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise SchemaError(
-                    f"{merge_key} must be a non-negative integer, got {value!r}"
-                )
     type_name = record.get("type")
     event_class = EVENT_TYPES.get(type_name)
     if event_class is None:
         raise SchemaError(f"unknown event type: {type_name!r}")
     fields = {field.name: field for field in dataclasses.fields(event_class)}
     hints = typing.get_type_hints(event_class)
-    present = set(record) - set(ENVELOPE_KEYS) - set(MERGE_ENVELOPE_KEYS)
+    present = set(record) - set(ENVELOPE_KEYS)
     missing = sorted(
         name
         for name in set(fields) - present
@@ -183,7 +170,6 @@ def validate_jsonl(lines: Iterable[str]) -> List[Tuple[int, str]]:
 __all__ = [
     "ENVELOPE_KEYS",
     "FIELDS_SINCE",
-    "MERGE_ENVELOPE_KEYS",
     "SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "SchemaError",

@@ -86,17 +86,20 @@ class JsonlSink:
 
     @staticmethod
     def _truncate_orphan_tail(path: str, resume_seq: int) -> None:
+        """Drop the orphan tail atomically: the kept prefix goes to a sibling
+        temp file that replaces the stream, so a kill at any point leaves
+        either the old complete stream or the new one, never a shorter one."""
         import os
 
         from .reader import complete_prefix_lines
 
         if not os.path.exists(path):
             return
-        kept = complete_prefix_lines(path, resume_seq)
-        with open(path, "w", encoding="utf-8") as handle:
-            for line in kept:
-                handle.write(line)
-                handle.write("\n")
+        kept = "".join(f"{line}\n" for line in complete_prefix_lines(path, resume_seq))
+        tmp = f"{path}.tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(kept)
+        os.replace(tmp, path)
 
     def emit(self, seq: int, event: TelemetryEvent) -> None:
         if self._handle is None:

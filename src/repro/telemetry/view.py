@@ -4,7 +4,7 @@
 time** (``view.fold(record)``) into the rollups ``repro explain``
 reports — per-plugin fitness/impact attribution, best-scenario lineage,
 exploration heatmaps, failure-kind counters, coverage, and the
-scheduler/shard rollups — and can be snapshotted to a
+scheduler rollup — and can be snapshotted to a
 :class:`CampaignAttribution` (and from there to JSON) at **any prefix**
 of the stream. That prefix property is the whole design: batch
 ``repro explain`` is just "fold the whole file, snapshot once", and the
@@ -105,9 +105,6 @@ class CampaignAttribution:
     sched_batches: int = 0
     sched_max_batch: int = 0
     sched_depth_sum: int = 0
-    #: Events per shard for merged (``repro merge``) streams; empty for
-    #: single-controller streams.
-    shard_events: Dict[int, int] = field(default_factory=dict)
     impact_curve: List[float] = field(default_factory=list)
     #: (dimension name, positions seen) per dimension, insertion-ordered.
     dimension_positions: Dict[str, List[int]] = field(default_factory=dict)
@@ -156,9 +153,6 @@ class CampaignView:
         seq = record.get("seq")
         if isinstance(seq, int) and not isinstance(seq, bool):
             out.last_seq = max(out.last_seq, seq)
-        if "shard" in record:
-            shard = int(record["shard"])
-            out.shard_events[shard] = out.shard_events.get(shard, 0) + 1
         if type_name == "ScenarioGenerated":
             key = freeze_key(record["key"])
             self._generated[key] = record
@@ -254,7 +248,6 @@ class CampaignView:
                 name: dataclasses.replace(stats) for name, stats in live.plugins.items()
             },
             lineage=[],
-            shard_events=dict(live.shard_events),
             impact_curve=list(live.impact_curve),
             dimension_positions={
                 name: list(positions)
@@ -364,10 +357,6 @@ def attribution_to_dict(attribution: CampaignAttribution) -> Dict[str, Any]:
                 if attribution.sched_batches and attribution.sched_max_batch
                 else 0.0
             ),
-        },
-        "shards": {
-            str(shard): count
-            for shard, count in sorted(attribution.shard_events.items())
         },
         "best": {
             "impact": attribution.best_impact,

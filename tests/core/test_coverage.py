@@ -28,9 +28,7 @@ from repro.core import (
     ControllerConfig,
     CoverageMap,
     HybridExploration,
-    ScenarioResult,
     TestController,
-    TestScenario,
     load_checkpoint,
     restore_controller,
     signature_of,
@@ -259,39 +257,6 @@ def test_features_are_kept_for_parent_candidates_only():
     candidates.update(controller._novel_corpus)
     assert set(controller._features) == candidates
     assert len(controller._features) < len(controller.results)
-
-
-def test_foreign_pi_entry_scores_neutral_novelty_in_parent_selection(monkeypatch):
-    """A partner shard's result (absorb_foreign) sits in Pi with no feature
-    tuple: hybrid parent selection weighs it at the neutral 0.5."""
-    target, plugins = fresh_target()
-    strategy = HybridExploration(target, plugins, seed=5, novelty_weight=1.0)
-    strategy.run(CampaignSpec(budget=10))
-    controller = strategy.controller
-    coords = next(
-        {"mask": 0, "load": load}
-        for load in range(10)
-        if (("load", load), ("mask", 0)) not in controller.history
-    )
-    foreign = ScenarioResult(
-        scenario=TestScenario(coords=coords), impact=1.0, test_index=0
-    )
-    assert controller.absorb_foreign(foreign)
-
-    seen = {}
-
-    def capture(candidates, weights, rng):
-        seen.update(zip((entry.key for entry in candidates), weights))
-        return candidates[0]
-
-    monkeypatch.setattr("repro.core.controller.weighted_choice", capture)
-    controller._sample_parent()
-    # novelty_weight 1.0: a candidate's weight is exactly its novelty.
-    assert seen[foreign.key] == 0.5
-    own = [key for key in seen if key != foreign.key]
-    assert own
-    for key in own:
-        assert seen[key] == controller.coverage.feature_novelty(controller._features[key])
 
 
 def test_hybrid_trajectory_is_deterministic_for_a_seed():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -40,12 +41,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             CampaignSpec(**kwargs)
 
-    def test_with_overrides_revalidates(self):
+    def test_replace_revalidates(self):
         spec = CampaignSpec(budget=10)
-        assert spec.with_overrides(budget=20).budget == 20
+        assert dataclasses.replace(spec, budget=20).budget == 20
         assert spec.budget == 10  # frozen original untouched
         with pytest.raises(ValueError):
-            spec.with_overrides(budget=0)
+            dataclasses.replace(spec, budget=0)
 
 
 class TestLegacyShim:

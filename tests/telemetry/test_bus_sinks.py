@@ -155,6 +155,27 @@ class TestJsonlSink:
             0, 1, 2,
         ]
 
+    def test_interrupted_truncation_leaves_the_stream_intact(self, tmp_path, monkeypatch):
+        # A kill while the orphan tail is being dropped must not leave a
+        # stream shorter than the checkpoint's cursor: the next resume
+        # would append after the hole and no reader would notice.
+        path = tmp_path / "events.jsonl"
+        with JsonlSink(str(path)) as sink:
+            for seq in range(5):
+                sink.emit(seq, _executed(seq))
+        original = path.read_bytes()
+
+        def dies_after_one_line(stream_path, before_seq):
+            yield original.decode("utf-8").splitlines()[0]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            "repro.telemetry.reader.complete_prefix_lines", dies_after_one_line
+        )
+        with pytest.raises(KeyboardInterrupt):
+            JsonlSink(str(path), append=True, resume_seq=3)
+        assert path.read_bytes() == original
+
 
 class TestTtyProgressSink:
     def test_renders_progress_lines_on_dumb_stream(self):

@@ -302,32 +302,3 @@ class TestSchedulerRollup:
         document = attribution_to_dict(attribution)
         assert document["scheduler"]["events"] == 0
         assert "scheduler:" not in render_attribution(attribution)
-
-    def test_merged_stream_reports_per_shard_events(self, tmp_path):
-        from repro.core.merge import merge_directory
-        from repro.core.shard import (
-            ShardPlan,
-            build_shard_controller,
-            run_sharded_campaign,
-            shard_telemetry_path,
-        )
-        from tests.core.fake_target import LoadPlugin, make_hill_target
-
-        def factory(plan, index, bus=None):
-            target, plugins = make_hill_target(extra_plugins=[LoadPlugin()])
-            return build_shard_controller(target, plugins, plan, index, telemetry=bus)
-
-        plan = ShardPlan(campaign_seed=11, shards=2, budget=8, exchange_every=4)
-        run_sharded_campaign(
-            plan,
-            tmp_path,
-            factory,
-            telemetry_paths=[shard_telemetry_path(tmp_path, i) for i in range(2)],
-        )
-        _report, stream = merge_directory(tmp_path)
-        attribution = fold_stream(stream)
-        assert attribution.shard_events and set(attribution.shard_events) == {0, 1}
-        document = attribution_to_dict(attribution)
-        assert set(document["shards"]) == {"0", "1"}
-        assert sum(document["shards"].values()) == len(stream)
-        assert "shards: 2 merged" in render_attribution(attribution)

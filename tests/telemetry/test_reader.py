@@ -65,12 +65,6 @@ class TestParseEvents:
         with pytest.raises(SchemaError, match="Nope"):
             list(parse_events(bad))
 
-    def test_validate_false_passes_unknown_records_through(self):
-        raw = ['{"seq": 0, "whatever": true}']
-        assert list(parse_events(raw, validate=False)) == [
-            {"seq": 0, "whatever": True}
-        ]
-
     def test_returns_event_stream(self, lines):
         assert isinstance(parse_events(lines), EventStream)
 

@@ -97,6 +97,12 @@ class TestValidateEvent:
         with pytest.raises(SchemaError, match="unexpected fields.*bonus"):
             validate_event(_record(bonus=1))
 
+    def test_merged_stream_envelope_rejected(self):
+        """The keys the removed `repro merge` stamped onto stitched streams
+        are ordinary unknown fields."""
+        with pytest.raises(SchemaError, match="unexpected fields.*shard.*shard_seq"):
+            validate_event(_record(shard=1, shard_seq=7))
+
     def test_wrong_field_type_rejected(self):
         with pytest.raises(SchemaError, match="ScenarioExecuted.impact"):
             validate_event(_record(impact="high"))
@@ -136,22 +142,3 @@ class TestValidateJsonl:
         with pytest.raises(SchemaError, match="strictly"):
             validate_jsonl([line, line])
 
-
-class TestMergeEnvelope:
-    """The optional ``shard`` / ``shard_seq`` keys on stitched streams."""
-
-    def test_merge_envelope_keys_accepted(self):
-        assert validate_event(_record(shard=1, shard_seq=7)) == "ScenarioExecuted"
-
-    def test_merge_envelope_keys_are_optional(self):
-        record = _record()
-        assert "shard" not in record and "shard_seq" not in record
-        assert validate_event(record) == "ScenarioExecuted"
-
-    def test_negative_or_non_integer_shard_rejected(self):
-        with pytest.raises(SchemaError, match="shard must be"):
-            validate_event(_record(shard=-1, shard_seq=0))
-        with pytest.raises(SchemaError, match="shard_seq must be"):
-            validate_event(_record(shard=0, shard_seq=True))
-        with pytest.raises(SchemaError, match="shard must be"):
-            validate_event(_record(shard="0", shard_seq=0))

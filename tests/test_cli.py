@@ -154,10 +154,12 @@ def test_resume_of_a_complete_campaign_is_a_noop(tmp_path, capsys):
     "content, expected",
     [
         ('{"format_version": 3, "kind": "avd-checkpoint"}', "version: 3"),
+        ('{"format_version": 2, "kind": "avd-checkpoint", "context": {"shard": {}}}',
+         "sharded campaign"),
         ("{ not json", "cannot resume"),
         (None, "No such file"),
     ],
-    ids=["old-version", "not-json", "missing"],
+    ids=["old-version", "sharded", "not-json", "missing"],
 )
 def test_resume_on_a_bad_checkpoint_is_a_clean_error(tmp_path, content, expected):
     """A checkpoint `resume` cannot read exits 1 with one line, no traceback."""
@@ -308,22 +310,18 @@ def test_campaign_progress_smoke(capsys):
 
 
 # ---------------------------------------------------------------------------
-# distributed campaign fabric: validation, shards, merge, worker
+# distributed campaign fabric: validation, worker
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "argv",
     [
         ["campaign", "--workers", "-1"],
         ["campaign", "--batch-size", "0"],
-        ["campaign", "--shards", "0"],
-        ["campaign", "--shards", "-3"],
-        ["campaign", "--exchange-every", "0"],
         ["campaign", "--budget", "0"],
         ["campaign", "--checkpoint-every", "0"],
         ["campaign", "--workers", "two"],
         ["resume", "x.json", "--workers", "-1"],
         ["resume", "x.json", "--budget", "0"],
-        ["merge", "dir", "--shards", "0"],
     ],
 )
 def test_sub_one_counts_fail_with_a_clear_error(argv, capsys):
@@ -347,90 +345,26 @@ def test_backend_flag_is_gone(capsys):
     assert "--backend" not in capsys.readouterr().out
 
 
-def test_shard_flag_validation(tmp_path):
-    with pytest.raises(SystemExit, match="--shards > 1"):
-        main(["campaign", "--tools", "mac", "--budget", "2", "--shard-index", "0"])
-    with pytest.raises(SystemExit, match="out of range"):
-        main(["campaign", "--tools", "mac", "--budget", "4", "--shards", "2",
-              "--shard-index", "5", "--shard-dir", str(tmp_path / "s")])
-    with pytest.raises(SystemExit, match="avd or hybrid"):
-        main(["campaign", "--strategy", "random", "--budget", "4", "--shards", "2",
-              "--shard-dir", str(tmp_path / "s")])
-    with pytest.raises(SystemExit, match="repro merge"):
-        main(["campaign", "--tools", "mac", "--budget", "4", "--shards", "2",
-              "--shard-dir", str(tmp_path / "s"), "--out", str(tmp_path / "o.json")])
-
-
-def test_restarted_shard_rebuilds_from_its_checkpoint_recipe(tmp_path, monkeypatch):
-    """A restarted --shard-index continues the campaign its checkpoint
-    recorded, not the one this invocation's flags describe: started with
-    --aardvark and --tools mac, restarted with neither, it still builds the
-    aardvark config and the mac toolbox (a toolbox mismatch used to be a
-    ValueError traceback, a dropped --aardvark a silent config switch)."""
-    import repro.cli as cli
-
-    built = []
-    real_config = cli._pbft_config
-
-    def recording_config(fixed_timers, aardvark):
-        built.append((fixed_timers, aardvark))
-        return real_config(fixed_timers, aardvark)
-
-    monkeypatch.setattr(cli, "_pbft_config", recording_config)
-    # One exchange round, so shard 0 finishes without waiting for shard 1.
-    base = ["campaign", "--budget", "4", "--seed", "3", "--shards", "2",
-            "--shard-index", "0", "--exchange-every", "2",
-            "--shard-dir", str(tmp_path / "s")]
-    assert main(base + ["--tools", "mac", "--aardvark"]) == 0
-    assert main(base + ["--tools", "mac,clients"]) == 0
-    assert built == [(False, True), (False, True)]
-    context = json.loads((tmp_path / "s" / "shard-0.checkpoint.json").read_text())["context"]
-    assert context["aardvark"] is True and context["tools"] == "mac"
-
-
-def test_sharded_campaign_merges_to_deterministic_bytes(tmp_path, capsys):
-    """Two shards, interleaved driver, `repro merge`; rerun → same bytes."""
-    base = ["campaign", "--tools", "mac", "--budget", "8", "--seed", "3",
-            "--shards", "2", "--exchange-every", "4"]
-    payloads = []
-    for name in ("a", "b"):
-        shard_dir = tmp_path / name
-        merged = tmp_path / f"{name}.json"
-        stitched = tmp_path / f"{name}.jsonl"
-        assert main(base + ["--shard-dir", str(shard_dir)]) == 0
-        assert main(["merge", str(shard_dir), "--out", str(merged),
-                     "--telemetry-out", str(stitched)]) == 0
-        payloads.append((merged.read_bytes(), stitched.read_bytes()))
-    assert payloads[0] == payloads[1]
-    out = capsys.readouterr().out
-    assert "merged 2 shards" in out
-    report = json.loads(payloads[0][0])
-    assert report["tests"] == 8 and report["plan"]["shards"] == 2
-
-
-def test_sharded_campaign_refuses_to_clobber_existing_shards(tmp_path):
-    base = ["campaign", "--tools", "mac", "--budget", "4", "--seed", "3",
-            "--shards", "2", "--exchange-every", "2",
-            "--shard-dir", str(tmp_path / "s")]
-    assert main(base) == 0
-    with pytest.raises(SystemExit, match="already holds shard checkpoints"):
-        main(base)
-
-
-def test_merge_without_checkpoints_is_a_clean_error(tmp_path):
-    with pytest.raises(SystemExit, match="cannot merge"):
-        main(["merge", str(tmp_path)])
-
-
-def test_merge_report_goes_to_stdout_without_out(tmp_path, capsys):
-    shard_dir = tmp_path / "s"
-    assert main(["campaign", "--tools", "mac", "--budget", "4", "--seed", "2",
-                 "--shards", "2", "--exchange-every", "2",
-                 "--shard-dir", str(shard_dir)]) == 0
+def test_shard_and_merge_surface_is_gone(capsys):
+    """`--workers`/`--hosts` is the one way to spread a campaign: the shard
+    flags and `repro merge` are unknown to the parser (exit 2) and --help
+    does not mention them."""
+    for argv in (
+        ["campaign", "--shards", "2"],
+        ["campaign", "--shard-index", "0"],
+        ["campaign", "--shard-dir", "d"],
+        ["campaign", "--exchange-every", "5"],
+        ["merge", "d"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
     capsys.readouterr()
-    assert main(["merge", str(shard_dir)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["kind"] == "avd-merged-report"
+    for argv in (["--help"], ["campaign", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        out = capsys.readouterr().out
+        assert "shard" not in out and "merge" not in out
 
 
 def test_worker_command_serves_a_socket_campaign(tmp_path, capsys):
@@ -463,10 +397,8 @@ def test_worker_command_serves_a_socket_campaign(tmp_path, capsys):
         parse_host("host:65536")
 
 
-def test_parser_knows_merge_and_worker():
+def test_parser_knows_worker():
     parser = build_parser()
-    merge_args = parser.parse_args(["merge", "shards", "--shards", "2"])
-    assert callable(merge_args.func) and merge_args.shard_dir == "shards"
     worker_args = parser.parse_args(["worker", "--listen", "127.0.0.1:0",
                                      "--max-sessions", "1"])
     assert callable(worker_args.func) and worker_args.max_sessions == 1
