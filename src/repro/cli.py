@@ -235,7 +235,6 @@ def cmd_campaign(args) -> int:
         hybrid = args.strategy == "hybrid"
         novelty_weight = HybridExploration.DEFAULT_NOVELTY_WEIGHT if hybrid else 0.0
     config = ControllerConfig(
-        fault_isolation=not args.no_fault_isolation,
         scenario_timeout=args.scenario_timeout,
         retry=RetryPolicy(max_attempts=args.retries),
         novelty_weight=novelty_weight,
@@ -682,11 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=3, metavar="N",
         help="execution attempts per scenario for transient failures "
              "(timeouts, worker crashes) before quarantine (default: 3)",
-    )
-    campaign.add_argument(
-        "--no-fault-isolation", action="store_true",
-        help="let scenario failures abort the campaign (debugging aid; "
-             "the default records them as zero-impact ScenarioFailure results)",
     )
     campaign.add_argument(
         "--checkpoint", metavar="PATH",

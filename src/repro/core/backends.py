@@ -91,8 +91,8 @@ class WorkStealingScheduler:
 
     Results land in per-task slots, so however the races play out the
     caller always sees submission order; a task that raises anything
-    *other* than :exc:`ChannelError` aborts the batch and is re-raised
-    (fail-loud contract).
+    *other* than :exc:`ChannelError` (an interrupt, a scenario that will
+    not pickle) aborts the batch and is re-raised.
     """
 
     def __init__(self, channels: Sequence[Any]) -> None:
@@ -223,7 +223,6 @@ class Channel:
         self,
         scenario: TestScenario,
         test_index: int,
-        isolated: bool,
         wait_timeout: Optional[float],
     ) -> ScenarioResult:
         """Execute one scenario on the worker; :exc:`ChannelError` on loss."""
@@ -231,11 +230,7 @@ class Channel:
             raise ChannelError(f"{self.label} is not connected")
         try:
             self.sock.settimeout(wait_timeout)
-            send_frame(
-                self.sock,
-                "exec",
-                {"scenario": scenario, "test_index": test_index, "isolated": isolated},
-            )
+            send_frame(self.sock, "exec", {"scenario": scenario, "test_index": test_index})
             kind, payload = recv_frame(self.sock)
         except socket.timeout as exc:
             self.close()
@@ -248,8 +243,6 @@ class Channel:
             raise ChannelError(f"lost {self.label} ({describe_exception(exc)})") from exc
         if kind == "result":
             return payload
-        if kind == "raise" and isinstance(payload, BaseException):
-            raise payload  # fail-loud path: the scenario itself raised
         self.close()
         raise ChannelError(f"{self.label} sent unexpected {kind!r}")
 

@@ -71,11 +71,7 @@ class ControllerConfig:
     fixed_mutate_distance: Optional[float] = None
     #: Ablation X2: sample plugins uniformly instead of by fitness gain.
     uniform_plugin_choice: bool = False
-    #: Catch per-scenario failures and absorb them as zero-impact
-    #: :class:`ScenarioFailure` results instead of aborting the campaign.
-    fault_isolation: bool = True
     #: Wall-clock deadline per scenario, in seconds (None = no deadline).
-    #: Only enforced when ``fault_isolation`` is on.
     scenario_timeout: Optional[float] = None
     #: Retry budget + backoff for transient failures (timeouts, worker
     #: crashes).
@@ -481,7 +477,6 @@ class TestController:
         trade a little guidance staleness — siblings are generated before
         their predecessors' impacts are known — for parallel execution.
         """
-        isolate = self.config.fault_isolation
         while len(self.results) < budget:
             room = min(batch_size, budget - len(self.results))
             while len(self.pending) < room:
@@ -490,11 +485,7 @@ class TestController:
             if not self.pending:
                 break
             batch = [self._dequeue() for _ in range(min(room, len(self.pending)))]
-            if isolate:
-                executed = pool.execute_batch_isolated(batch, start_index=len(self.results))
-            else:
-                executed = pool.execute_batch(batch, start_index=len(self.results))
-            for result in executed:
+            for result in pool.execute_batch_isolated(batch, start_index=len(self.results)):
                 self._absorb(result)
             self._maybe_checkpoint()
         return self.results

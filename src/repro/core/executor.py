@@ -8,25 +8,30 @@ contaminates measurements.
 
 Two execution entry points:
 
-- :meth:`ScenarioExecutor.execute` is the raw contract: any target
-  exception propagates. Used by code that wants to fail loudly (unit
-  tests, single-shot tools).
-- :meth:`ScenarioExecutor.execute_isolated` is the crash-safe campaign
-  path: target exceptions, impact-contract violations, and wall-clock
-  deadline overruns are classified (see :mod:`repro.core.failures`) and
-  converted into zero-impact :class:`ScenarioFailure` results; transient
-  kinds are retried with exponential backoff first.
+- :meth:`ScenarioExecutor.execute_isolated` is the campaign contract, the
+  only one the execution fabric calls: target exceptions, impact-contract
+  violations, and wall-clock deadline overruns are classified (see
+  :mod:`repro.core.failures`) and converted into zero-impact
+  :class:`ScenarioFailure` results; transient kinds are retried with
+  exponential backoff first.
+- :meth:`ScenarioExecutor.execute` is the raw re-execution oracle: any
+  target exception propagates. No campaign runs through it; the
+  benchmark's re-execution check and the tests compare against it.
+
+An executor has no bus: ``ScenarioExecuted`` is published in one place,
+``ParallelScenarioExecutor._publish_batch``, in the controller's process.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from typing import Callable, Dict, Optional
 
 from ..sim.rng import derive_seed
 from ..telemetry.bus import TelemetryBus
-from ..telemetry.events import FailureClassified, ScenarioExecuted, key_dict
+from ..telemetry.events import ScenarioExecuted, key_dict
 from . import snapshot as snapshot_mod
 from .failures import (
     HARNESS_BUG,
@@ -42,6 +47,10 @@ from .failures import (
 )
 from .scenario import ScenarioResult, TestScenario
 from .target import Target, verify_target
+
+#: Operator-facing diagnostics (stderr). Nothing logged here ever enters
+#: results, checkpoints or the canonical telemetry stream.
+_LOG = logging.getLogger(__name__)
 
 
 class ScenarioExecutor:
@@ -60,7 +69,6 @@ class ScenarioExecutor:
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         sleep: Callable[[float], None] = time.sleep,
-        telemetry: Optional[TelemetryBus] = None,
     ) -> None:
         if timeout is not None and not timeout > 0:
             raise ValueError("timeout must be positive (or None to disable)")
@@ -73,10 +81,6 @@ class ScenarioExecutor:
         #: Terminal scenario failures produced through the isolated path.
         self.failures = 0
         self._sleep = sleep
-        #: Campaign telemetry bus; ``ScenarioExecuted`` is published here
-        #: for every terminal result. Reassignable (the controller points
-        #: it at the spec's bus per run).
-        self.telemetry = telemetry if telemetry is not None else TelemetryBus()
 
     def scenario_seed(self, scenario: TestScenario, params: Dict[str, object]) -> int:
         """The simulation seed for one scenario.
@@ -101,9 +105,7 @@ class ScenarioExecutor:
         params = self.target.hyperspace.params(scenario.coords)
         seed = self.scenario_seed(scenario, params)
         measurement = self.target.execute(params, seed)
-        result = self._finish(scenario, test_index, params, measurement)
-        publish_executed(self.telemetry, self.target, result, sched=SERIAL_SCHED)
-        return result
+        return self._finish(scenario, test_index, params, measurement)
 
     def _finish(
         self,
@@ -150,10 +152,10 @@ class ScenarioExecutor:
             raise
         except snapshot_mod.SnapshotRestoreError as exc:
             # A snapshot that captured fine but will not restore is a
-            # harness defect, never the target's fault: record it as such
-            # and fall back to from-scratch execution, which is defined to
-            # produce the identical measurement. Failures of the fallback
-            # itself are classified like any first attempt.
+            # harness defect, never the target's fault: say so and fall
+            # back to from-scratch execution, which is defined to produce
+            # the identical measurement. Failures of the fallback itself
+            # are classified like any first attempt.
             try:
                 measurement = self._snapshot_fallback(scenario, test_index, params, seed, exc)
             except ScenarioTimeout as fallback_exc:
@@ -175,24 +177,18 @@ class ScenarioExecutor:
         seed: int,
         exc: Exception,
     ) -> object:
-        """Classify a restore failure and re-execute from scratch.
+        """Warn about a restore failure and re-execute from scratch.
 
-        Publishes a ``FailureClassified`` event (kind ``harness-bug``) so
-        campaign telemetry records that the fork path failed, then reruns
-        the scenario with snapshot forking disabled. Fork-equivalence
-        (proved by tests/snapshot/) guarantees the fallback measurement is
-        the one the fork would have produced.
+        Fork-equivalence (proved by tests/snapshot/) guarantees the
+        fallback measurement is the one the fork would have produced, so
+        nothing enters the results or the telemetry stream.
         """
-        if self.telemetry is not None and self.telemetry.active:
-            self.telemetry.publish(
-                FailureClassified(
-                    test_index=test_index,
-                    key=key_dict(scenario.key),
-                    kind=HARNESS_BUG,
-                    error=f"snapshot restore failed: {describe_exception(exc)}",
-                    attempts=1,
-                )
-            )
+        _LOG.warning(
+            "snapshot restore failed for test %d (%s); re-executing from scratch: %s",
+            test_index,
+            scenario.key,
+            describe_exception(exc),
+        )
         with snapshot_mod.disabled():
             with scenario_deadline(self.timeout):
                 return self.target.execute(params, seed)
@@ -209,9 +205,7 @@ class ScenarioExecutor:
         while True:
             attempts += 1
             try:
-                result = self._attempt(scenario, test_index)
-                publish_executed(self.telemetry, self.target, result, sched=SERIAL_SCHED)
-                return result
+                return self._attempt(scenario, test_index)
             except FailureSignal as failure:
                 kind, error = failure.kind, failure.error
             if kind in TRANSIENT_KINDS and attempts < self.retry.max_attempts:
@@ -220,7 +214,7 @@ class ScenarioExecutor:
                     self._sleep(delay)
                 continue
             self.failures += 1
-            failure_result = ScenarioFailure(
+            return ScenarioFailure(
                 scenario=scenario,
                 impact=0.0,
                 test_index=test_index,
@@ -230,8 +224,6 @@ class ScenarioExecutor:
                 error=error,
                 attempts=attempts,
             )
-            publish_executed(self.telemetry, self.target, failure_result, sched=SERIAL_SCHED)
-            return failure_result
 
 
 def scope_seed(campaign_seed: int, scope: str) -> int:
@@ -253,24 +245,19 @@ def batch_sched(size: int, slot: int) -> Dict[str, int]:
     never of worker count, completion order, or clocks, so telemetry
     streams stay byte-identical across worker counts and backends.
     ``depth`` is how many submissions were still queued behind this one
-    when it was dispatched; a serial execution is a batch of one, so the
-    serial and batched paths emit identical counters for size-1 batches
-    (the byte-identity tests in ``tests/telemetry`` depend on it).
+    when it was dispatched; a serial execution is a batch of one.
     ``repro explain`` folds these into the scheduler-efficiency rollup.
     """
     return {"depth": size - 1 - slot, "size": size, "slot": slot}
-
-
-#: The counters every serial (non-batched) execution carries.
-SERIAL_SCHED = batch_sched(1, 0)
 
 
 def warm_target(target: object, campaign_seed: Optional[int]) -> None:
     """Run a target's optional ``warm_caches(campaign_seed=...)`` hook.
 
     The seed lets the snapshot cache precompute benign prefixes. Warming
-    is an optimization, so a hook that raises is ignored rather than
-    allowed to break worker startup. Called wherever a target lands
+    is an optimization, so a hook that raises is logged rather than
+    allowed to break worker startup (baseline calibration and prefix
+    capture then happen inside scenarios). Called wherever a target lands
     before its first scenario: the parent, before pickling it, and every
     worker session's setup.
     """
@@ -279,8 +266,11 @@ def warm_target(target: object, campaign_seed: Optional[int]) -> None:
         return
     try:
         warm(campaign_seed=campaign_seed)
-    except Exception:
-        pass
+    except Exception as exc:
+        _LOG.warning(
+            "warm_caches failed (%s); caches will fill inside scenarios",
+            describe_exception(exc),
+        )
 
 
 def publish_executed(
@@ -291,14 +281,13 @@ def publish_executed(
 ) -> None:
     """Publish one terminal result as a ``ScenarioExecuted`` event.
 
-    Shared by the serial executor and the parallel fabric (which publishes
-    whole batches here in submission order, from the parent process — the
-    re-sequencing that keeps the event stream worker-count-independent).
-    The target's optional ``telemetry_summary(measurement)`` hook supplies
-    the event's headline figures; a misbehaving hook is dropped rather
-    than allowed to fail the campaign. ``sched`` carries the batch-shape
-    scheduler counters (:func:`batch_sched`); the serial executors pass
-    :data:`SERIAL_SCHED`, which equals a batch of one.
+    Called by the execution fabric only, which publishes whole batches in
+    submission order from the parent process — the re-sequencing that
+    keeps the event stream worker-count-independent. The target's optional
+    ``telemetry_summary(measurement)`` hook supplies the event's headline
+    figures; a misbehaving hook is dropped rather than allowed to fail the
+    campaign. ``sched`` carries the batch-shape scheduler counters
+    (:func:`batch_sched`).
     """
     if telemetry is None or not telemetry.active:
         return
@@ -323,7 +312,6 @@ def publish_executed(
 
 
 __all__ = [
-    "SERIAL_SCHED",
     "ScenarioExecutor",
     "Target",
     "batch_sched",

@@ -15,7 +15,7 @@ from dataclasses import replace
 from typing import List, Optional, Sequence, Set
 
 from .controller import ControllerConfig, TestController
-from .executor import ScenarioExecutor, Target
+from .executor import Target
 from .hyperspace import CoordsKey, Hyperspace, coords_key
 from .parallel import ParallelScenarioExecutor
 from .plugin import ToolPlugin
@@ -38,11 +38,12 @@ class ExplorationStrategy:
     """Common interface: run a :class:`CampaignSpec`, return ordered results.
 
     ``spec.workers``/``hosts``/``batch_size`` request concurrent scenario
-    execution. Strategies whose next test depends on the previous result
-    (annealing, generational GAs between generations) are inherently
-    sequential and ignore them; for the strategies that do parallelize,
-    the result trajectory is independent of where scenarios run (see
-    :mod:`repro.core.parallel`).
+    execution. A strategy uses what its feedback loop allows: annealing
+    needs each result before the next test (batches of one), the GA runs
+    one batch per generation. The result trajectory is independent of
+    where scenarios run (see :mod:`repro.core.parallel`), and every
+    strategy shares that module's failure contract: a crashing scenario is
+    a zero-impact ``ScenarioFailure`` result, never an exception.
     """
 
     name = "strategy"
@@ -145,7 +146,7 @@ class _OpenLoopExploration(ExplorationStrategy):
                 if not batch:
                     break
                 self.results.extend(
-                    pool.execute_batch(batch, start_index=len(self.results))
+                    pool.execute_batch_isolated(batch, start_index=len(self.results))
                 )
         return self.results
 
@@ -210,8 +211,8 @@ class GeneticExploration(ExplorationStrategy):
             raise ValueError("bad GA parameters")
         self.target = target
         self.plugins = list(plugins)
+        self.seed = seed
         self.rng = random.Random(seed)
-        self.executor = ScenarioExecutor(target, campaign_seed=seed)
         self.population_size = population_size
         self.elite = elite
         self.mutation_rate = mutation_rate
@@ -219,28 +220,30 @@ class GeneticExploration(ExplorationStrategy):
         self._seen = set()
 
     def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
-        # Generations depend on each other; execution stays sequential.
+        # Generations depend on each other; a generation is one batch.
         self._refuse_campaign_state(spec)
         budget = spec.budget
         population: List[ScenarioResult] = []
-        while len(self.results) < budget:
-            if not population:
-                generation = [self._random_scenario() for _ in range(self.population_size)]
-            else:
-                generation = self._breed(population)
-            evaluated: List[ScenarioResult] = []
-            for scenario in generation:
-                if scenario is None or len(self.results) >= budget:
-                    continue
-                result = self.executor.execute(scenario, test_index=len(self.results))
-                self._seen.add(result.key)
-                self.results.append(result)
-                evaluated.append(result)
-            pool = population + evaluated
-            pool.sort(key=lambda r: r.impact, reverse=True)
-            population = pool[: self.population_size]
-            if not evaluated:
-                break
+        with ParallelScenarioExecutor(
+            self.target, campaign_seed=self.seed, workers=spec.workers, hosts=spec.hosts
+        ) as pool:
+            while len(self.results) < budget:
+                if not population:
+                    generation = [self._random_scenario() for _ in range(self.population_size)]
+                else:
+                    generation = self._breed(population)
+                batch = [scenario for scenario in generation if scenario is not None]
+                evaluated = pool.execute_batch_isolated(
+                    batch[: budget - len(self.results)], start_index=len(self.results)
+                )
+                if not evaluated:
+                    break
+                self._seen.update(result.key for result in evaluated)
+                self.results.extend(evaluated)
+                # A failure is data, not a parent (as in the controller's Pi).
+                ranked = population + [result for result in evaluated if not result.failed]
+                ranked.sort(key=lambda r: r.impact, reverse=True)
+                population = ranked[: self.population_size]
         return self.results
 
     def _breed(self, population: List[ScenarioResult]) -> List[Optional[TestScenario]]:
@@ -293,7 +296,9 @@ class AnnealingExploration(ExplorationStrategy):
         self.target = target
         self.plugins = list(plugins)
         self.rng = random.Random(seed)
-        self.executor = ScenarioExecutor(target, campaign_seed=seed)
+        # No workers: a single walker needs each step's impact before the
+        # next, and a batch of one never leaves this process anyway.
+        self.pool = ParallelScenarioExecutor(target, campaign_seed=seed)
         self.initial_temperature = initial_temperature
         self.cooling = cooling
         self.results: List[ScenarioResult] = []
@@ -330,7 +335,7 @@ class AnnealingExploration(ExplorationStrategy):
     def _evaluate(self, scenario: Optional[TestScenario]) -> Optional[ScenarioResult]:
         if scenario is None:
             return None
-        result = self.executor.execute(scenario, test_index=len(self.results))
+        (result,) = self.pool.execute_batch_isolated([scenario], start_index=len(self.results))
         self._seen.add(result.key)
         self.results.append(result)
         return result

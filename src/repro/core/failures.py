@@ -195,8 +195,21 @@ class FailureSignal(Exception):
 
 
 def describe_exception(exc: BaseException) -> str:
+    """``Type: message [module.function:line]``, the frame that raised.
+
+    The innermost traceback frame is named by module, never by file path:
+    results, checkpoints and ``FailureClassified.error`` must read the same
+    on every host. An exception that was never raised has no frame.
+    """
     text = str(exc)
-    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+    described = f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+    tb = exc.__traceback__
+    if tb is None:
+        return described
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    module = tb.tb_frame.f_globals.get("__name__", "?")
+    return f"{described} [{module}.{tb.tb_frame.f_code.co_name}:{tb.tb_lineno}]"
 
 
 def _alarm_usable() -> bool:

@@ -8,7 +8,9 @@ test — so nothing in the algorithm requires them to run one at a time.
 
 :class:`ParallelScenarioExecutor` executes *batches* of scenarios and owns
 every decision about them: batching, submission-order results, telemetry
-publication, degradation to local execution, and per-suspect retry. Where
+publication, degradation to local execution, and per-suspect retry
+(:meth:`~ParallelScenarioExecutor.execute_batch_isolated`, the one batch
+entry point every strategy calls). Where
 a scenario runs is mechanism (:mod:`repro.core.backends`): a
 :class:`~repro.core.backends.Channel` per worker, all speaking one protocol
 to one worker loop (:mod:`repro.core.worker`), pulled by one
@@ -48,15 +50,16 @@ enforce: for a fixed ``(seed, batch_size)`` the exploration trajectory is
 bit-identical regardless of worker count *and* of where the workers are.
 
 Degradation. The target travels to every worker as one pickled blob in the
-session hello. A target that cannot be pickled, a set of hosts none of
-which answers, and a fail-loud batch that lost a worker all end the same
-way: the executor stops using workers for good, records why in
-:attr:`~ParallelScenarioExecutor.fallback_reason`, logs one warning, and
-runs everything locally — same results, serial wall-clock.
+session hello. A target that cannot be pickled and a set of hosts none of
+which answers end the same way: the executor stops using workers for
+good, records why in :attr:`~ParallelScenarioExecutor.fallback_reason`,
+logs one warning, and runs everything locally — same results, serial
+wall-clock. Only workers that never started end there; one lost
+mid-campaign never does (next paragraph).
 
-Crash safety (:meth:`ParallelScenarioExecutor.execute_batch_isolated`):
-scenarios run through the workers' *isolated* path, so target faults,
-harness bugs, and in-worker deadline overruns come back as zero-impact
+Crash safety. Workers run every scenario through their executor's
+*isolated* path, so target faults, harness bugs, and in-worker deadline
+overruns come back as zero-impact
 :class:`~repro.core.failures.ScenarioFailure` values instead of
 exceptions. Failures the worker cannot report — a worker dying, a
 connection tearing, a worker stuck past the wall-clock backstop — surface
@@ -153,8 +156,6 @@ class ParallelScenarioExecutor:
         #: published *here*, in the parent process, after each batch's
         #: results are collected in submission order — never inside the
         #: workers — so the stream is identical for every worker count.
-        #: (The internal ``_local`` executor gets no bus for the same
-        #: reason: results it produces are published at batch end too.)
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
         self.campaign_seed = campaign_seed
         self.workers = resolve_workers(workers)
@@ -278,60 +279,36 @@ class ParallelScenarioExecutor:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def execute_batch(
+    def execute_batch_isolated(
         self, scenarios: Sequence[TestScenario], start_index: int
     ) -> List[ScenarioResult]:
         """Execute ``scenarios``; results come back in submission order.
 
         ``start_index`` is the campaign-wide index of the first scenario;
         scenario ``i`` of the batch gets ``test_index = start_index + i``,
-        exactly as if a serial worker had drained the queue. Fail-loud: an
-        exception raised by a scenario propagates to the caller.
+        exactly as if a serial worker had drained the queue. Failures are
+        results, not raises: a scenario that fails comes back as a
+        ``ScenarioFailure``, and one whose worker died or hung is retried
+        on fresh workers (one at a time, so the culprit quarantines alone)
+        before becoming one.
         """
-        return self._execute(scenarios, start_index, isolated=False)
-
-    def execute_batch_isolated(
-        self, scenarios: Sequence[TestScenario], start_index: int
-    ) -> List[ScenarioResult]:
-        """Crash-safe :meth:`execute_batch`: failures are results, not raises.
-
-        Submission-order results are preserved, so callers absorb them
-        exactly as the non-isolated path would; scenarios whose worker
-        died or hung are retried on fresh workers (one at a time, so the
-        culprit quarantines alone) before becoming ``ScenarioFailure``.
-        """
-        return self._execute(scenarios, start_index, isolated=True)
-
-    def _execute(
-        self, scenarios: Sequence[TestScenario], start_index: int, isolated: bool
-    ) -> List[ScenarioResult]:
         tasks: List[Task] = [
             (scenario, start_index + offset) for offset, scenario in enumerate(scenarios)
         ]
         channels = self._live_channels() if len(tasks) > 1 else []
         if not channels:
-            results = self._execute_local(tasks, isolated)
+            results = [self._local.execute_isolated(*task) for task in tasks]
         else:
             wait = self._wait_budget()
             results, lost = WorkStealingScheduler(channels).run(
-                tasks, lambda channel, task: channel.call(*task, isolated, wait)
+                tasks, lambda channel, task: channel.call(*task, wait)
             )
-            if lost and not isolated:
-                # A worker died, or a scenario or result refused to cross
-                # the wire: recompute the whole batch locally (per-scenario
-                # seeds make the redo identical, minus the crash).
-                self._degrade(f"batch transport lost {len(lost)} scenario(s)")
-                results = self._execute_local(tasks, isolated)
-            elif lost:
+            if lost:
                 self._reset_channels()
                 for index in lost:
                     results[index] = self._redrive(*tasks[index])
         self.executed += len(results)
         return self._publish_batch(results)
-
-    def _execute_local(self, tasks: Sequence[Task], isolated: bool) -> List[ScenarioResult]:
-        run = self._local.execute_isolated if isolated else self._local.execute
-        return [run(scenario, test_index) for scenario, test_index in tasks]
 
     def _publish_batch(self, results: List[ScenarioResult]) -> List[ScenarioResult]:
         """Publish ``ScenarioExecuted`` for a batch, in submission order.
@@ -339,9 +316,9 @@ class ParallelScenarioExecutor:
         This is the telemetry re-sequencing point: workers may *complete*
         in any order, but results are collected in submission order above,
         and only then — in the parent process — do their events hit the
-        bus. Worker-side executors carry no bus at all (a bus could also
-        make the pickled target blob unpicklable), so no event is ever
-        published twice or out of order. The attached ``sched`` counters
+        bus. This is the only place a ``ScenarioExecuted`` is published
+        (executors carry no bus), so no event is ever published twice or
+        out of order. The attached ``sched`` counters
         are a pure function of the batch structure (see
         :func:`batch_sched`), never of worker count or completion order.
         """
@@ -371,7 +348,7 @@ class ParallelScenarioExecutor:
                 # where the deadline/retry machinery still applies.
                 return self._local.execute_isolated(scenario, test_index)
             try:
-                return channels[0].call(scenario, test_index, True, self._wait_budget())
+                return channels[0].call(scenario, test_index, self._wait_budget())
             except ChannelTimeout as exc:
                 kind, error = TIMEOUT, str(exc)
             except ChannelError as exc:

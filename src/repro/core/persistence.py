@@ -224,7 +224,6 @@ def checkpoint_to_dict(controller) -> Dict[str, Any]:
             "dedup_retries": config.dedup_retries,
             "fixed_mutate_distance": config.fixed_mutate_distance,
             "uniform_plugin_choice": config.uniform_plugin_choice,
-            "fault_isolation": config.fault_isolation,
             "scenario_timeout": config.scenario_timeout,
             "novelty_weight": controller.novelty_weight,
             "retry": config.retry.to_dict(),
@@ -331,6 +330,12 @@ def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
         raise ValueError("restore_controller needs a checkpoint document")
     config_data = dict(data["config"])
     retry = RetryPolicy.from_dict(config_data.pop("retry", {}))
+    unknown = sorted(set(config_data) - {f.name for f in dataclasses.fields(ControllerConfig)})
+    if unknown:
+        raise ValueError(
+            "checkpoint config carries settings this version does not have: "
+            + ", ".join(unknown)
+        )
     config = ControllerConfig(retry=retry, **config_data)
     controller = TestController(
         target, plugins, seed=int(data["campaign_seed"]), config=config,

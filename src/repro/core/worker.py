@@ -28,11 +28,10 @@ connection is one *session*:
   and the coverage-capture toggle.
 - ``("ready", {"protocol": N})`` — worker built its executor; or
   ``("error", reason)`` and the connection closes.
-- ``("exec", {"scenario": ..., "test_index": ..., "isolated": ...})`` —
-  run one scenario; answered by ``("result", ScenarioResult)`` or — on
-  the non-isolated path only — ``("raise", pickled_exception)``, which
-  the client re-raises, preserving ``execute_batch``'s fail-loud
-  contract.
+- ``("exec", {"scenario": ..., "test_index": ...})`` — run one scenario
+  through the executor's isolated path; always answered by
+  ``("result", ScenarioResult)``, a failing scenario's being a
+  ``ScenarioFailure``. The client treats any other reply as a lost worker.
 - ``("bye", None)`` — clean session end (EOF is treated the same).
 
 Determinism: a worker never publishes telemetry and never sees the
@@ -63,7 +62,7 @@ from .executor import ScenarioExecutor, warm_target
 from .failures import RetryPolicy, describe_exception
 
 #: Version of the frame protocol; bumped on any incompatible change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame header: payload length as an unsigned 4-byte big-endian integer.
 _HEADER = struct.Struct(">I")
@@ -132,15 +131,6 @@ def parse_host(address: str, default_port: int = 9123) -> Tuple[str, int]:
     if not 0 <= port < 65536:
         raise ValueError(f"invalid worker address {address!r} (port out of range)")
     return host, port
-
-
-def _picklable_exception(exc: BaseException) -> BaseException:
-    """The exception itself when it pickles, a description otherwise."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(describe_exception(exc))
 
 
 class WorkerSession:
@@ -216,19 +206,8 @@ class WorkerSession:
 
     def _execute(self, payload: Any) -> None:
         assert self.executor is not None
-        scenario = payload["scenario"]
-        test_index = int(payload["test_index"])
-        if payload.get("isolated"):
-            # Crash-safe path: failures come back as ScenarioFailure results.
-            result = self.executor.execute_isolated(scenario, test_index)
-            send_frame(self.conn, "result", result)
-            return
-        try:
-            result = self.executor.execute(scenario, test_index)
-        except Exception as exc:
-            # Fail-loud contract: ship the exception home for re-raising.
-            send_frame(self.conn, "raise", _picklable_exception(exc))
-            return
+        # Failures come back as ScenarioFailure results, never as raises.
+        result = self.executor.execute_isolated(payload["scenario"], int(payload["test_index"]))
         send_frame(self.conn, "result", result)
 
 

@@ -13,7 +13,6 @@ network delivery funnel) and ``sim`` must not import ``core``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -107,7 +106,7 @@ class Tracer:
 # Coverage-mode capture
 # ---------------------------------------------------------------------------
 
-#: Explicit process-wide override; ``None`` falls back to the environment.
+#: Process-wide capture toggle; ``None`` (never set) means off.
 _KIND_CAPTURE: Optional[bool] = None
 
 #: Bound on distinct keys a :class:`KindTrail` tracks. Message-kind
@@ -118,9 +117,9 @@ TRAIL_MAX_KEYS = 512
 
 
 def set_kind_capture(enabled: Optional[bool]) -> Optional[bool]:
-    """Set (or clear, with ``None``) the process-wide capture override.
+    """Set (or clear, with ``None``) the process-wide capture toggle.
 
-    Returns the previous override so callers can restore it. Components
+    Returns the previous value so callers can restore it. Components
     sample the toggle at *construction* (like :mod:`repro.perf`), so
     flipping it mid-simulation never changes an existing deployment.
     """
@@ -133,14 +132,11 @@ def set_kind_capture(enabled: Optional[bool]) -> Optional[bool]:
 def kind_capture_enabled() -> bool:
     """True when coverage-mode message-kind capture is on.
 
-    Priority: explicit :func:`set_kind_capture` override, then the
-    ``REPRO_COVERAGE`` environment variable (any value but ``""``/``"0"``),
-    else off. Worker processes receive the setting in the session hello
-    (see :mod:`repro.core.worker`).
+    That is, when :func:`set_kind_capture` turned it on in this process: a
+    hybrid campaign's controller does for its run, and worker processes
+    receive the setting in the session hello (see :mod:`repro.core.worker`).
     """
-    if _KIND_CAPTURE is not None:
-        return _KIND_CAPTURE
-    return os.environ.get("REPRO_COVERAGE", "") not in ("", "0")
+    return bool(_KIND_CAPTURE)
 
 
 class KindTrail:

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import CampaignSpec, TestController, WorkStealingScheduler
 from repro.core.backends import ChannelError
-from repro.core.executor import SERIAL_SCHED, batch_sched
+from repro.core.executor import batch_sched
 from repro.core.worker import WorkerServer
 from tests._strategies import campaign_seeds, trajectory
 from tests.core.fake_target import LoadPlugin, make_hill_target
@@ -167,8 +167,7 @@ def test_sched_counters_identical_across_backends(worker_pair):
 
 def test_serial_run_emits_batch_of_one_counters():
     scheds = recorded_sched(SEEDS[0], workers=1, batch_size=1)
-    assert scheds == [SERIAL_SCHED] * BUDGET
-    assert SERIAL_SCHED == batch_sched(1, 0)
+    assert scheds == [batch_sched(1, 0)] * BUDGET
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,19 @@ def test_restore_rejects_mismatched_plugins(tmp_path):
         restore_controller(data, other_target, other_plugins)
 
 
+def test_restore_refuses_config_keys_it_does_not_know(tmp_path):
+    # A checkpoint written before `fault_isolation` was deleted carries it;
+    # it must be a readable refusal, not a TypeError out of the dataclass.
+    path = tmp_path / "old-config.ckpt.json"
+    target, plugins = fresh()
+    controller = make_controller(target, plugins)
+    controller.run(CampaignSpec(budget=5, checkpoint_path=str(path)))
+    data = load_checkpoint(path)
+    data["config"]["fault_isolation"] = True
+    with pytest.raises(ValueError, match="does not have: fault_isolation"):
+        restore_controller(data, *fresh())
+
+
 def test_run_rejects_bad_checkpoint_cadence():
     target, plugins = fresh()
     controller = make_controller(target, plugins)

@@ -6,8 +6,10 @@ the same ``Channel`` + ``WorkStealingScheduler``. Trajectory identity is
 pinned elsewhere (``test_parallel.py``, ``test_backends.py``); this file
 pins what identity tests cannot see: deadlines still fire *inside* local
 workers, children are reaped (or killed, when hung) and never orphaned,
-degradation is announced, a long-lived worker does not leak threads, and a
-bounded one (``--max-sessions``) finishes the sessions it admitted.
+degradation is announced, a long-lived worker does not leak threads, a
+bounded one (``--max-sessions``) finishes the sessions it admitted, and the
+wire speaks one dialect (a stale peer is refused at the hello, a reply
+other than ``result`` is a lost worker).
 """
 
 from __future__ import annotations
@@ -18,17 +20,26 @@ import os
 import pickle
 import resource
 import signal
+import socket
 import subprocess
 import sys
 import textwrap
 import threading
 import time
 
+import pytest
+
 from repro.core import RetryPolicy, ScenarioFailure
-from repro.core.backends import Channel
+from repro.core.backends import Channel, ChannelError
 from repro.core.failures import TIMEOUT
 from repro.core.parallel import ParallelScenarioExecutor
-from repro.core.worker import WorkerServer
+from repro.core.worker import (
+    PROTOCOL_VERSION,
+    WorkerServer,
+    recv_frame,
+    send_frame,
+    serve_socket,
+)
 from tests.core.fake_target import HillTarget, LoadPlugin, MaskPlugin, make_hill_target
 from tests.core.test_failures import HangingTarget, scenario_for_mask
 from tests.core.test_parallel import make_batch
@@ -94,7 +105,7 @@ def test_close_reaps_local_workers_into_rusage_children():
     target = BusyTarget([MaskPlugin()])
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     pool = ParallelScenarioExecutor(target, campaign_seed=2, workers=2)
-    pool.execute_batch(make_batch(target, 8), start_index=0)
+    pool.execute_batch_isolated(make_batch(target, 8), start_index=0)
     children = [channel.process for channel in pool._channels]
     assert len(children) == 2 and all(child.is_alive() for child in children)
     pool.close()
@@ -135,7 +146,7 @@ def test_killing_the_controller_leaves_no_worker_children(tmp_path):
 
             target, _ = make_hill_target()
             pool = ParallelScenarioExecutor(target, workers=3)
-            pool.execute_batch(make_batch(target, 6), start_index=0)
+            pool.execute_batch_isolated(make_batch(target, 6), start_index=0)
             print(" ".join(str(c.process.pid) for c in pool._channels), flush=True)
             time.sleep(60)
             """
@@ -164,7 +175,8 @@ def test_killing_the_controller_leaves_no_worker_children(tmp_path):
 def reference_results(scenarios, campaign_seed):
     target, _ = make_hill_target((LoadPlugin(),))
     with ParallelScenarioExecutor(target, campaign_seed=campaign_seed, workers=1) as serial:
-        return [(r.key, r.impact) for r in serial.execute_batch(scenarios, start_index=0)]
+        results = serial.execute_batch_isolated(scenarios, start_index=0)
+    return [(r.key, r.impact) for r in results]
 
 
 def degradation_warnings(caplog):
@@ -182,7 +194,7 @@ def test_unreachable_hosts_set_a_reason_and_log_once(caplog):
         with ParallelScenarioExecutor(
             target, campaign_seed=4, hosts=("127.0.0.1:9",)
         ) as pool:
-            first = pool.execute_batch(scenarios[:3], start_index=0)
+            first = pool.execute_batch_isolated(scenarios[:3], start_index=0)
             second = pool.execute_batch_isolated(scenarios[3:], start_index=3)
             assert pool.fallback_serial
             assert pool.fallback_reason.startswith("no reachable worker hosts: 127.0.0.1:9")
@@ -197,8 +209,8 @@ def test_non_picklable_target_sets_a_reason_and_logs_once(caplog):
     scenarios = make_batch(target, 6)
     with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
         with ParallelScenarioExecutor(target, campaign_seed=5, workers=3) as pool:
-            first = pool.execute_batch(scenarios[:3], start_index=0)
-            second = pool.execute_batch(scenarios[3:], start_index=3)
+            first = pool.execute_batch_isolated(scenarios[:3], start_index=0)
+            second = pool.execute_batch_isolated(scenarios[3:], start_index=3)
             assert pool.fallback_serial
             assert "does not pickle" in pool.fallback_reason
     assert len(degradation_warnings(caplog)) == 1
@@ -209,9 +221,72 @@ def test_healthy_workers_log_nothing(caplog):
     target, _ = make_hill_target((LoadPlugin(),))
     with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
         with ParallelScenarioExecutor(target, workers=2) as pool:
-            pool.execute_batch(make_batch(target, 4), start_index=0)
+            pool.execute_batch_isolated(make_batch(target, 4), start_index=0)
             assert not pool.fallback_serial and pool.fallback_reason is None
     assert degradation_warnings(caplog) == []
+
+
+# ---------------------------------------------------------------------------
+# one wire dialect
+# ---------------------------------------------------------------------------
+def session_hello(target):
+    return {
+        "target_blob": pickle.dumps(target),
+        "campaign_seed": 0,
+        "timeout": None,
+        "retry": None,
+        "coverage_capture": False,
+    }
+
+
+def scripted_worker(*replies):
+    """A peer that answers each frame it receives with the next scripted
+    reply; returns the client end of its socketpair."""
+    ours, theirs = socket.socketpair()
+
+    def serve():
+        with theirs:
+            for reply in replies:
+                recv_frame(theirs)
+                send_frame(theirs, *reply)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return ours
+
+
+def test_a_reply_other_than_result_is_a_lost_worker():
+    # A worker answers exec with a result or it is gone: the controller
+    # must never raise an object that a worker chose to pickle.
+    target, _ = make_hill_target()
+    sock = scripted_worker(
+        ("ready", {"protocol": PROTOCOL_VERSION}), ("raise", RuntimeError("from the wire"))
+    )
+    channel = Channel("scripted worker", sock)._handshake(session_hello(target))
+    with pytest.raises(ChannelError, match="unexpected 'raise'"):
+        channel.call(make_batch(target, 1)[0], 0, 5.0)
+    assert not channel.alive
+
+
+def test_a_stale_peer_is_refused_at_the_hello_naming_both_versions():
+    target, _ = make_hill_target()
+    stale = PROTOCOL_VERSION - 1
+    expected = f"worker speaks {PROTOCOL_VERSION}, client sent {stale}"
+    # This worker, a client of the previous dialect:
+    ours, theirs = socket.socketpair()
+    session = threading.Thread(target=serve_socket, args=(theirs,), daemon=True)
+    session.start()
+    with ours:
+        send_frame(ours, "hello", {"protocol": stale, **session_hello(target)})
+        assert recv_frame(ours) == ("error", f"protocol mismatch: {expected}")
+    session.join(timeout=10)
+    assert not session.is_alive()  # refused and gone, no exec loop entered
+    # This client, a worker of the previous dialect: the refusal it sends
+    # back reaches the caller as the reason no session opened.
+    refusal = f"protocol mismatch: worker speaks {stale}, client sent {PROTOCOL_VERSION}"
+    with pytest.raises(ChannelError, match=refusal):
+        Channel("old worker", scripted_worker(("error", refusal)))._handshake(
+            session_hello(target)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +294,7 @@ def test_healthy_workers_log_nothing(caplog):
 # ---------------------------------------------------------------------------
 def test_worker_server_drops_finished_session_threads():
     target, _ = make_hill_target()
-    hello = {
-        "target_blob": pickle.dumps(target),
-        "campaign_seed": 0,
-        "timeout": None,
-        "retry": None,
-        "coverage_capture": False,
-    }
+    hello = session_hello(target)
     server = WorkerServer().serve_in_thread()
     try:
         for _ in range(8):
@@ -248,7 +317,7 @@ def test_bounded_worker_finishes_the_sessions_it_admitted():
         target, campaign_seed=6, hosts=(server.endpoint,)
     ) as pool:
         for start in (0, 4, 8):
-            pool.execute_batch(make_batch(target, 4, seed=start), start_index=start)
+            pool.execute_batch_isolated(make_batch(target, 4, seed=start), start_index=start)
             assert serving.is_alive()  # still serving the one admitted session
         assert not pool.fallback_serial and pool.pool_rebuilds == 0
     serving.join(timeout=10)

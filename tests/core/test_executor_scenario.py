@@ -1,9 +1,11 @@
 """Scenario identity/provenance and the executor contract."""
 
+import logging
+
 import pytest
 
 from repro.core import ScenarioResult, TestScenario
-from repro.core.executor import ScenarioExecutor
+from repro.core.executor import ScenarioExecutor, warm_target
 from tests.core.fake_target import make_hill_target
 
 
@@ -82,6 +84,19 @@ def test_executor_rejects_nan_impact_with_explicit_message():
     scenario = TestScenario(coords=target.hyperspace.random_coords(random_module.Random(3)))
     with pytest.raises(ValueError, match="NaN impact"):
         executor.execute(scenario, 0)
+
+
+def test_a_failing_warm_hook_is_survived_and_reported(caplog):
+    class ColdTarget:
+        def warm_caches(self, campaign_seed=None):
+            raise RuntimeError("no baseline for you")
+
+    with caplog.at_level(logging.WARNING, logger="repro.core.executor"):
+        warm_target(ColdTarget(), campaign_seed=4)  # must not raise
+        warm_target(object(), campaign_seed=4)  # no hook: nothing to say
+    (record,) = caplog.records
+    assert "warm_caches failed" in record.getMessage()
+    assert "RuntimeError: no baseline for you" in record.getMessage()
 
 
 def test_scenario_result_key_delegates():

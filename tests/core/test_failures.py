@@ -10,15 +10,21 @@ quarantined so the generator never proposes them again.
 
 from __future__ import annotations
 
+import logging
 import os
+import re
 import time
 
 import pytest
 
 from repro.core import (
-    CampaignSpec,
+    AnnealingExploration,
     AvdExploration,
+    CampaignSpec,
     ControllerConfig,
+    ExhaustiveExploration,
+    GeneticExploration,
+    RandomExploration,
     RetryPolicy,
     ScenarioExecutor,
     ScenarioFailure,
@@ -33,6 +39,7 @@ from repro.core.failures import (
     TARGET_FAULT,
     TIMEOUT,
     WORKER_CRASH,
+    describe_exception,
     scenario_deadline,
 )
 from repro.core.parallel import ParallelScenarioExecutor
@@ -229,6 +236,18 @@ def test_raising_target_becomes_a_target_fault_without_retry():
     assert result.params  # params survive for reporting
 
 
+def test_a_failure_says_where_it_was_raised_by_module_not_by_path():
+    target = PoisonedTarget([MaskPlugin()], poison=range(256))
+    executor = ScenarioExecutor(target, campaign_seed=1)
+    result = executor.execute_isolated(scenario_for_mask(target, 3), test_index=0)
+    # The innermost frame: PoisonedTarget.execute, not the executor's call.
+    assert re.search(r"mask=3 \[tests\.core\.test_failures\.execute:\d+\]$", result.error)
+    assert "/" not in result.error and ".py" not in result.error
+    # An exception that was never raised has no frame to name.
+    assert describe_exception(ValueError("x")) == "ValueError: x"
+    assert describe_exception(KeyError()) == "KeyError"
+
+
 def test_raw_execute_still_raises():
     target = PoisonedTarget([MaskPlugin()], poison=range(256))
     executor = ScenarioExecutor(target, campaign_seed=1)
@@ -337,10 +356,29 @@ def test_campaign_survives_crashing_scenarios():
     assert len(controller.quarantine) == len(failures)
 
 
-def test_fault_isolation_off_restores_fail_fast():
-    controller = poisoned_controller(fault_isolation=False, poison=range(256))
-    with pytest.raises(RuntimeError):
-        controller.run(CampaignSpec(budget=10))
+BASELINES = {
+    "random": lambda target, plugins: RandomExploration(target, seed=5),
+    "exhaustive": lambda target, plugins: ExhaustiveExploration(target, seed=5),
+    "genetic": lambda target, plugins: GeneticExploration(target, plugins, seed=5),
+    "annealing": lambda target, plugins: AnnealingExploration(target, plugins, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_baseline_strategies_record_failures_instead_of_raising(name):
+    # One contract for every strategy: Figure 2 compares AVD with these
+    # baselines, so a crashing scenario must be data for them too.
+    plugins = [MaskPlugin(), LoadPlugin()]
+    target = PoisonedTarget(plugins, poison=POISON)
+    campaign = run_campaign(BASELINES[name](target, plugins), CampaignSpec(budget=40))
+    assert len(campaign.results) == 40
+    failures = campaign.failures()
+    assert failures, "the poison set should have been hit at least once"
+    assert len(failures) < 40
+    for failure in failures:
+        assert failure.params["mask"] in POISON
+        assert failure.kind == TARGET_FAULT and failure.impact == 0.0
+    assert [r.test_index for r in campaign.results] == list(range(40))
 
 
 def test_campaign_result_surfaces_failures():
@@ -400,6 +438,32 @@ def test_killed_worker_quarantines_the_culprit_not_the_batch():
             continue
         expected = local.execute(scenarios[offset], test_index=offset)
         assert result.impact == expected.impact
+
+
+def test_a_dying_worker_never_sends_a_baseline_campaign_serial(monkeypatch, caplog):
+    # A worker death must neither degrade the pool for good nor get the
+    # killer scenario re-executed inside the controller's own process
+    # (where this one "passes"): it is a worker-crash failure, every time.
+    pools = []
+
+    class RecordedPool(ParallelScenarioExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr("repro.core.exploration.ParallelScenarioExecutor", RecordedPool)
+    target = WorkerKillerTarget([MaskPlugin(), LoadPlugin()], poison=POISON)
+    with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
+        results = RandomExploration(target, seed=5).run(CampaignSpec(budget=24, workers=2))
+    assert len(results) == 24
+    poisoned = [r for r in results if r.params["mask"] in POISON]
+    assert poisoned, "the poison set should have been hit at least once"
+    assert [r for r in results if r.failed] == poisoned
+    assert {r.kind for r in poisoned} == {WORKER_CRASH}
+    (pool,) = pools
+    assert not pool.fallback_serial and pool.fallback_reason is None
+    assert pool.pool_rebuilds >= len(poisoned)
+    assert not [r for r in caplog.records if "degraded" in r.getMessage()]
 
 
 def test_wait_budget_covers_a_full_retry_cycle():

@@ -121,7 +121,7 @@ def test_execute_batch_returns_submission_order():
     target, _ = make_hill_target((LoadPlugin(),))
     scenarios = make_batch(target, 9)
     with ParallelScenarioExecutor(target, campaign_seed=1, workers=3) as pool:
-        results = pool.execute_batch(scenarios, start_index=5)
+        results = pool.execute_batch_isolated(scenarios, start_index=5)
     assert [r.key for r in results] == [s.key for s in scenarios]
     assert [r.test_index for r in results] == list(range(5, 14))
     assert pool.executed == 9
@@ -131,9 +131,9 @@ def test_pool_results_match_in_process_results():
     target, _ = make_hill_target((LoadPlugin(),))
     scenarios = make_batch(target, 8)
     with ParallelScenarioExecutor(target, campaign_seed=2, workers=2) as pool:
-        pooled = pool.execute_batch(scenarios, start_index=0)
+        pooled = pool.execute_batch_isolated(scenarios, start_index=0)
     with ParallelScenarioExecutor(target, campaign_seed=2, workers=1) as serial:
-        local = serial.execute_batch(scenarios, start_index=0)
+        local = serial.execute_batch_isolated(scenarios, start_index=0)
     assert [(r.key, r.impact) for r in pooled] == [(r.key, r.impact) for r in local]
 
 
@@ -142,19 +142,19 @@ def test_non_picklable_target_falls_back_in_process():
     target.unpicklable = lambda: None  # closures cannot cross processes
     scenarios = make_batch(target, 6)
     with ParallelScenarioExecutor(target, campaign_seed=0, workers=4) as pool:
-        results = pool.execute_batch(scenarios, start_index=0)
+        results = pool.execute_batch_isolated(scenarios, start_index=0)
         assert pool.fallback_serial
     reference, _ = make_hill_target((LoadPlugin(),))
     with ParallelScenarioExecutor(reference, campaign_seed=0, workers=1) as serial:
-        expected = serial.execute_batch(scenarios, start_index=0)
+        expected = serial.execute_batch_isolated(scenarios, start_index=0)
     assert [(r.key, r.impact) for r in results] == [(r.key, r.impact) for r in expected]
 
 
 def test_empty_and_single_batches_never_touch_the_pool():
     target, _ = make_hill_target()
     with ParallelScenarioExecutor(target, workers=4) as pool:
-        assert pool.execute_batch([], start_index=0) == []
-        (only,) = pool.execute_batch(make_batch(target, 1), start_index=0)
+        assert pool.execute_batch_isolated([], start_index=0) == []
+        (only,) = pool.execute_batch_isolated(make_batch(target, 1), start_index=0)
         assert only.test_index == 0
         assert pool._hello is None  # no channel was ever opened
 

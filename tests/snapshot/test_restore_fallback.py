@@ -2,24 +2,24 @@
 
 A snapshot that captured cleanly but cannot be restored is by definition a
 defect in the harness (the prefix simulated fine). ``execute_isolated``
-must therefore (a) classify it ``harness-bug`` on the telemetry bus,
-(b) fall back to from-scratch execution, and (c) return a result identical
-to what a snapshot-free run would have produced — the campaign neither
-stops nor records a spurious vulnerability.
+must therefore (a) say so with one warning on the executor's logger — it
+usually runs in a worker, which has no telemetry bus — (b) fall back to
+from-scratch execution, and (c) return a result identical to what a
+snapshot-free run would have produced — the campaign neither stops nor
+records a spurious vulnerability.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
 
 from repro.core import ScenarioExecutor, TestScenario, snapshot
-from repro.core.failures import HARNESS_BUG
 from repro.core.snapshot import SimSnapshot, SnapshotRestoreError
 from repro.plugins import AttackTimingPlugin, MacCorruptionPlugin
 from repro.targets import PbftTarget
-from repro.telemetry import FailureClassified, RingBufferSink, TelemetryBus
 from tests.snapshot.conftest import micro_pbft_config
 
 CAMPAIGN_SEED = 11
@@ -44,14 +44,20 @@ def broken_fork(monkeypatch):
     monkeypatch.setattr(SimSnapshot, "fork", explode)
 
 
-def test_restore_failure_falls_back_and_matches_scratch(broken_fork):
+def fallback_warnings(caplog):
+    return [
+        record
+        for record in caplog.records
+        if record.name == "repro.core.executor" and record.levelno == logging.WARNING
+    ]
+
+
+def test_restore_failure_falls_back_and_matches_scratch(broken_fork, caplog):
     target = make_target()
     scenario = make_scenario(target)
-    sink = RingBufferSink()
-    executor = ScenarioExecutor(
-        target, campaign_seed=CAMPAIGN_SEED, telemetry=TelemetryBus(sinks=(sink,))
-    )
-    result = executor.execute_isolated(scenario, test_index=0)
+    executor = ScenarioExecutor(target, campaign_seed=CAMPAIGN_SEED)
+    with caplog.at_level(logging.WARNING, logger="repro.core.executor"):
+        result = executor.execute_isolated(scenario, test_index=0)
     assert not result.failed, "a restore failure must not fail the scenario"
 
     # The from-scratch reference for the same scenario, snapshots off.
@@ -62,17 +68,14 @@ def test_restore_failure_falls_back_and_matches_scratch(broken_fork):
     assert result.impact == reference.impact
     assert result.measurement == reference.measurement
 
-    classified = [e for _, e in sink.events() if isinstance(e, FailureClassified)]
-    assert len(classified) == 1
-    event = classified[0]
-    assert event.kind == HARNESS_BUG
-    assert "snapshot restore failed" in event.error
-    assert event.test_index == 0
-    assert event.attempts == 1
+    (warning,) = fallback_warnings(caplog)
+    message = warning.getMessage()
+    assert "snapshot restore failed for test 0" in message
+    assert "SnapshotRestoreError" in message and "boom" in message
 
 
 def test_fallback_without_telemetry_bus(broken_fork):
-    """No bus configured: the fallback still runs, silently."""
+    """The fallback needs no bus (an executor has none) and keeps the index."""
     target = make_target()
     scenario = make_scenario(target)
     executor = ScenarioExecutor(target, campaign_seed=CAMPAIGN_SEED)
@@ -91,14 +94,12 @@ def test_raw_execute_propagates_restore_errors(broken_fork):
         executor.execute(scenario, test_index=0)
 
 
-def test_healthy_fork_publishes_no_failure_events():
-    """Control: with forking intact the bus sees no FailureClassified."""
+def test_healthy_fork_publishes_no_failure_events(caplog):
+    """Control: with forking intact the executor warns about nothing."""
     target = make_target()
     scenario = make_scenario(target)
-    sink = RingBufferSink()
-    executor = ScenarioExecutor(
-        target, campaign_seed=CAMPAIGN_SEED, telemetry=TelemetryBus(sinks=(sink,))
-    )
-    result = executor.execute_isolated(scenario, test_index=0)
+    executor = ScenarioExecutor(target, campaign_seed=CAMPAIGN_SEED)
+    with caplog.at_level(logging.WARNING, logger="repro.core.executor"):
+        result = executor.execute_isolated(scenario, test_index=0)
     assert not result.failed
-    assert not [e for _, e in sink.events() if isinstance(e, FailureClassified)]
+    assert fallback_warnings(caplog) == []

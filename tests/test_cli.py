@@ -345,6 +345,14 @@ def test_backend_flag_is_gone(capsys):
     assert "--backend" not in capsys.readouterr().out
 
 
+def test_fault_isolation_flag_is_gone(capsys):
+    """Every strategy runs the isolated contract; there is no opting out."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", "--tools", "mac", "--budget", "2", "--no-fault-isolation"])
+    assert excinfo.value.code == 2
+    assert "--no-fault-isolation" in capsys.readouterr().err
+
+
 def test_shard_and_merge_surface_is_gone(capsys):
     """`--workers`/`--hosts` is the one way to spread a campaign: the shard
     flags and `repro merge` are unknown to the parser (exit 2) and --help
