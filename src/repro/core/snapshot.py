@@ -39,9 +39,8 @@ Correctness rests on two properties, both enforced by tests/snapshot/:
   derived, cycle-bearing state (the network's fused send path) implement
   ``__getstate__``/``__setstate__`` and are covered by lint rule PKL003.
 
-Forking is a pure optimization: ``REPRO_NO_SNAPSHOT=1`` (or
-``REPRO_UNOPTIMIZED=1``) disables it and every scenario runs from scratch,
-bit-identically.
+Forking is a pure optimization: ``REPRO_NO_SNAPSHOT=1`` disables it and
+every scenario runs from scratch, bit-identically.
 
 Logger ``repro.core.snapshot`` (never the canonical telemetry stream): one
 DEBUG line per capture, one INFO cache summary per ``run_campaign``.
@@ -54,8 +53,6 @@ import os
 import pickle
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Optional, Tuple
-
-from .. import perf
 
 _LOG = logging.getLogger(__name__)
 
@@ -73,16 +70,13 @@ class SnapshotRestoreError(SnapshotError):
     """
 
 
-#: Module state: snapshot forking on unless ``REPRO_NO_SNAPSHOT`` is set at
-#: import. :func:`enabled` additionally follows :func:`repro.perf.enabled`
-#: *dynamically*, so ``REPRO_UNOPTIMIZED`` (and ``use_optimizations``
-#: pinning at run time) turns forking off together with every other fast path.
+#: Module state: forking on unless ``REPRO_NO_SNAPSHOT`` is set at import.
 _ENABLED = os.environ.get("REPRO_NO_SNAPSHOT", "") in ("", "0")
 
 
 def enabled() -> bool:
     """Whether new scenario executions may use snapshot forking."""
-    return _ENABLED and perf.enabled()
+    return _ENABLED
 
 
 def set_enabled(value: bool) -> bool:

@@ -29,7 +29,7 @@ execute every ordinary event with identical ``(time, seq)`` keys.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional
 
 #: Heap-entry field indices (entries are plain lists for C-level compares).
 _TIME, _SEQ, _CALLBACK, _ARGS, _HANDLE = range(5)
@@ -195,4 +195,4 @@ class EventQueue:
         self._live = 0
 
 
-__all__ = ["EventHandle", "EventQueue", "Any"]
+__all__ = ["EventHandle", "EventQueue"]

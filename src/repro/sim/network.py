@@ -16,8 +16,6 @@ from heapq import heappush as _heappush
 from math import log as _log
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence
 
-from .. import perf
-from .clock import MS
 from .simulator import SimulationError, Simulator
 from .trace import KindTrail, kind_capture_enabled
 
@@ -156,13 +154,12 @@ class Network:
         self.kind_trail: Optional[KindTrail] = (
             KindTrail() if kind_capture_enabled() else None
         )
-        # Fused fast path (sampled at construction, see `repro.perf`): for
-        # the jittered LanLatency model every deployment uses, deliveries go
-        # straight onto the event heap with the exponential draw inlined
-        # (`-log(1-u)/lambd` — exactly `rng.expovariate(lambd)`, so reference
-        # and optimized runs consume identical RNG streams).
-        self._optimized = perf.enabled()
-        self._fast_send = self._make_fast_send() if self._optimized else None
+        # Fused fast path: for the jittered LanLatency model every
+        # deployment uses, deliveries go straight onto the event heap with
+        # the exponential draw inlined (`-log(1-u)/lambd` — exactly
+        # `rng.expovariate(lambd)`, so the fused and the `Envelope` path
+        # consume identical RNG streams).
+        self._fast_send = self._make_fast_send()
 
     # ------------------------------------------------------------------
     # pickling (snapshot capture / fork)
@@ -196,7 +193,7 @@ class Network:
         Called by the owning deployment's ``__setstate__`` once the whole
         object graph (simulator, queue, heap) is restored.
         """
-        self._fast_send = self._make_fast_send() if self._optimized else None
+        self._fast_send = self._make_fast_send()
 
     # ------------------------------------------------------------------
     # topology
@@ -326,8 +323,7 @@ class Network:
             self._schedule_delivery(env)
 
     def _schedule_delivery(self, envelope: Envelope) -> None:
-        # Deliveries are never cancelled, so they take the handle-free
-        # `defer` path (in reference mode it degrades to `schedule`).
+        # Deliveries are never cancelled, so they take the handle-free `defer`.
         latency = self.latency_model.sample(envelope.src, envelope.dst, self.rng)
         self.simulator.defer(latency + envelope.extra_delay, self._deliver, envelope)
 
@@ -363,5 +359,4 @@ __all__ = [
     "NetworkFault",
     "UniformLatency",
     "default_lan",
-    "MS",
 ]

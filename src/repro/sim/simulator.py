@@ -6,12 +6,10 @@ it. Each AVD test scenario creates a fresh simulator (the paper re-initializes
 the distributed system before every test), so a simulator is cheap to build
 and carries no global state.
 
-The run loop comes in two flavours selected by :mod:`repro.perf` at
-construction time: the optimized loop inlines the peek/pop cycle over the
-queue's raw heap (one heap traversal and zero method calls per event), the
-reference loop goes through the queue's public ``peek_time``/``pop`` API.
-Both execute the exact same events in the exact same order — the
-trace-equivalence suite holds them bit-identical.
+The run loop inlines the peek/pop cycle over the queue's raw heap (one heap
+traversal and zero method calls per event). ``tests/_reference.py`` swaps in
+a loop over the queue's public ``peek_time``/``pop`` API, and the
+trace-equivalence suite holds the two bit-identical for any seed.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import heapq
 import random
 from typing import Callable, Optional
 
-from .. import perf
 from .clock import TIME_INFINITY
 from .events import EventHandle, EventQueue
 from .metrics import MetricsRegistry
@@ -57,7 +54,6 @@ class Simulator:
         self.events_executed = 0
         self._running = False
         self._stop_requested = False
-        self._optimized = perf.enabled()
 
     # ------------------------------------------------------------------
     # scheduling
@@ -77,13 +73,8 @@ class Simulator:
     def defer(self, delay: int, callback: Callable[..., None], *args) -> None:
         """Like :meth:`schedule` but non-cancellable: no handle is created.
 
-        The hot path for events that never cancel (message deliveries);
-        falls back to :meth:`schedule` in the reference mode so the two
-        modes allocate identically to pre-optimization builds.
+        The hot path for events that never cancel (message deliveries).
         """
-        if not self._optimized:
-            self.schedule(delay, callback, *args)
-            return
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay}")
         self.queue.defer(self.now + delay, callback, args)
@@ -122,13 +113,12 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until < self.now:
+            raise SimulationError(f"cannot run into the past: {until} < {self.now}")
         self._running = True
         self._stop_requested = False
         try:
-            if self._optimized:
-                executed = self._run_fast(until, max_events)
-            else:
-                executed = self._run_reference(until, max_events)
+            executed = self._run_loop(until, max_events)
         finally:
             self._running = False
         self.events_executed += executed
@@ -138,13 +128,11 @@ class Simulator:
             self.now = until
         return executed
 
-    def _run_fast(self, until: int, max_events: Optional[int]) -> int:
-        """The optimized loop: inlined peek/pop over the queue's raw heap.
+    def _run_loop(self, until: int, max_events: Optional[int]) -> int:
+        """The event loop: inlined peek/pop over the queue's raw heap.
 
         One cancelled-prefix sweep serves both the peek and the pop, and
-        per-event overhead is a handful of C-level list operations. The
-        event order is identical to :meth:`_run_reference` by construction
-        (same heap, same keys).
+        per-event overhead is a handful of C-level list operations.
         """
         queue = self.queue
         heap = queue._heap
@@ -167,30 +155,6 @@ class Simulator:
             entry[4] = None  # detach the handle: cancel-after-fire is a no-op
             self.now = event_time
             entry[2](*entry[3])
-            executed += 1
-        return executed
-
-    def _run_reference(self, until: int, max_events: Optional[int]) -> int:
-        """The reference loop: the queue's public peek/pop API per event."""
-        executed = 0
-        while True:
-            if self._stop_requested:
-                break
-            if max_events is not None and executed >= max_events:
-                break
-            next_time = self.queue.peek_time()
-            if next_time is None:
-                break
-            if next_time > until:
-                self.now = until
-                break
-            handle = self.queue.pop()
-            if handle is None:  # pragma: no cover - peek said otherwise
-                break
-            self.now = handle.time
-            callback, args = handle.callback, handle.args
-            if callback is not None:
-                callback(*args)
             executed += 1
         return executed
 

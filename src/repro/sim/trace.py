@@ -120,8 +120,8 @@ def set_kind_capture(enabled: Optional[bool]) -> Optional[bool]:
     """Set (or clear, with ``None``) the process-wide capture toggle.
 
     Returns the previous value so callers can restore it. Components
-    sample the toggle at *construction* (like :mod:`repro.perf`), so
-    flipping it mid-simulation never changes an existing deployment.
+    sample the toggle at *construction*, so flipping it mid-simulation
+    never changes an existing deployment.
     """
     global _KIND_CAPTURE
     previous = _KIND_CAPTURE

@@ -134,8 +134,8 @@ class CoverageObserved(TelemetryEvent):
 
     Published only when coverage-guided (hybrid) exploration is active.
     ``signature`` is the stable SHA-256-derived behaviour digest, so the
-    event stream stays byte-identical across worker counts, perf modes,
-    and ``PYTHONHASHSEED`` values.
+    event stream stays byte-identical across worker counts, fork vs
+    from-scratch execution, and ``PYTHONHASHSEED`` values.
     """
 
     test_index: int

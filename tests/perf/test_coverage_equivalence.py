@@ -1,13 +1,13 @@
-"""Coverage signatures are invariant across performance modes.
+"""Coverage signatures are invariant across kernel and snapshot modes.
 
 A coverage signature feeds parent selection, so any divergence between
-the optimized and reference implementations — or between snapshot-forked
-and from-scratch scenario execution — would silently change exploration
-trajectories depending on how the campaign happened to be executed.
-These sweeps pin the contract: identical signatures, seen-behaviour maps,
-and trajectories in every mode, in-process and in fresh interpreters
-driven by the ``REPRO_UNOPTIMIZED`` / ``REPRO_NO_SNAPSHOT`` environment
-switches the CLI and bench harness use.
+the ``src/`` kernel and the test-local reference (``tests/_reference.py``)
+— or between snapshot-forked and from-scratch scenario execution — would
+silently change exploration trajectories depending on how the campaign
+happened to be executed. These sweeps pin the contract: identical
+signatures, seen-behaviour maps, and trajectories in every mode,
+in-process and in fresh interpreters (one as shipped, one that enters the
+reference block, one with ``REPRO_NO_SNAPSHOT=1``).
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from repro import perf
 from repro.core import CampaignSpec, HybridExploration, snapshot
 from repro.pbft import PbftConfig
 from repro.plugins import ClientCountPlugin, MacCorruptionPlugin
 from repro.targets import PbftTarget
+from tests._reference import reference_mode
 from tests._strategies import trajectory
 from tests.conftest import tiny_pbft_config
 
@@ -33,11 +33,8 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 @pytest.fixture(autouse=True)
 def _restore_modes():
-    perf_before = perf.enabled()
-    snap_before = snapshot.set_enabled(True)
-    snapshot.set_enabled(snap_before)
+    snap_before = snapshot.enabled()
     yield
-    perf.set_enabled(perf_before)
     snapshot.set_enabled(snap_before)
 
 
@@ -62,12 +59,11 @@ def pbft_hybrid_digest() -> str:
 
 def test_signatures_identical_across_perf_and_snapshot_modes():
     outcomes = {}
-    with perf.use_optimizations(True):
-        snapshot.set_enabled(True)
-        outcomes["optimized+fork"] = run_hybrid_campaign()
-        snapshot.set_enabled(False)
-        outcomes["optimized+scratch"] = run_hybrid_campaign()
-    with perf.use_optimizations(False):
+    snapshot.set_enabled(True)
+    outcomes["optimized+fork"] = run_hybrid_campaign()
+    snapshot.set_enabled(False)
+    outcomes["optimized+scratch"] = run_hybrid_campaign()
+    with reference_mode():
         outcomes["reference"] = run_hybrid_campaign()
     assert outcomes["optimized+fork"] == outcomes["optimized+scratch"]
     assert outcomes["optimized+fork"] == outcomes["reference"]
@@ -80,16 +76,21 @@ import tests.perf.test_coverage_equivalence as equiv
 print(equiv.pbft_hybrid_digest())
 """
 
+_REFERENCE_SUBPROCESS_SCRIPT = """
+import tests.perf.test_coverage_equivalence as equiv
+with equiv.reference_mode():
+    print(equiv.pbft_hybrid_digest())
+"""
 
-def _digest_with_env(**extra_env: str) -> str:
+
+def _digest_in_fresh_interpreter(script: str = _SUBPROCESS_SCRIPT, **extra_env: str) -> str:
     root = str(Path(__file__).resolve().parents[2])
     env = dict(os.environ)
-    env.pop("REPRO_UNOPTIMIZED", None)
     env.pop("REPRO_NO_SNAPSHOT", None)
     env["PYTHONPATH"] = SRC + os.pathsep + root
     env.update(extra_env)
     result = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
@@ -100,7 +101,7 @@ def _digest_with_env(**extra_env: str) -> str:
 
 
 def test_signatures_identical_in_fresh_interpreters_across_env_modes():
-    optimized = _digest_with_env()
-    reference = _digest_with_env(REPRO_UNOPTIMIZED="1")
-    no_fork = _digest_with_env(REPRO_NO_SNAPSHOT="1")
+    optimized = _digest_in_fresh_interpreter()
+    reference = _digest_in_fresh_interpreter(_REFERENCE_SUBPROCESS_SCRIPT)
+    no_fork = _digest_in_fresh_interpreter(REPRO_NO_SNAPSHOT="1")
     assert optimized == reference == no_fork

@@ -1,57 +1,60 @@
 """Trace equivalence: the optimized hot paths change nothing but speed.
 
-Every fast path behind :mod:`repro.perf` (handle-free event scheduling,
-memoized MAC tags, shared execution folds, baseline reuse, deployment
-templates) must be *bit-identical* to the reference implementation: same
-run results, same delivered-message counts, same impacts, same campaign
-trajectories, for any seed. These sweeps are the enforcement.
+The two fast paths in ``src/`` — the kernel's inlined run loop with its
+handle-free ``defer``, and the network's fused LAN send — must be
+*bit-identical* to the test-local reference kernel (``tests/_reference.py``):
+same event order, same run results, same delivered-message counts, same
+impacts, same campaign trajectories, for any seed. These sweeps are the
+enforcement.
 """
 
 from __future__ import annotations
 
-import pytest
+from itertools import islice
 
-from repro import perf
 from repro.core import AvdExploration, CampaignSpec, run_campaign
 from repro.pbft import PbftConfig
 from repro.plugins import ClientCountPlugin, MacCorruptionPlugin
 from repro.sim import Simulator
 from repro.targets import PbftTarget
 from repro.targets.pbft_target import PbftScenarioSpec
+from tests import _reference
 from tests._strategies import campaign_seeds, seed_sweep, trajectory
 from tests.conftest import tiny_pbft_config
 
 
-@pytest.fixture(autouse=True)
-def _restore_perf_mode():
-    previous = perf.enabled()
-    yield
-    perf.set_enabled(previous)
-
-
 def in_mode(optimized, fn):
-    with perf.use_optimizations(optimized):
+    with _reference.in_mode(optimized):
         return fn()
 
 
+def kernel_cascade():
+    """A branching cascade of deferred, scheduled and cancelled events.
+
+    Each tick defers two children a few microseconds out, so many events
+    are pending at once and same-time ties are common: the order among them
+    is the kernel's FIFO contract (``tests/perf/test_reference.py`` checks
+    that a kernel breaking it fails the comparison below).
+    """
+    simulator = Simulator(seed=99)
+    rng = simulator.rng("equiv")
+    fired = []
+    tags = iter(range(1, 500))
+
+    def tick(tag):
+        fired.append((simulator.now, tag))
+        for child in islice(tags, 2):
+            simulator.defer(rng.randrange(1, 50), tick, child)
+        if len(fired) % 7 == 0:
+            simulator.cancel(simulator.schedule(10_000, tick, -1))
+
+    simulator.schedule(0, tick, 0)
+    simulator.run()
+    return fired, simulator.now, simulator.events_executed
+
+
 def test_kernel_schedules_identically_across_modes():
-    def cascade():
-        simulator = Simulator(seed=99)
-        rng = simulator.rng("equiv")
-        fired = []
-
-        def tick(tag):
-            fired.append((simulator.now, tag))
-            if len(fired) < 500:
-                simulator.defer(rng.randrange(1, 50), tick, len(fired))
-                if len(fired) % 7 == 0:
-                    simulator.cancel(simulator.schedule(10_000, tick, -1))
-
-        simulator.schedule(0, tick, 0)
-        simulator.run()
-        return fired, simulator.now, simulator.events_executed
-
-    assert in_mode(True, cascade) == in_mode(False, cascade)
+    assert in_mode(True, kernel_cascade) == in_mode(False, kernel_cascade)
 
 
 def test_pbft_run_results_identical_across_modes():

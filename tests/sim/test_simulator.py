@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import perf
 from repro.sim import SimulationError, Simulator
+from tests._reference import in_mode
 
 
 def test_clock_advances_to_event_times():
@@ -94,16 +94,16 @@ def test_cancel_after_fire_is_a_noop(optimized):
     # cancel() decremented the live count again — the queue read as empty
     # (the quiescence test in run()) with an event still pending, and
     # len() went negative once that event ran.
-    with perf.use_optimizations(optimized):
+    with in_mode(optimized):
         sim = Simulator()
-    fired = []
-    handle = sim.schedule(5, fired.append, "early")
-    sim.schedule(50, fired.append, "late")
-    sim.run(until=10)
-    sim.cancel(handle)
-    assert len(sim.queue) == 1
-    assert sim.queue
-    sim.run(until=100)
+        fired = []
+        handle = sim.schedule(5, fired.append, "early")
+        sim.schedule(50, fired.append, "late")
+        sim.run(until=10)
+        sim.cancel(handle)
+        assert len(sim.queue) == 1
+        assert sim.queue
+        sim.run(until=100)
     assert fired == ["early", "late"]
     assert len(sim.queue) == 0
     assert sim.now == 100
@@ -121,6 +121,24 @@ def test_schedule_at_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(5, lambda: None)
+
+
+@pytest.mark.parametrize("pending", [True, False], ids=["pending-event", "drained-queue"])
+def test_run_into_the_past_rejected(pending):
+    # Regression: run(until=t) with t < now set the clock back to t, so a
+    # later schedule() fired before a time the simulation had already reached.
+    sim = Simulator()
+    if pending:
+        sim.schedule(500, lambda: None)
+    sim.run(until=100)
+    with pytest.raises(SimulationError):
+        sim.run(until=50)
+    assert sim.now == 100
+    assert len(sim.queue) == (1 if pending else 0)
+    fired = []
+    sim.schedule(10, lambda: fired.append(sim.now))
+    sim.run(until=200)
+    assert fired == [110]
 
 
 def test_run_not_reentrant():

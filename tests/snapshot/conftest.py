@@ -1,15 +1,14 @@
 """Fixtures for the snapshot-and-fork test subsystem.
 
 Every test runs with a private, freshly-reset snapshot cache and leaves
-the process-wide perf/snapshot toggles exactly as it found them, so these
-tests compose with the rest of the suite in any order.
+the process-wide snapshot toggle exactly as it found it, so these tests
+compose with the rest of the suite in any order.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import perf
 from repro.core import snapshot
 from repro.dht import DhtConfig
 from repro.sim.clock import MS
@@ -20,17 +19,15 @@ from tests.conftest import tiny_pbft_config
 
 @pytest.fixture(autouse=True)
 def _isolated_snapshot_state():
-    # Pin both toggles on: every test here that cares about reference-mode
-    # behaviour builds its reference explicitly (``perf.use_optimizations`` /
-    # ``snapshot.disabled``), so the suite is meaningful — and identical —
-    # under either ``REPRO_UNOPTIMIZED`` setting in CI.
-    previous_perf = perf.set_enabled(True)
+    # Pin forking on: every test here that compares against from-scratch or
+    # reference execution builds that leg explicitly (``snapshot.disabled`` /
+    # ``tests/_reference.py``), so the suite is meaningful — and identical —
+    # under either ``REPRO_NO_SNAPSHOT`` setting in CI.
     previous_snapshot = snapshot.set_enabled(True)
     snapshot.reset_cache()
     yield
     snapshot.reset_cache()
     snapshot.set_enabled(previous_snapshot)
-    perf.set_enabled(previous_perf)
 
 
 def micro_pbft_config(**overrides):

@@ -7,8 +7,8 @@ delivered-message count, the final clock, the executed-event count, and
 every named metrics counter — across three configurations:
 
 - forked (snapshot capture + fork, the optimized campaign path),
-- from-scratch with forking disabled (same perf mode),
-- from-scratch in full reference mode (``REPRO_UNOPTIMIZED`` analogue).
+- from-scratch with forking disabled (same kernel),
+- from-scratch on the test-local reference kernel (``tests/_reference.py``).
 
 All three must be byte-identical, for both shipped targets.
 """
@@ -19,8 +19,8 @@ import hashlib
 
 import pytest
 
-from repro import perf
 from repro.core import snapshot
+from tests._reference import reference_mode
 from tests.snapshot.conftest import dht_spec, pbft_spec
 
 SEEDS = (0, 7, 0xC0FFEE)
@@ -56,7 +56,7 @@ def run_scratch(spec, seed) -> str:
 
 
 def run_reference(spec, seed) -> str:
-    with perf.use_optimizations(False):
+    with reference_mode():
         deployment = spec.build(seed)
         return execution_checksum(deployment, deployment.run())
 
@@ -68,7 +68,7 @@ def test_fork_matches_scratch_and_reference(make_spec, seed):
     forked = run_forked(spec, seed)
     assert forked == run_scratch(spec, seed), f"fork diverged from scratch at seed {seed}"
     assert forked == run_reference(spec, seed), (
-        f"fork diverged from the unoptimized reference at seed {seed}"
+        f"fork diverged from the reference kernel at seed {seed}"
     )
 
 
