@@ -9,7 +9,7 @@ of outcomes: benign ~ no effect < transient stall < storm + crash -> ~0.
 """
 
 from repro.core import format_table
-from repro.pbft import ClientBehavior, run_deployment
+from repro.pbft import ClientBehavior, PbftAttack, run_deployment
 
 from _helpers import banner, campaign_config
 
@@ -31,7 +31,8 @@ def run_bigmac():
         results[mask] = run_deployment(
             config,
             n_correct_clients=20,
-            malicious_clients=[ClientBehavior(mac_mask=mask)],
+            attack=PbftAttack(client_behavior=ClientBehavior(mac_mask=mask)),
+            n_malicious_clients=1,
             seed=2011,
         )
     return results

@@ -16,6 +16,7 @@ from repro.core import format_table
 from repro.pbft import (
     ClientBehavior,
     DefenseConfig,
+    PbftAttack,
     ReplicaBehavior,
     SlowPrimaryPolicy,
     run_deployment,
@@ -39,25 +40,30 @@ def attacks():
     colluding = ReplicaBehavior(
         slow_primary=SlowPrimaryPolicy(serve_only_client="mclient-0")
     )
+    def big_mac(mask):
+        return PbftAttack(client_behavior=ClientBehavior(mac_mask=mask))
+
+    colluder = ClientBehavior(broadcast_always=True)
+    # (label, attack, malicious clients)
     return [
-        ("benign", [], {}),
-        ("big mac 0x00E (stall)", [ClientBehavior(mac_mask=0x00E)], {}),
-        ("big mac 0xFFF (storm)", [ClientBehavior(mac_mask=0xFFF)], {}),
-        ("slow primary", [], {0: slow}),
-        ("slow + colluder", [ClientBehavior(broadcast_always=True)], {0: colluding}),
+        ("benign", None, 0),
+        ("big mac 0x00E (stall)", big_mac(0x00E), 1),
+        ("big mac 0xFFF (storm)", big_mac(0xFFF), 1),
+        ("slow primary", PbftAttack(replica_behaviors={0: slow}), 0),
+        (
+            "slow + colluder",
+            PbftAttack(client_behavior=colluder, replica_behaviors={0: colluding}),
+            1,
+        ),
     ]
 
 
 def run_matrix():
     matrix = {}
     for config_label, config in deployments():
-        for attack_label, malicious, replica_behaviors in attacks():
+        for attack_label, attack, n_malicious in attacks():
             result = run_deployment(
-                config,
-                N_CLIENTS,
-                malicious_clients=malicious,
-                replica_behaviors=replica_behaviors,
-                seed=2011,
+                config, N_CLIENTS, attack, n_malicious_clients=n_malicious, seed=2011
             )
             matrix[(attack_label, config_label)] = result
     return matrix

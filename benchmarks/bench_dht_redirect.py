@@ -10,7 +10,7 @@ victim absorbs several messages for every message the attacker spends.
 """
 
 from repro.core import format_table
-from repro.dht import run_dht_deployment
+from repro.dht import DhtAttack, run_dht_deployment
 
 from _helpers import banner
 
@@ -21,15 +21,15 @@ def run_redirect():
     grid = {}
     for n_correct in SWARM_SIZES:
         grid[("swarm", n_correct)] = run_dht_deployment(
-            n_correct=n_correct, n_malicious=1, poison_rate=1.0, fanout=8, seed=3
+            n_correct=n_correct, attack=DhtAttack(1.0, 8), n_malicious=1, seed=3
         )
     for rate in (0.0, 0.5, 1.0):
         grid[("rate", rate)] = run_dht_deployment(
-            n_correct=40, n_malicious=1, poison_rate=rate, fanout=8, seed=3
+            n_correct=40, attack=DhtAttack(rate, 8), n_malicious=1, seed=3
         )
     for fanout in (1, 4, 8, 16):
         grid[("fanout", fanout)] = run_dht_deployment(
-            n_correct=40, n_malicious=1, poison_rate=1.0, fanout=fanout, seed=3
+            n_correct=40, attack=DhtAttack(1.0, fanout), n_malicious=1, seed=3
         )
     return grid
 

@@ -10,6 +10,7 @@ clients completely.
 from repro.core import format_table
 from repro.pbft import (
     ClientBehavior,
+    PbftAttack,
     ReplicaBehavior,
     SlowPrimaryPolicy,
     run_deployment,
@@ -31,15 +32,19 @@ def run_scale_250():
     attacked = run_deployment(
         config,
         N_CORRECT,
-        malicious_clients=[ClientBehavior(broadcast_always=True)],
-        replica_behaviors={0: colluding},
+        PbftAttack(
+            client_behavior=ClientBehavior(broadcast_always=True),
+            replica_behaviors={0: colluding},
+        ),
+        n_malicious_clients=1,
         seed=1,
     )
     # A single Big-MAC client also collapses the same deployment.
     bigmac = run_deployment(
         config,
         N_CORRECT,
-        malicious_clients=[ClientBehavior(mac_mask=0xFFF)],
+        PbftAttack(client_behavior=ClientBehavior(mac_mask=0xFFF)),
+        n_malicious_clients=1,
         seed=1,
     )
     return baseline, attacked, bigmac

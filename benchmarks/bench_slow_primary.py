@@ -14,6 +14,7 @@ Claims, at the paper's 5-second view-change timer:
 from repro.core import format_table
 from repro.pbft import (
     ClientBehavior,
+    PbftAttack,
     PbftConfig,
     ReplicaBehavior,
     SlowPrimaryPolicy,
@@ -35,28 +36,28 @@ def run_slow_primary():
     colluding = ReplicaBehavior(
         slow_primary=SlowPrimaryPolicy(serve_only_client="mclient-0")
     )
-    colluder = [ClientBehavior(broadcast_always=True)]
+    slow_attack = PbftAttack(replica_behaviors={0: slow})
+    colluding_attack = PbftAttack(
+        client_behavior=ClientBehavior(broadcast_always=True),
+        replica_behaviors={0: colluding},
+    )
 
     results = {}
     # Paper scale: the headline 0.2 req/s and the 0 req/s collusion.
-    results["paper slow"] = run_deployment(
-        paper_config(), 10, replica_behaviors={0: slow}, seed=7
-    )
+    results["paper slow"] = run_deployment(paper_config(), 10, slow_attack, seed=7)
     results["paper colluding"] = run_deployment(
-        paper_config(), 10, malicious_clients=colluder,
-        replica_behaviors={0: colluding}, seed=7,
+        paper_config(), 10, colluding_attack, n_malicious_clients=1, seed=7
     )
     # Campaign scale for the healthy baseline and the fixed-timer variants
     # (full-throughput runs are too slow to simulate for 30 s).
     fast = campaign_config()
     results["healthy"] = run_deployment(fast, 10, seed=7)
     results["fixed timers, slow primary"] = run_deployment(
-        fast.with_overrides(per_request_timers=True), 10,
-        replica_behaviors={0: slow}, seed=7,
+        fast.with_overrides(per_request_timers=True), 10, slow_attack, seed=7
     )
     results["fixed timers, colluding"] = run_deployment(
         fast.with_overrides(per_request_timers=True), 10,
-        malicious_clients=colluder, replica_behaviors={0: colluding}, seed=7,
+        colluding_attack, n_malicious_clients=1, seed=7,
     )
     return results
 

@@ -13,7 +13,7 @@ AVD find the most damaging poisoning parameters on its own.
     python examples/dht_redirection.py
 """
 
-from repro import AvdExploration, CampaignSpec, run_campaign, run_dht_deployment
+from repro import AvdExploration, CampaignSpec, DhtAttack, run_campaign, run_dht_deployment
 from repro.core import format_table
 from repro.targets import DhtTarget, RoutingPoisonPlugin
 
@@ -22,7 +22,7 @@ def sweep_swarm_sizes() -> None:
     rows = []
     for n_correct in (20, 40, 80, 120):
         result = run_dht_deployment(
-            n_correct=n_correct, n_malicious=1, poison_rate=1.0, fanout=8, seed=3
+            n_correct=n_correct, attack=DhtAttack(1.0, 8), n_malicious=1, seed=3
         )
         rows.append(
             [

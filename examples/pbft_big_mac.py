@@ -13,7 +13,7 @@ and prints what each does to a 20-client deployment.
     python examples/pbft_big_mac.py
 """
 
-from repro import ClientBehavior, PbftConfig, run_deployment
+from repro import ClientBehavior, PbftAttack, PbftConfig, run_deployment
 from repro.core import format_table
 
 #: (mask, what the mask does). Bits: bit (n % 12) corrupts the n-th
@@ -37,7 +37,8 @@ def main() -> None:
         result = run_deployment(
             config,
             n_correct_clients=20,
-            malicious_clients=[ClientBehavior(mac_mask=mask)],
+            attack=PbftAttack(client_behavior=ClientBehavior(mac_mask=mask)),
+            n_malicious_clients=1,
             seed=42,
         )
         rows.append(

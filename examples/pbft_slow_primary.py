@@ -19,6 +19,7 @@ import argparse
 
 from repro import (
     ClientBehavior,
+    PbftAttack,
     PbftConfig,
     ReplicaBehavior,
     SlowPrimaryPolicy,
@@ -32,22 +33,26 @@ def run_variants(config: PbftConfig, label: str) -> None:
     colluding = ReplicaBehavior(
         slow_primary=SlowPrimaryPolicy(serve_only_client="mclient-0")
     )
-    colluder_client = [ClientBehavior(broadcast_always=True)]
+    slow_attack = PbftAttack(replica_behaviors={0: slow})
+    colluding_attack = PbftAttack(
+        client_behavior=ClientBehavior(broadcast_always=True),
+        replica_behaviors={0: colluding},
+    )
     fixed = config.with_overrides(per_request_timers=True)
 
     scenarios = [
-        ("healthy", config, {}, []),
-        ("slow primary (buggy shared timer)", config, {0: slow}, []),
-        ("slow primary + colluding client", config, {0: colluding}, colluder_client),
-        ("slow primary, FIXED per-request timers", fixed, {0: slow}, []),
+        ("healthy", config, None, 0),
+        ("slow primary (buggy shared timer)", config, slow_attack, 0),
+        ("slow primary + colluding client", config, colluding_attack, 1),
+        ("slow primary, FIXED per-request timers", fixed, slow_attack, 0),
     ]
     rows = []
-    for name, cfg, replica_behaviors, malicious in scenarios:
+    for name, cfg, attack, n_malicious in scenarios:
         result = run_deployment(
             cfg,
             n_correct_clients=20,
-            malicious_clients=malicious,
-            replica_behaviors=replica_behaviors,
+            attack=attack,
+            n_malicious_clients=n_malicious,
             seed=7,
         )
         rows.append(

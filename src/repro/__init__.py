@@ -64,10 +64,11 @@ from .core import (
     save_campaign,
     save_checkpoint,
 )
-from .dht import DhtConfig, DhtDeployment, run_dht_deployment
+from .dht import DhtAttack, DhtConfig, DhtDeployment, run_dht_deployment
 from .pbft import (
     ClientBehavior,
     DefenseConfig,
+    PbftAttack,
     PbftConfig,
     PbftDeployment,
     PbftRunResult,
@@ -99,6 +100,7 @@ __all__ = [
     "ControlLevel",
     "ControllerConfig",
     "DefenseConfig",
+    "DhtAttack",
     "DhtConfig",
     "DhtDeployment",
     "DhtTarget",
@@ -112,6 +114,7 @@ __all__ = [
     "NetworkFaultPlugin",
     "POWER_LADDER",
     "ParallelScenarioExecutor",
+    "PbftAttack",
     "PbftConfig",
     "PbftDeployment",
     "PbftRunResult",

@@ -51,10 +51,12 @@ from .core.persistence import (
     restore_controller,
     save_campaign,
 )
-from .dht import run_dht_deployment
+from .dht import DhtAttack, run_dht_deployment
 from .pbft import (
+    CORRECT_CLIENT,
     ClientBehavior,
     DefenseConfig,
+    PbftAttack,
     PbftConfig,
     ReplicaBehavior,
     SlowPrimaryPolicy,
@@ -454,7 +456,8 @@ def cmd_bigmac(args) -> int:
         result = run_deployment(
             config,
             args.clients,
-            malicious_clients=[ClientBehavior(mac_mask=mask)],
+            PbftAttack(client_behavior=ClientBehavior(mac_mask=mask)),
+            n_malicious_clients=1,
             seed=args.seed,
         )
         rows.append(
@@ -476,16 +479,17 @@ def cmd_slow_primary(args) -> int:
     colluding = ReplicaBehavior(
         slow_primary=SlowPrimaryPolicy(serve_only_client="mclient-0")
     )
+    colluder = ClientBehavior(broadcast_always=True)
+    # PbftAttack(client behaviour, replica behaviours by index)
     scenarios = [
-        ("healthy", {}, []),
-        ("slow primary", {0: slow}, []),
-        ("slow + colluder", {0: colluding}, [ClientBehavior(broadcast_always=True)]),
+        ("healthy", None, 0),
+        ("slow primary", PbftAttack(CORRECT_CLIENT, {0: slow}), 0),
+        ("slow + colluder", PbftAttack(colluder, {0: colluding}), 1),
     ]
     rows = []
-    for label, behaviors, malicious in scenarios:
+    for label, attack, n_malicious in scenarios:
         result = run_deployment(
-            config, args.clients, malicious_clients=malicious,
-            replica_behaviors=behaviors, seed=args.seed,
+            config, args.clients, attack, n_malicious_clients=n_malicious, seed=args.seed
         )
         rows.append([label, f"{result.throughput_rps:.2f}", result.view_changes])
     print(format_table(["scenario", "useful tput (req/s)", "view chg"], rows))
@@ -495,9 +499,8 @@ def cmd_slow_primary(args) -> int:
 def cmd_dht_attack(args) -> int:
     result = run_dht_deployment(
         n_correct=args.swarm,
+        attack=DhtAttack(poison_rate=args.poison_rate, fanout=args.fanout),
         n_malicious=args.attackers,
-        poison_rate=args.poison_rate,
-        fanout=args.fanout,
         seed=args.seed,
     )
     print(

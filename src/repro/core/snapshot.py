@@ -7,11 +7,11 @@ the pre-activation slice of the measurement window) dominates wall-clock
 time. This module captures the full simulation state *once* at the first
 injection point and forks it for every scenario in the equivalence class:
 
-1. A target builds the deployment **benign** (attack designates run as
-   correct nodes) with the activation time set, runs it to just before the
-   activation point, and captures a :class:`SimSnapshot` — a deterministic
-   pickle of the whole object graph (simulator, queue, RNG streams, nodes,
-   network).
+1. A target builds the deployment — always **benign**: attack designates
+   run as correct nodes — with the activation time set, runs it to just
+   before the activation point, and captures a :class:`SimSnapshot` — a
+   deterministic pickle of the whole object graph (simulator, queue, RNG
+   streams, nodes, network).
 2. Each scenario calls :meth:`SimSnapshot.fork` to get a private deep copy,
    installs its attack via the deployment's ``install_attack``, and runs the
    suffix normally.

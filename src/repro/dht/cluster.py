@@ -13,13 +13,10 @@ from .node import DhtConfig, DhtNode, MaliciousDhtNode, VictimEndpoint
 
 @dataclass(frozen=True)
 class DhtAttack:
-    """The poisoning parameters a timed DHT scenario installs at activation."""
+    """The poisoning parameters a DHT scenario installs at activation."""
 
     poison_rate: float = 1.0
     fanout: int = 8
-
-    def is_benign(self) -> bool:
-        return self.poison_rate == 0.0
 
 
 @dataclass(frozen=True)
@@ -45,13 +42,12 @@ class DhtRunResult:
 class DhtDeployment:
     """N correct nodes, M routing-poisoning attackers, one victim.
 
-    With ``attack_start_us`` set, the attackers are constructed *dormant*
-    (``poison_rate=0``, ``fanout=1`` — they answer FIND_NODE like correct
-    nodes while still drawing from their poison RNG stream) and ``attack``
-    is installed by a single priority event at ``attack_start_us``. The
-    benign prefix is then a pure function of (config, populations, seed),
-    which is what the snapshot-and-fork executor captures. With the default
-    ``attack_start_us=None`` the legacy from-construction path is taken.
+    The attackers are always built *dormant* (they answer FIND_NODE like
+    correct nodes while still drawing from their poison RNG stream);
+    :meth:`install_attack` arms them by a single priority event at
+    ``attack_start_us``. The benign prefix is therefore a pure function of
+    (config, populations, seed), which is what the snapshot-and-fork executor
+    captures; at ``attack_start_us=0`` the attack is in force from the start.
     """
 
     def __init__(
@@ -59,12 +55,9 @@ class DhtDeployment:
         config: DhtConfig,
         n_correct: int,
         n_malicious: int = 0,
-        poison_rate: float = 1.0,
-        fanout: int = 8,
         seed: int = 0,
         bootstrap_degree: int = 4,
-        attack: Optional[DhtAttack] = None,
-        attack_start_us: Optional[int] = None,
+        attack_start_us: int = 0,
     ) -> None:
         if n_correct < 2:
             raise ValueError("need at least two correct nodes")
@@ -73,21 +66,13 @@ class DhtDeployment:
         self.network = Network(self.simulator, LanLatency(base_us=2_000, jitter_mean_us=1_000))
         self.victim = VictimEndpoint("victim", self.simulator, self.network)
 
-        timed = attack_start_us is not None
-        build_rate, build_fanout = (0.0, 1) if timed else (poison_rate, fanout)
         self.correct_nodes: List[DhtNode] = [
             DhtNode(f"dht-{i}", config, self.simulator, self.network)
             for i in range(n_correct)
         ]
         self.malicious_nodes: List[MaliciousDhtNode] = [
             MaliciousDhtNode(
-                f"dht-evil-{i}",
-                config,
-                self.simulator,
-                self.network,
-                victim="victim",
-                poison_rate=build_rate,
-                fanout=build_fanout,
+                f"dht-evil-{i}", config, self.simulator, self.network, victim="victim"
             )
             for i in range(n_malicious)
         ]
@@ -105,12 +90,8 @@ class DhtDeployment:
         for index, node in enumerate(self.correct_nodes):
             node.start_workload(initial_delay_us=index * stagger)
 
-        self._attack = attack
+        self._attack: Optional[DhtAttack] = None
         self._attack_start_us = attack_start_us
-        if attack_start_us is not None and attack_start_us < 1:
-            raise ValueError("attack_start_us must be >= 1")
-        if timed and attack is not None:
-            self.simulator.schedule_priority(attack_start_us, self._activate_attack)
 
     # ------------------------------------------------------------------
     # pickling (snapshot capture / fork)
@@ -120,12 +101,11 @@ class DhtDeployment:
         self.network.rebind_fast_paths()
 
     # ------------------------------------------------------------------
-    # timed attack activation
+    # attack activation
     # ------------------------------------------------------------------
     def install_attack(self, attack: DhtAttack) -> None:
-        """Arm ``attack`` on a forked (snapshot-restored) deployment."""
-        if self._attack_start_us is None:
-            raise ValueError("deployment was not built with an attack_start_us")
+        """Arm ``attack`` by one priority event at ``attack_start_us``
+        (fresh or forked deployment alike)."""
         if self._attack is not None:
             raise ValueError("an attack is already installed")
         self._attack = attack
@@ -168,7 +148,13 @@ class DhtDeployment:
         )
 
     def run_prefix(self, until: int) -> None:
-        """Run the benign prefix up to time ``until`` (snapshot capture)."""
+        """Run the benign prefix up to time ``until`` (snapshot capture).
+
+        The prefix must end before the attack activates, which needs
+        ``attack_start_us >= 1``.
+        """
+        if until >= self._attack_start_us:
+            raise ValueError("a prefix must end before the attack activates")
         self.prepare_window()
         self.simulator.run(until=until)
 
@@ -176,20 +162,16 @@ class DhtDeployment:
 def run_dht_deployment(
     config: Optional[DhtConfig] = None,
     n_correct: int = 40,
-    n_malicious: int = 1,
-    poison_rate: float = 1.0,
-    fanout: int = 8,
+    attack: Optional[DhtAttack] = None,
+    n_malicious: int = 0,
     seed: int = 0,
 ) -> DhtRunResult:
-    """Build, run, and measure one DHT scenario."""
+    """Build one DHT scenario, arm ``attack`` (if any) at t=0, and measure it."""
     deployment = DhtDeployment(
-        config if config is not None else DhtConfig(),
-        n_correct,
-        n_malicious,
-        poison_rate,
-        fanout,
-        seed,
+        config if config is not None else DhtConfig(), n_correct, n_malicious, seed
     )
+    if attack is not None:
+        deployment.install_attack(attack)
     return deployment.run()
 
 

@@ -174,6 +174,9 @@ class MaliciousDhtNode(DhtNode):
     whose ids are the closest possible to the queried target (target XOR
     1..fanout) and whose network name is the victim's. Correct nodes then
     query — and ultimately announce to — the victim.
+
+    Built dormant (``poison_rate=0``): it answers FIND_NODE like a correct
+    node until :meth:`activate` arms it.
     """
 
     def __init__(
@@ -183,26 +186,20 @@ class MaliciousDhtNode(DhtNode):
         simulator: Simulator,
         network: Network,
         victim: str,
-        poison_rate: float = 1.0,
-        fanout: int = 8,
     ) -> None:
         super().__init__(name, config, simulator, network)
-        if not 0.0 <= poison_rate <= 1.0:
-            raise ValueError("poison_rate must be in [0, 1]")
-        if fanout < 1:
-            raise ValueError("fanout must be >= 1")
         self.victim = victim
-        self.poison_rate = poison_rate
-        self.fanout = fanout
+        self.poison_rate = 0.0
+        self.fanout = 1
         self.poisoned_replies = 0
         self.messages_spent = 0
 
     def activate(self, poison_rate: float, fanout: int) -> None:
-        """Switch poisoning parameters mid-run (timed attack activation).
+        """Set the poisoning parameters (the only way to arm the attacker).
 
-        A dormant attacker (``poison_rate=0``) still draws from its poison
-        RNG stream on every FIND_NODE, so the benign prefix is trace-
-        identical regardless of the parameters installed here.
+        A dormant attacker still draws from its poison RNG stream on every
+        FIND_NODE, so the benign prefix is trace-identical regardless of the
+        parameters installed here.
         """
         if not 0.0 <= poison_rate <= 1.0:
             raise ValueError("poison_rate must be in [0, 1]")

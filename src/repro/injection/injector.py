@@ -50,11 +50,11 @@ class LibraryRuntime:
     def install_relative(self, plan: FaultPlan, validate: bool = True) -> None:
         """Install a plan whose call numbers count from *now*, not from zero.
 
-        Used by timed attack activation (snapshot-and-fork scenarios): the
-        node has already made library calls during the benign prefix, so the
-        plan's 1-based ``call_number`` is shifted by the calls made so far.
-        Installing at activation therefore triggers on the same post-
-        activation call in a forked run and a from-scratch run.
+        Used by attack activation: the node may already have made library
+        calls during the benign prefix, so the plan's 1-based ``call_number``
+        is shifted by the calls made so far (none at t=0). Installing at
+        activation therefore triggers on the same post-activation call in a
+        forked run and a from-scratch run.
         """
         base = self._counts.get(plan.function, 0)
         if base:

@@ -1,13 +1,15 @@
-"""Timed attack activation for PBFT deployments.
+"""Attack activation for PBFT deployments.
 
 A :class:`PbftAttack` bundles everything a scenario injects into a benign
 deployment — malicious client behaviour, malicious replica behaviours,
-network fault stages, and library fault plans. With a timed attack the
-deployment is constructed fully benign (malicious designates run as correct
-nodes), and the attack is applied by a single *priority* activation event at
+network fault stages, and library fault plans. Every deployment is
+constructed fully benign (malicious designates run as correct nodes), and
+the attack is applied by a single *priority* activation event at
 ``attack_start_us`` (see :meth:`repro.sim.simulator.Simulator.schedule_priority`).
+At ``attack_start_us=0`` that event runs before every ordinary event, so the
+attack is in force for the whole run.
 
-This is the injection point the snapshot-and-fork executor keys on: the
+This is also the injection point the snapshot-and-fork executor keys on: the
 simulation up to the activation event is a pure function of (config, client
 population, seed) — independent of every attack parameter — so its state can
 be captured once and forked for every scenario that shares the prefix.
@@ -25,7 +27,7 @@ from .behaviors import CORRECT_CLIENT, ClientBehavior, ReplicaBehavior
 
 @dataclass(frozen=True)
 class PbftAttack:
-    """Everything a timed PBFT scenario injects at its activation point."""
+    """Everything a PBFT scenario injects at its activation point."""
 
     #: Behaviour installed on every malicious-designate client.
     client_behavior: ClientBehavior = CORRECT_CLIENT
@@ -36,14 +38,6 @@ class PbftAttack:
     #: Library fault plans by node name, installed *relative* to the calls
     #: each node already made during the benign prefix.
     injection_plans: Dict[str, Tuple[FaultPlan, ...]] = field(default_factory=dict)
-
-    def is_benign(self) -> bool:
-        return (
-            self.client_behavior.is_benign()
-            and all(b.is_benign() for b in self.replica_behaviors.values())
-            and not self.network_faults
-            and not self.injection_plans
-        )
 
 
 __all__ = ["PbftAttack"]

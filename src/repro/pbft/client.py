@@ -25,7 +25,7 @@ from .messages import Reply, Request, fast_request_digest
 
 
 class Client(CrashAwareNode):
-    """A PBFT client (correct by default; malicious via ``behavior``)."""
+    """A PBFT client: built correct, turned malicious by :meth:`apply_behavior`."""
 
     def __init__(
         self,
@@ -34,14 +34,13 @@ class Client(CrashAwareNode):
         simulator: Simulator,
         network: Network,
         key_root: int,
-        behavior: ClientBehavior = CORRECT_CLIENT,
         start_delay_us: int = 0,
     ) -> None:
         super().__init__(name, simulator, network)
         self.config = config
-        self.behavior = behavior
+        self.behavior = CORRECT_CLIENT
         self.keystore = KeyStore(key_root, name)
-        self.mac = MacGenerator(self.keystore, mask_corruption_policy(behavior.mac_mask))
+        self.mac = MacGenerator(self.keystore)
         self.replica_names = [replica_name(i) for i in range(config.n_replicas)]
 
         self.view_hint = 0
@@ -78,10 +77,10 @@ class Client(CrashAwareNode):
         self.set_timer(start_delay_us, self._issue_next)
 
     # ------------------------------------------------------------------
-    # timed attack activation
+    # attack activation
     # ------------------------------------------------------------------
     def apply_behavior(self, behavior: ClientBehavior) -> None:
-        """Switch to ``behavior`` mid-run (timed attack activation).
+        """Switch to ``behavior`` (the only way a client turns malicious).
 
         The MAC corruption policy takes effect on the next ``generateMAC``
         call; ``broadcast_always`` on the next issued request. An

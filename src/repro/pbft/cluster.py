@@ -1,21 +1,20 @@
 """PBFT deployment builder and measurement harness.
 
-A :class:`PbftDeployment` assembles one complete system-under-test — 3f+1
-replicas, N correct clients, any malicious clients/replicas, a network with
-optional fault stages — on a fresh simulator, runs it for warmup +
-measurement, and summarizes what the *correct clients* observed. That
-summary is AVD's impact measurement (paper Sec. 3).
+A :class:`PbftDeployment` assembles one benign system-under-test — 3f+1
+replicas, N correct clients, M malicious-designate clients, a network — on a
+fresh simulator, arms an optional :class:`~repro.pbft.attack.PbftAttack`,
+runs it for warmup + measurement, and summarizes what the *correct clients*
+observed. That summary is AVD's impact measurement (paper Sec. 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.rng import derive_seed
-from ..sim import LanLatency, LatencyModel, Network, NetworkFault, SECOND, Simulator
+from ..sim import LanLatency, LatencyModel, Network, SECOND, Simulator
 from .attack import PbftAttack
-from .behaviors import CORRECT_CLIENT, ClientBehavior, ReplicaBehavior
 from .client import Client
 from .config import PbftConfig, client_name, malicious_client_name
 from .replica import Replica
@@ -65,40 +64,37 @@ class PbftRunResult:
 class PbftDeployment:
     """One fully assembled PBFT system under test.
 
+    The deployment is always built benign: 3f+1 correct replicas, the
+    correct clients, and ``n_malicious_clients`` designates that run as
+    correct clients until an attack arms them. :meth:`install_attack` is
+    the only way to make anything malicious.
+
     Parameters
     ----------
     config:
         Protocol constants (see :class:`PbftConfig`).
     n_correct_clients:
         Number of correct, unmodified clients.
-    malicious_clients:
-        Behaviours, one per malicious client to create.
-    replica_behaviors:
-        Optional map replica-index -> behaviour for malicious replicas.
+    n_malicious_clients:
+        Number of malicious-designate clients.
     seed:
         Root seed; every run with the same parameters and seed is identical.
-    latency_model / network_faults:
-        Network substrate configuration (faults model attacker network power).
-    attack / attack_start_us:
-        Timed attack activation (snapshot-and-fork scenarios): the
-        deployment is built exactly as given — typically fully benign, with
-        malicious designates running ``CORRECT_CLIENT`` — and ``attack`` is
-        applied by a single priority event at ``attack_start_us``. With
-        ``attack_start_us=None`` (the default) the legacy from-construction
-        path is taken and nothing about existing behaviour changes.
+    latency_model:
+        Network substrate configuration.
+    attack_start_us:
+        When an installed attack activates. The activation is a single
+        priority event; at ``0`` it runs before every ordinary event, so the
+        attack is in force for the whole run.
     """
 
     def __init__(
         self,
         config: PbftConfig,
         n_correct_clients: int,
-        malicious_clients: Sequence[ClientBehavior] = (),
-        replica_behaviors: Optional[Dict[int, ReplicaBehavior]] = None,
+        n_malicious_clients: int = 0,
         seed: int = 0,
         latency_model: Optional[LatencyModel] = None,
-        network_faults: Iterable[NetworkFault] = (),
-        attack: Optional[PbftAttack] = None,
-        attack_start_us: Optional[int] = None,
+        attack_start_us: int = 0,
     ) -> None:
         if n_correct_clients < 1:
             raise ValueError("need at least one correct client to measure impact")
@@ -108,61 +104,43 @@ class PbftDeployment:
         self.network = Network(
             self.simulator, latency_model if latency_model is not None else LanLatency()
         )
-        for fault in network_faults:
-            self.network.add_fault(fault)
 
         key_root = derive_seed(seed, "pbft-keys")
         stagger_rng = self.simulator.rng("client-stagger")
         stagger_span = max(config.batch_interval_us * 4, 1)
 
-        self.replicas: List[Replica] = []
-        behaviors = replica_behaviors or {}
-        for index in range(config.n_replicas):
-            behavior = behaviors.get(index, ReplicaBehavior())
-            self.replicas.append(
-                Replica(index, config, self.simulator, self.network, key_root, behavior)
+        self.replicas: List[Replica] = [
+            Replica(index, config, self.simulator, self.network, key_root)
+            for index in range(config.n_replicas)
+        ]
+        self.correct_clients: List[Client] = [
+            Client(
+                client_name(index),
+                config,
+                self.simulator,
+                self.network,
+                key_root,
+                start_delay_us=stagger_rng.randint(0, stagger_span),
             )
-
-        self.correct_clients: List[Client] = []
-        for index in range(n_correct_clients):
-            self.correct_clients.append(
-                Client(
-                    client_name(index),
-                    config,
-                    self.simulator,
-                    self.network,
-                    key_root,
-                    CORRECT_CLIENT,
-                    start_delay_us=stagger_rng.randint(0, stagger_span),
-                )
+            for index in range(n_correct_clients)
+        ]
+        self.malicious_clients: List[Client] = [
+            Client(
+                malicious_client_name(index),
+                config,
+                self.simulator,
+                self.network,
+                key_root,
+                start_delay_us=stagger_rng.randint(0, stagger_span),
             )
+            for index in range(n_malicious_clients)
+        ]
 
-        self.malicious_clients: List[Client] = []
-        for index, behavior in enumerate(malicious_clients):
-            self.malicious_clients.append(
-                Client(
-                    malicious_client_name(index),
-                    config,
-                    self.simulator,
-                    self.network,
-                    key_root,
-                    behavior,
-                    start_delay_us=stagger_rng.randint(0, stagger_span),
-                )
-            )
-
-        #: Timed attack state. The activation event is a *priority* event
-        #: (it never consumes the shared event sequence counter), so a
-        #: deployment built without it — the snapshot-capture prefix — runs
-        #: a bit-identical benign prefix.
-        self._attack = attack
+        #: The activation event is a *priority* event (it never consumes the
+        #: shared event sequence counter), so a deployment without an attack
+        #: — the snapshot-capture prefix — runs a bit-identical benign prefix.
+        self._attack: Optional[PbftAttack] = None
         self._attack_start_us = attack_start_us
-        if attack_start_us is not None and attack_start_us < 1:
-            raise ValueError("attack_start_us must be >= 1")
-        if attack is not None:
-            if attack_start_us is None:
-                raise ValueError("a timed attack needs attack_start_us")
-            self.simulator.schedule_priority(attack_start_us, self._activate_attack)
 
     # ------------------------------------------------------------------
     # pickling (snapshot capture / fork)
@@ -174,17 +152,14 @@ class PbftDeployment:
         self.network.rebind_fast_paths()
 
     # ------------------------------------------------------------------
-    # timed attack activation
+    # attack activation
     # ------------------------------------------------------------------
     def install_attack(self, attack: PbftAttack) -> None:
-        """Arm ``attack`` on a forked (snapshot-restored) deployment.
+        """Arm ``attack`` by one priority event at ``attack_start_us``.
 
-        Schedules the same priority activation event the constructor would
-        have scheduled, at the ``attack_start_us`` the prefix was captured
-        for — the forked run and a from-scratch run execute identically.
+        Works the same on a fresh deployment and on one forked from a
+        snapshot of its benign prefix, so both runs execute identically.
         """
-        if self._attack_start_us is None:
-            raise ValueError("deployment was not built with an attack_start_us")
         if self._attack is not None:
             raise ValueError("an attack is already installed")
         self._attack = attack
@@ -241,8 +216,11 @@ class PbftDeployment:
 
         The snapshot-capture path: windows are prepared exactly as
         :meth:`run` would, and the simulation stops just before the attack
-        activation point so the captured state is attack-independent.
+        activation point so the captured state is attack-independent (which
+        needs ``attack_start_us >= 1``).
         """
+        if until >= self._attack_start_us:
+            raise ValueError("a prefix must end before the attack activates")
         self.prepare_measurement()
         self.simulator.run(until=until)
 
@@ -307,22 +285,17 @@ class PbftDeployment:
 def run_deployment(
     config: PbftConfig,
     n_correct_clients: int,
-    malicious_clients: Sequence[ClientBehavior] = (),
-    replica_behaviors: Optional[Dict[int, ReplicaBehavior]] = None,
+    attack: Optional[PbftAttack] = None,
+    n_malicious_clients: int = 0,
     seed: int = 0,
     latency_model: Optional[LatencyModel] = None,
-    network_faults: Iterable[NetworkFault] = (),
 ) -> PbftRunResult:
-    """Build a deployment, run it once, and return the measurement."""
+    """Build a deployment, arm ``attack`` (if any) at t=0, and measure one run."""
     deployment = PbftDeployment(
-        config,
-        n_correct_clients,
-        malicious_clients,
-        replica_behaviors,
-        seed,
-        latency_model,
-        network_faults,
+        config, n_correct_clients, n_malicious_clients, seed, latency_model
     )
+    if attack is not None:
+        deployment.install_attack(attack)
     return deployment.run()
 
 

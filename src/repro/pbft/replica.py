@@ -58,17 +58,14 @@ class Replica(CrashAwareNode):
         simulator: Simulator,
         network: Network,
         key_root: int,
-        behavior: ReplicaBehavior = CORRECT_REPLICA,
     ) -> None:
         super().__init__(replica_name(index), simulator, network)
         self.index = index
         self.config = config
-        self.behavior = behavior
+        self.behavior = CORRECT_REPLICA
         self.key_root = key_root
         self.keystore = KeyStore(key_root, self.name)
-        self.mac = MacGenerator(
-            self.keystore, mask_corruption_policy(behavior.mac_mask)
-        )
+        self.mac = MacGenerator(self.keystore)
         self.replica_names = [replica_name(i) for i in range(config.n_replicas)]
         self.peer_names = [n for n in self.replica_names if n != self.name]
 
@@ -147,21 +144,16 @@ class Replica(CrashAwareNode):
 
         if self.is_primary:
             self._arm_primary()
-        if behavior.synthesize_interval_us is not None:
-            self._synth_timer = self.set_timer(
-                behavior.synthesize_interval_us, self._synthesize_message
-            )
 
     # ------------------------------------------------------------------
-    # timed attack activation
+    # attack activation
     # ------------------------------------------------------------------
     def apply_behavior(self, behavior: ReplicaBehavior) -> None:
-        """Switch to ``behavior`` mid-run (timed attack activation).
+        """Switch to ``behavior`` (the only way a replica turns malicious).
 
-        Mirrors what construction with the behaviour would have set up from
-        this point on: the MAC corruption policy is swapped, a synthesis
-        timer is armed, and a slow primary stops batching on demand and
-        starts ticking. Runs inside a priority activation event, so a forked
+        The MAC corruption policy is swapped, a synthesis timer is armed,
+        and a slow primary stops batching on demand and starts ticking.
+        Runs inside the deployment's priority activation event, so a forked
         run and a from-scratch run apply it at the identical point.
         """
         self.behavior = behavior

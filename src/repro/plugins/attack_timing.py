@@ -5,8 +5,8 @@ window that elapses benignly before the scenario's attack activates. Two
 reasons to explore it:
 
 1. **Coverage.** Some faults only matter against a warmed-up system (full
-   logs, stable view, saturated pipelines); a from-construction attack
-   never exercises that state. The paper's AVD explores *what* to inject;
+   logs, stable view, saturated pipelines); an attack armed at t=0 never
+   exercises that state. The paper's AVD explores *what* to inject;
    this dimension explores *when*.
 2. **Throughput.** Every scenario that shares an activation point shares a
    benign prefix, which the snapshot-and-fork executor captures once and
@@ -14,8 +14,9 @@ reasons to explore it:
    activation, the larger the shared prefix.
 
 Both shipped targets understand the resulting ``spec.attack_start_pct``
-field; without this plugin every scenario stays on the legacy
-from-construction path.
+field. Every scenario arms its attack with the same single priority event;
+without this plugin that event runs at t=0, before every ordinary event, and
+nothing is forked.
 """
 
 from __future__ import annotations

@@ -43,22 +43,30 @@ class _SeededFault(NetworkFault):
     The stream is named by the fault's pipeline slot on its network, so
     the derived seed is identical in every process that builds the same
     scenario. (Naming it by ``id(self)`` — a memory address — made traces
-    differ between the controller and pool workers.)
+    differ between the controller and pool workers.) It is bound per
+    network: one instance installed on several deployments in turn draws
+    each one's own stream, exactly like a fresh instance would.
     """
 
     def __init__(self, matcher: EnvelopeMatcher = match_all) -> None:
         self.matcher = matcher
+        self._network: Optional[Network] = None
         self._rng: Optional[random.Random] = None
 
+    def _bind(self, network: Network) -> None:
+        """Start this fault's per-network state on ``network``."""
+        try:
+            slot = network.faults.index(self)
+        except ValueError:  # applied without being installed (tests)
+            slot = len(network.faults)
+        self._network = network
+        self._rng = network.simulator.rng(
+            f"fault:{network.name}:{type(self).__name__}:{slot}"
+        )
+
     def _stream(self, network: Network) -> random.Random:
-        if self._rng is None:
-            try:
-                slot = network.faults.index(self)
-            except ValueError:  # applied without being installed (tests)
-                slot = len(network.faults)
-            self._rng = network.simulator.rng(
-                f"fault:{network.name}:{type(self).__name__}:{slot}"
-            )
+        if network is not self._network:
+            self._bind(network)
         return self._rng
 
 
@@ -218,9 +226,16 @@ class ReorderFault(_SeededFault):
         self._flush_handles: Dict[str, object] = {}
         self.reordered_batches = 0
 
+    def _bind(self, network: Network) -> None:
+        super()._bind(network)
+        self._buffers = {}
+        self._flush_handles = {}
+
     def apply(self, envelope: Envelope, network: Network) -> List[Envelope]:
         if not self.matcher(envelope):
             return [envelope]
+        if network is not self._network:
+            self._bind(network)
         buffer = self._buffers.setdefault(envelope.dst, [])
         buffer.append(envelope)
         if len(buffer) >= self.window:

@@ -61,33 +61,43 @@ class DhtScenarioSpec:
         self.n_malicious = 1
         self.poison_rate = 0.0
         self.fanout = 1
-        #: Timed activation point (percentage of the measurement window
-        #: elapsed before poisoning switches on); ``None`` = legacy
-        #: from-construction poisoning. See :class:`PbftScenarioSpec`.
+        #: Activation point (percentage of the measurement window elapsed
+        #: before poisoning switches on); ``None`` = at t=0, before every
+        #: ordinary event. See :class:`PbftScenarioSpec`.
         self.attack_start_pct: Optional[int] = None
 
     def build(self, seed: int) -> DhtDeployment:
-        if self.attack_start_pct is not None:
-            return self._build_timed(seed)
-        return DhtDeployment(
-            self.config,
-            self.n_correct,
-            self.n_malicious,
-            self.poison_rate,
-            self.fanout,
-            seed,
-        )
+        """A dormant-attacker deployment (forked from its prefix snapshot when
+        timed and forking is on) with :meth:`attack` installed."""
+        if self.seed_scope() is not None and snapshot.enabled():
+            snap = snapshot.cache().get_or_capture(
+                self.snapshot_key(seed), lambda: self.build_prefix(seed)
+            )
+            deployment = snap.fork()
+        else:
+            deployment = DhtDeployment(
+                self.config,
+                self.n_correct,
+                self.n_malicious,
+                seed,
+                attack_start_us=self.attack_start_us(),
+            )
+        deployment.install_attack(self.attack())
+        return deployment
 
-    # ------------------------------------------------------------------
-    # timed (snapshot-and-fork) scenarios
-    # ------------------------------------------------------------------
     def attack_start_us(self) -> int:
+        """Absolute activation time (0 for an untimed scenario)."""
+        if self.attack_start_pct is None:
+            return 0
         config = self.config
         return max(1, config.warmup_us + config.measurement_us * self.attack_start_pct // 100)
 
     def attack(self) -> DhtAttack:
         return DhtAttack(poison_rate=self.poison_rate, fanout=self.fanout)
 
+    # ------------------------------------------------------------------
+    # timed (snapshot-and-fork) scenarios
+    # ------------------------------------------------------------------
     def seed_scope(self) -> Optional[str]:
         """Seed-equivalence class of the benign prefix (``None`` if untimed);
         the one spelling shared by the executor and ``warm_caches``."""
@@ -114,29 +124,11 @@ class DhtScenarioSpec:
 
     def build_prefix(self, seed: int) -> DhtDeployment:
         """Build the dormant-attacker deployment, run to the injection point."""
-        deployment = self._dormant_deployment(seed)
-        deployment.run_prefix(self.attack_start_us() - 1)
-        return deployment
-
-    def _dormant_deployment(self, seed: int) -> DhtDeployment:
-        return DhtDeployment(
-            self.config,
-            self.n_correct,
-            self.n_malicious,
-            seed=seed,
-            attack_start_us=self.attack_start_us(),
+        start_us = self.attack_start_us()
+        deployment = DhtDeployment(
+            self.config, self.n_correct, self.n_malicious, seed, attack_start_us=start_us
         )
-
-    def _build_timed(self, seed: int) -> DhtDeployment:
-        if snapshot.enabled():
-            snap = snapshot.cache().get_or_capture(
-                self.snapshot_key(seed), lambda: self.build_prefix(seed)
-            )
-            deployment = snap.fork()
-            deployment.install_attack(self.attack())
-            return deployment
-        deployment = self._dormant_deployment(seed)
-        deployment.install_attack(self.attack())
+        deployment.run_prefix(start_us - 1)
         return deployment
 
 

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..injection import FaultPlan
 from ..pbft import (
-    CORRECT_CLIENT,
     ClientBehavior,
     PbftAttack,
     PbftConfig,
@@ -53,54 +52,51 @@ class PbftScenarioSpec:
     network_faults: List[NetworkFault] = field(default_factory=list)
     #: Library fault plans by node name.
     injection_plans: Dict[str, List[FaultPlan]] = field(default_factory=dict)
-    #: Timed attack activation point, as a percentage of the measurement
-    #: window elapsed before the attack switches on (``None`` = the legacy
-    #: from-construction scenario). Timed scenarios share a benign prefix
-    #: across attack parameters, which the snapshot cache exploits; fault
-    #: plans are installed *relative* to the activation point.
+    #: Attack activation point, as a percentage of the measurement window
+    #: elapsed before the attack switches on; ``None`` = at t=0, before
+    #: every ordinary event. Timed scenarios share a benign prefix across
+    #: attack parameters, which the snapshot cache exploits; fault plans are
+    #: installed *relative* to the activation point.
     attack_start_pct: Optional[int] = None
 
     def build(self, seed: int) -> PbftDeployment:
-        if self.attack_start_pct is not None:
-            return self._build_timed(seed)
-        # Every malicious client of a scenario gets the same (frozen)
-        # behaviour, so one shared instance serves all of them.
-        behavior = _malicious_behavior(self.mac_mask, self.malicious_broadcast)
-        deployment = PbftDeployment(
-            self.config,
-            self.n_correct_clients,
-            malicious_clients=[behavior] * self.n_malicious_clients,
-            replica_behaviors=dict(self.replica_behaviors),
-            seed=seed,
-            network_faults=list(self.network_faults),
-        )
-        for node_name, plans in self.injection_plans.items():
-            node = deployment.network.endpoints.get(node_name)
-            if node is None:
-                continue
-            for plan in plans:
-                node.lib.install(plan)
+        """A benign deployment (forked from its prefix snapshot when the
+        scenario is timed and forking is on) with :meth:`attack` installed."""
+        if self.seed_scope() is not None and snapshot.enabled():
+            snap = snapshot.cache().get_or_capture(
+                self.snapshot_key(seed), lambda: self.build_prefix(seed)
+            )
+            deployment = snap.fork()
+        else:
+            deployment = PbftDeployment(
+                self.config,
+                self.n_correct_clients,
+                self.n_malicious_clients,
+                seed,
+                attack_start_us=self.attack_start_us(),
+            )
+        deployment.install_attack(self.attack())
         return deployment
 
-    # ------------------------------------------------------------------
-    # timed (snapshot-and-fork) scenarios
-    # ------------------------------------------------------------------
     def attack_start_us(self) -> int:
-        """Absolute activation time for a timed scenario."""
+        """Absolute activation time (0 for an untimed scenario)."""
+        if self.attack_start_pct is None:
+            return 0
         config = self.config
         return max(1, config.warmup_us + config.measurement_us * self.attack_start_pct // 100)
 
     def attack(self) -> PbftAttack:
-        """The activation bundle a timed scenario installs at its start time."""
+        """The activation bundle this scenario installs at its start time."""
         return PbftAttack(
-            client_behavior=_malicious_behavior(self.mac_mask, self.malicious_broadcast),
-            replica_behaviors=dict(self.replica_behaviors),
-            network_faults=tuple(self.network_faults),
-            injection_plans={
-                name: tuple(plans) for name, plans in self.injection_plans.items()
-            },
+            _malicious_behavior(self.mac_mask, self.malicious_broadcast),
+            dict(self.replica_behaviors),
+            tuple(self.network_faults),
+            {name: tuple(plans) for name, plans in self.injection_plans.items()},
         )
 
+    # ------------------------------------------------------------------
+    # timed (snapshot-and-fork) scenarios
+    # ------------------------------------------------------------------
     def seed_scope(self) -> Optional[str]:
         """Seed-equivalence class: the benign prefix's shape, ``None`` if untimed.
 
@@ -134,31 +130,15 @@ class PbftScenarioSpec:
 
     def build_prefix(self, seed: int) -> PbftDeployment:
         """Build the benign deployment and run it to the injection point."""
-        deployment = self._benign_deployment(seed)
-        deployment.run_prefix(self.attack_start_us() - 1)
-        return deployment
-
-    def _benign_deployment(self, seed: int) -> PbftDeployment:
-        # Malicious designates run as correct clients until activation, so
-        # the prefix is independent of every attack parameter.
-        return PbftDeployment(
+        start_us = self.attack_start_us()
+        deployment = PbftDeployment(
             self.config,
             self.n_correct_clients,
-            malicious_clients=[CORRECT_CLIENT] * self.n_malicious_clients,
-            seed=seed,
-            attack_start_us=self.attack_start_us(),
+            self.n_malicious_clients,
+            seed,
+            attack_start_us=start_us,
         )
-
-    def _build_timed(self, seed: int) -> PbftDeployment:
-        if snapshot.enabled():
-            snap = snapshot.cache().get_or_capture(
-                self.snapshot_key(seed), lambda: self.build_prefix(seed)
-            )
-            deployment = snap.fork()
-            deployment.install_attack(self.attack())
-            return deployment
-        deployment = self._benign_deployment(seed)
-        deployment.install_attack(self.attack())
+        deployment.run_prefix(start_us - 1)
         return deployment
 
 
@@ -264,7 +244,7 @@ class PbftTarget:
         Scenarios that differ only in attack parameters share one benign
         prefix; giving them one seed (a pure function of the prefix shape)
         is what lets the snapshot cache serve them all from a single
-        capture. Legacy scenarios return ``None`` and keep their private
+        capture. Untimed scenarios return ``None`` and keep their private
         per-scenario seeds.
         """
         return self._spec(params).seed_scope()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dht import (
+    DhtAttack,
     DhtConfig,
     DhtDeployment,
     bucket_index,
@@ -126,8 +127,12 @@ def test_lookups_converge_to_closest_nodes():
 
 
 def test_deterministic_given_seed():
-    first = run_dht_deployment(small_config(), n_correct=12, n_malicious=1, seed=5)
-    second = run_dht_deployment(small_config(), n_correct=12, n_malicious=1, seed=5)
+    first = run_dht_deployment(
+        small_config(), n_correct=12, attack=DhtAttack(), n_malicious=1, seed=5
+    )
+    second = run_dht_deployment(
+        small_config(), n_correct=12, attack=DhtAttack(), n_malicious=1, seed=5
+    )
     assert first.victim_messages == second.victim_messages
     assert first.lookups_completed == second.lookups_completed
 
@@ -141,26 +146,29 @@ def test_requires_two_correct_nodes():
 # the redirection attack (experiment D1)
 # ---------------------------------------------------------------------------
 def test_one_attacker_redirects_traffic_at_victim():
-    result = run_dht_deployment(small_config(), n_correct=20, n_malicious=1, seed=3)
+    result = run_dht_deployment(
+        small_config(), n_correct=20, attack=DhtAttack(), n_malicious=1, seed=3
+    )
     assert result.victim_messages > 0
     assert result.amplification > 1.0  # the attacker gets leverage
 
 
 def test_amplification_grows_with_fanout():
-    low = run_dht_deployment(small_config(), 20, 1, poison_rate=1.0, fanout=1, seed=3)
-    high = run_dht_deployment(small_config(), 20, 1, poison_rate=1.0, fanout=8, seed=3)
+    low = run_dht_deployment(small_config(), 20, DhtAttack(fanout=1), 1, seed=3)
+    high = run_dht_deployment(small_config(), 20, DhtAttack(fanout=8), 1, seed=3)
     assert high.victim_messages > low.victim_messages
 
 
 def test_victim_load_scales_with_poison_rate():
-    off = run_dht_deployment(small_config(), 20, 1, poison_rate=0.0, seed=3)
-    on = run_dht_deployment(small_config(), 20, 1, poison_rate=1.0, seed=3)
+    off = run_dht_deployment(small_config(), 20, DhtAttack(poison_rate=0.0), 1, seed=3)
+    on = run_dht_deployment(small_config(), 20, DhtAttack(), 1, seed=3)
     assert off.victim_messages == 0
     assert on.victim_messages > 0
 
 
 def test_victim_outside_the_swarm_never_replies():
-    deployment = DhtDeployment(small_config(), 20, 1, poison_rate=1.0, fanout=8, seed=3)
+    deployment = DhtDeployment(small_config(), 20, 1, seed=3)
+    deployment.install_attack(DhtAttack(poison_rate=1.0, fanout=8))
     deployment.run()
     assert deployment.victim.received > 0
     # The victim sends nothing back (pure DoS sink).
@@ -168,13 +176,13 @@ def test_victim_outside_the_swarm_never_replies():
 
 
 def test_two_attackers_hit_harder_than_one():
-    one = run_dht_deployment(small_config(), 20, 1, seed=3)
-    two = run_dht_deployment(small_config(), 20, 2, seed=3)
+    one = run_dht_deployment(small_config(), 20, DhtAttack(), 1, seed=3)
+    two = run_dht_deployment(small_config(), 20, DhtAttack(), 2, seed=3)
     assert two.victim_messages > one.victim_messages
 
 
 def test_poison_parameters_validated():
     with pytest.raises(ValueError):
-        run_dht_deployment(small_config(), 10, 1, poison_rate=1.5)
+        run_dht_deployment(small_config(), 10, DhtAttack(poison_rate=1.5), 1)
     with pytest.raises(ValueError):
-        run_dht_deployment(small_config(), 10, 1, fanout=0)
+        run_dht_deployment(small_config(), 10, DhtAttack(fanout=0), 1)

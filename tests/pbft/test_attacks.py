@@ -10,6 +10,7 @@ import pytest
 
 from repro.pbft import (
     ClientBehavior,
+    PbftAttack,
     PbftDeployment,
     ReplicaBehavior,
     SlowPrimaryPolicy,
@@ -31,7 +32,8 @@ def attack(mask, clients=10, seed=42, **config_overrides):
     return run_deployment(
         tiny_pbft_config(**config_overrides),
         n_correct_clients=clients,
-        malicious_clients=[ClientBehavior(mac_mask=mask)],
+        attack=PbftAttack(client_behavior=ClientBehavior(mac_mask=mask)),
+        n_malicious_clients=1,
         seed=seed,
     )
 
@@ -119,7 +121,10 @@ def slow_primary(serve_only=None):
 def test_slow_primary_throttles_to_one_request_per_period(baseline):
     config = tiny_pbft_config()
     result = run_deployment(
-        config, n_correct_clients=10, replica_behaviors={0: slow_primary()}, seed=42
+        config,
+        n_correct_clients=10,
+        attack=PbftAttack(replica_behaviors={0: slow_primary()}),
+        seed=42,
     )
     # One request per 0.8 * 80 ms tick over a 300 ms window: a handful.
     assert result.completed_requests <= 8
@@ -130,8 +135,11 @@ def test_colluding_client_zeroes_useful_throughput():
     result = run_deployment(
         tiny_pbft_config(),
         n_correct_clients=10,
-        malicious_clients=[ClientBehavior(broadcast_always=True)],
-        replica_behaviors={0: slow_primary(serve_only="mclient-0")},
+        attack=PbftAttack(
+            client_behavior=ClientBehavior(broadcast_always=True),
+            replica_behaviors={0: slow_primary(serve_only="mclient-0")},
+        ),
+        n_malicious_clients=1,
         seed=42,
     )
     assert result.completed_requests == 0
@@ -141,7 +149,10 @@ def test_colluding_client_zeroes_useful_throughput():
 def test_per_request_timers_fix_the_slow_primary(baseline):
     config = tiny_pbft_config(per_request_timers=True)
     result = run_deployment(
-        config, n_correct_clients=10, replica_behaviors={0: slow_primary()}, seed=42
+        config,
+        n_correct_clients=10,
+        attack=PbftAttack(replica_behaviors={0: slow_primary()}),
+        seed=42,
     )
     # The fixed implementation deposes the slow primary and recovers.
     assert result.view_changes >= 1
@@ -153,8 +164,11 @@ def test_per_request_timers_fix_the_colluding_variant():
     result = run_deployment(
         config,
         n_correct_clients=10,
-        malicious_clients=[ClientBehavior(broadcast_always=True)],
-        replica_behaviors={0: slow_primary(serve_only="mclient-0")},
+        attack=PbftAttack(
+            client_behavior=ClientBehavior(broadcast_always=True),
+            replica_behaviors={0: slow_primary(serve_only="mclient-0")},
+        ),
+        n_malicious_clients=1,
         seed=42,
     )
     assert result.view_changes >= 1
@@ -167,7 +181,10 @@ def test_per_request_timers_fix_the_colluding_variant():
 def test_lone_spurious_view_change_is_harmless(baseline):
     behavior = ReplicaBehavior(synthesize_interval_us=10_000, synthesize_kind="view_change")
     result = run_deployment(
-        tiny_pbft_config(), n_correct_clients=10, replica_behaviors={1: behavior}, seed=42
+        tiny_pbft_config(),
+        n_correct_clients=10,
+        attack=PbftAttack(replica_behaviors={1: behavior}),
+        seed=42,
     )
     # f+1 replicas must suspect the primary before a view change happens;
     # one liar alone cannot force it.
@@ -178,6 +195,9 @@ def test_lone_spurious_view_change_is_harmless(baseline):
 def test_bogus_prepare_votes_cannot_complete_quorums(baseline):
     behavior = ReplicaBehavior(synthesize_interval_us=5_000, synthesize_kind="prepare")
     result = run_deployment(
-        tiny_pbft_config(), n_correct_clients=10, replica_behaviors={1: behavior}, seed=42
+        tiny_pbft_config(),
+        n_correct_clients=10,
+        attack=PbftAttack(replica_behaviors={1: behavior}),
+        seed=42,
     )
     assert result.throughput_rps > baseline.throughput_rps * 0.7

@@ -5,6 +5,7 @@ import pytest
 from repro.pbft import (
     ClientBehavior,
     DefenseConfig,
+    PbftAttack,
     ReplicaBehavior,
     SlowPrimaryPolicy,
     run_deployment,
@@ -19,6 +20,10 @@ def hardened_config(**overrides):
 
 def slow_primary(serve_only=None):
     return ReplicaBehavior(slow_primary=SlowPrimaryPolicy(serve_only_client=serve_only))
+
+
+def mac_attack(mask):
+    return PbftAttack(client_behavior=ClientBehavior(mac_mask=mask))
 
 
 def test_defense_config_validation():
@@ -44,12 +49,9 @@ def test_defenses_do_not_hurt_benign_throughput():
 
 
 def test_rotation_defeats_the_slow_primary():
-    vanilla = run_deployment(
-        tiny_pbft_config(), 8, replica_behaviors={0: slow_primary()}, seed=2
-    )
-    hardened = run_deployment(
-        hardened_config(), 8, replica_behaviors={0: slow_primary()}, seed=2
-    )
+    attack = PbftAttack(replica_behaviors={0: slow_primary()})
+    vanilla = run_deployment(tiny_pbft_config(), 8, attack, seed=2)
+    hardened = run_deployment(hardened_config(), 8, attack, seed=2)
     assert vanilla.completed_requests <= 8  # the bug in action
     assert hardened.view_changes >= 1  # the primary gets deposed
     assert hardened.completed_requests > vanilla.completed_requests * 10
@@ -59,8 +61,11 @@ def test_rotation_defeats_the_colluding_variant():
     hardened = run_deployment(
         hardened_config(),
         8,
-        malicious_clients=[ClientBehavior(broadcast_always=True)],
-        replica_behaviors={0: slow_primary(serve_only="mclient-0")},
+        PbftAttack(
+            client_behavior=ClientBehavior(broadcast_always=True),
+            replica_behaviors={0: slow_primary(serve_only="mclient-0")},
+        ),
+        n_malicious_clients=1,
         seed=3,
     )
     assert hardened.completed_requests > 100
@@ -75,9 +80,7 @@ def test_signatures_remove_the_bigmac_asymmetry():
         crash_after_consecutive_view_changes=3,
     )
     benign = run_deployment(config, 8, seed=4)
-    attacked = run_deployment(
-        config, 8, malicious_clients=[ClientBehavior(mac_mask=0x00E)], seed=4
-    )
+    attacked = run_deployment(config, 8, mac_attack(0x00E), n_malicious_clients=1, seed=4)
     assert attacked.throughput_rps > benign.throughput_rps * 0.7
     assert attacked.crashed_replicas == 0
 
@@ -88,9 +91,7 @@ def test_blacklisting_stops_the_corrupt_retransmission_storm():
         measurement_us=500_000,
         crash_after_consecutive_view_changes=3,
     )
-    attacked = run_deployment(
-        config, 8, malicious_clients=[ClientBehavior(mac_mask=0xFFF)], seed=5
-    )
+    attacked = run_deployment(config, 8, mac_attack(0xFFF), n_malicious_clients=1, seed=5)
     assert attacked.crashed_replicas == 0
     benign = run_deployment(config, 8, seed=5)
     assert attacked.throughput_rps > benign.throughput_rps * 0.7
@@ -104,9 +105,8 @@ def test_blacklist_threshold_is_honored():
         measurement_us=500_000,
         crash_after_consecutive_view_changes=None,
     )
-    deployment = PbftDeployment(
-        config, 4, malicious_clients=[ClientBehavior(mac_mask=0xFFF)], seed=6
-    )
+    deployment = PbftDeployment(config, 4, n_malicious_clients=1, seed=6)
+    deployment.install_attack(mac_attack(0xFFF))
     deployment.run()
     # Every replica eventually blacklists the all-corrupt client.
     blacklisting = [r for r in deployment.replicas if "mclient-0" in r.blacklisted]

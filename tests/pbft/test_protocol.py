@@ -84,6 +84,14 @@ def test_needs_at_least_one_correct_client(tiny_config):
         PbftDeployment(tiny_config, n_correct_clients=0)
 
 
+def test_prefix_must_end_before_activation(tiny_config):
+    # A captured prefix must be attack-independent: it stops short of the
+    # activation event, so an attack armed at t=0 leaves no prefix at all.
+    with pytest.raises(ValueError):
+        PbftDeployment(tiny_config, n_correct_clients=2).run_prefix(0)
+    PbftDeployment(tiny_config, n_correct_clients=2, attack_start_us=10).run_prefix(9)
+
+
 def test_tail_throughput_close_to_average_when_stable(tiny_config):
     result = run_deployment(tiny_config, n_correct_clients=6, seed=13)
     assert result.tail_throughput_rps == pytest.approx(result.throughput_rps, rel=0.25)

@@ -1,7 +1,10 @@
 """View-change protocol mechanics."""
 
-from repro.pbft import ClientBehavior, PbftDeployment, run_deployment
+from repro.pbft import ClientBehavior, PbftAttack, PbftDeployment, run_deployment
 from tests.conftest import tiny_pbft_config
+
+
+STORM = PbftAttack(client_behavior=ClientBehavior(mac_mask=0xFFF))
 
 
 def storm_deployment(**overrides):
@@ -9,12 +12,9 @@ def storm_deployment(**overrides):
     overrides.setdefault("crash_after_consecutive_view_changes", None)
     overrides.setdefault("measurement_us", 500_000)
     config = tiny_pbft_config(**overrides)
-    return PbftDeployment(
-        config,
-        n_correct_clients=6,
-        malicious_clients=[ClientBehavior(mac_mask=0xFFF)],
-        seed=9,
-    )
+    deployment = PbftDeployment(config, n_correct_clients=6, n_malicious_clients=1, seed=9)
+    deployment.install_attack(STORM)
+    return deployment
 
 
 def test_view_changes_rotate_the_primary():
@@ -76,7 +76,8 @@ def test_crash_threshold_counts_only_unresolved_suspicion():
     crashing = run_deployment(
         tiny_pbft_config(measurement_us=500_000, crash_after_consecutive_view_changes=3),
         n_correct_clients=6,
-        malicious_clients=[ClientBehavior(mac_mask=0xFFF)],
+        attack=STORM,
+        n_malicious_clients=1,
         seed=9,
     )
     assert crashing.crashed_replicas >= 3
