@@ -677,13 +677,16 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--out", help="save results to this JSON file")
     campaign.add_argument(
         "--scenario-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock deadline per scenario; overruns are retried, then "
-             "quarantined (default: no deadline)",
+        help="wall-clock backstop on a scenario running on a worker "
+             "(--workers >= 2 or --hosts): a worker past it is reset and the "
+             "scenario re-driven, then quarantined as timeout (default: none). "
+             "In-process scenarios have none; every scenario's own deadline "
+             "is its simulation's event budget",
     )
     campaign.add_argument(
         "--retries", type=int, default=3, metavar="N",
-        help="execution attempts per scenario for transient failures "
-             "(timeouts, worker crashes) before quarantine (default: 3)",
+        help="attempts per scenario whose worker died or hit the backstop, "
+             "before quarantine (default: 3)",
     )
     campaign.add_argument(
         "--checkpoint", metavar="PATH",

@@ -15,7 +15,6 @@ from .failures import (
     Quarantine,
     RetryPolicy,
     ScenarioFailure,
-    ScenarioTimeout,
 )
 from .exploration import (
     AnnealingExploration,
@@ -100,7 +99,6 @@ __all__ = [
     "ScenarioExecutor",
     "ScenarioFailure",
     "ScenarioResult",
-    "ScenarioTimeout",
     "SimSnapshot",
     "SnapshotCache",
     "SnapshotError",

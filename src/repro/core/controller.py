@@ -71,10 +71,12 @@ class ControllerConfig:
     fixed_mutate_distance: Optional[float] = None
     #: Ablation X2: sample plugins uniformly instead of by fitness gain.
     uniform_plugin_choice: bool = False
-    #: Wall-clock deadline per scenario, in seconds (None = no deadline).
+    #: Wall-clock backstop, in seconds, on one scenario in flight on a
+    #: worker channel (``--workers`` >= 2 or ``--hosts``; None = none). A
+    #: scenario's own deadline is its simulation's event budget.
     scenario_timeout: Optional[float] = None
-    #: Retry budget + backoff for transient failures (timeouts, worker
-    #: crashes).
+    #: Re-drive budget + backoff for a scenario whose worker was lost (it
+    #: died, or sat past the backstop).
     retry: RetryPolicy = RetryPolicy()
     #: Coverage-novelty blend for parent selection: 0 = the paper's pure
     #: impact-weighted sampling (legacy RNG behaviour, bit-for-bit), 1 =

@@ -10,10 +10,10 @@ Two execution entry points:
 
 - :meth:`ScenarioExecutor.execute_isolated` is the campaign contract, the
   only one the execution fabric calls: target exceptions, impact-contract
-  violations, and wall-clock deadline overruns are classified (see
+  violations, and event-budget overruns are classified (see
   :mod:`repro.core.failures`) and converted into zero-impact
-  :class:`ScenarioFailure` results; transient kinds are retried with
-  exponential backoff first.
+  :class:`ScenarioFailure` results. Each is a pure function of the
+  scenario, so there is one attempt and no retry.
 - :meth:`ScenarioExecutor.execute` is the raw re-execution oracle: any
   target exception propagates. No campaign runs through it; the
   benchmark's re-execution check and the tests compare against it.
@@ -26,24 +26,20 @@ from __future__ import annotations
 
 import logging
 import math
-import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..sim.rng import derive_seed
+from ..sim.simulator import EventBudgetExceeded
 from ..telemetry.bus import TelemetryBus
 from ..telemetry.events import ScenarioExecuted, key_dict
 from . import snapshot as snapshot_mod
 from .failures import (
     HARNESS_BUG,
     FailureSignal,
-    RetryPolicy,
     ScenarioFailure,
-    ScenarioTimeout,
     TARGET_FAULT,
     TIMEOUT,
-    TRANSIENT_KINDS,
     describe_exception,
-    scenario_deadline,
 )
 from .scenario import ScenarioResult, TestScenario
 from .target import Target, verify_target
@@ -59,28 +55,17 @@ class ScenarioExecutor:
     Each scenario's simulation seed derives from the campaign seed and the
     scenario's coordinates, so re-running an already-explored point (which
     the Omega dedup set prevents anyway) would reproduce the same result —
-    and a retried transient failure re-executes the identical test.
+    and a scenario re-driven after its worker was lost re-executes the
+    identical test.
     """
 
-    def __init__(
-        self,
-        target: Target,
-        campaign_seed: int = 0,
-        timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if timeout is not None and not timeout > 0:
-            raise ValueError("timeout must be positive (or None to disable)")
+    def __init__(self, target: Target, campaign_seed: int = 0) -> None:
         verify_target(target)  # fail fast, naming the missing members
         self.target = target
         self.campaign_seed = campaign_seed
-        self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
         self.executed = 0
         #: Terminal scenario failures produced through the isolated path.
         self.failures = 0
-        self._sleep = sleep
 
     def scenario_seed(self, scenario: TestScenario, params: Dict[str, object]) -> int:
         """The simulation seed for one scenario.
@@ -135,7 +120,7 @@ class ScenarioExecutor:
     # crash-safe execution
     # ------------------------------------------------------------------
     def _attempt(self, scenario: TestScenario, test_index: int) -> ScenarioResult:
-        """One classified execution attempt.
+        """One classified execution.
 
         Raises :class:`FailureSignal` carrying the failure kind;
         ``KeyboardInterrupt``/``SystemExit`` always propagate so a campaign
@@ -144,9 +129,8 @@ class ScenarioExecutor:
         params = self.target.hyperspace.params(scenario.coords)
         seed = self.scenario_seed(scenario, params)
         try:
-            with scenario_deadline(self.timeout):
-                measurement = self.target.execute(params, seed)
-        except ScenarioTimeout as exc:
+            measurement = self.target.execute(params, seed)
+        except EventBudgetExceeded as exc:
             raise FailureSignal(TIMEOUT, str(exc)) from exc
         except FailureSignal:
             raise
@@ -158,7 +142,7 @@ class ScenarioExecutor:
             # itself are classified like any first attempt.
             try:
                 measurement = self._snapshot_fallback(scenario, test_index, params, seed, exc)
-            except ScenarioTimeout as fallback_exc:
+            except EventBudgetExceeded as fallback_exc:
                 raise FailureSignal(TIMEOUT, str(fallback_exc)) from fallback_exc
             except Exception as fallback_exc:
                 raise FailureSignal(TARGET_FAULT, describe_exception(fallback_exc)) from fallback_exc
@@ -191,29 +175,20 @@ class ScenarioExecutor:
             describe_exception(exc),
         )
         with snapshot_mod.disabled():
-            with scenario_deadline(self.timeout):
-                return self.target.execute(params, seed)
+            return self.target.execute(params, seed)
 
     def execute_isolated(self, scenario: TestScenario, test_index: int) -> ScenarioResult:
         """Execute with fault isolation: never raises on a failing scenario.
 
-        Transient failures (timeouts) are retried up to the policy's
-        attempt budget with exponential backoff; everything else fails
-        fast. A terminal failure comes back as a zero-impact
-        :class:`ScenarioFailure` for the caller to record and quarantine.
+        One attempt: every failure classified here — including a spent
+        event budget — is a pure function of ``(campaign_seed, scenario)``,
+        so running it again would fail the same way. It comes back as a
+        zero-impact :class:`ScenarioFailure` (``attempts == 1``) for the
+        caller to record and quarantine.
         """
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return self._attempt(scenario, test_index)
-            except FailureSignal as failure:
-                kind, error = failure.kind, failure.error
-            if kind in TRANSIENT_KINDS and attempts < self.retry.max_attempts:
-                delay = self.retry.delay(attempts)
-                if delay > 0:
-                    self._sleep(delay)
-                continue
+        try:
+            return self._attempt(scenario, test_index)
+        except FailureSignal as failure:
             self.failures += 1
             return ScenarioFailure(
                 scenario=scenario,
@@ -221,43 +196,19 @@ class ScenarioExecutor:
                 test_index=test_index,
                 measurement=None,
                 params=self.target.hyperspace.params(scenario.coords),
-                kind=kind,
-                error=error,
-                attempts=attempts,
+                kind=failure.kind,
+                error=failure.error,
             )
 
 
 def _scope_seed(campaign_seed: int, scope: str) -> int:
     """The one seed every scenario of seed-equivalence class ``scope`` runs on.
 
-    The executor seeds scenarios through this and :func:`warm_prefixes`
-    seeds the prefixes it captures ahead of time through it. Both live in
-    this module: if they drifted, every warm capture would be keyed by a
-    seed no scenario ever asks for.
+    A prefix is captured by the first scenario of its class that runs, so
+    the prefix's seed and the scenarios' seed are this one value by
+    construction.
     """
     return derive_seed(campaign_seed, f"scenario-scope:{scope}")
-
-
-def warm_prefixes(specs: Iterable[snapshot_mod.ForkableSpec], campaign_seed: int) -> int:
-    """Capture the benign prefix of every timed spec in ``specs`` ahead of time.
-
-    A target's ``warm_caches`` passes the specs of every prefix shape its
-    hyperspace can reach, so set-up pays for the captures and a forked
-    local worker inherits them. Stops after the cache's capacity of specs;
-    entries left by another campaign do not count against it (the LRU
-    evicts them). Returns the number of prefixes captured.
-    """
-    if not snapshot_mod.enabled():
-        return 0
-    cache = snapshot_mod.cache()
-    warmed = 0
-    for spec in itertools.islice(specs, cache.max_entries):
-        seed = _scope_seed(campaign_seed, spec.seed_scope())
-        key = spec.snapshot_key(seed)
-        if key not in cache:
-            cache.get_or_capture(key, lambda: spec.build_prefix(seed))
-            warmed += 1
-    return warmed
 
 
 def batch_sched(size: int, slot: int) -> Dict[str, int]:
@@ -338,6 +289,5 @@ __all__ = [
     "Target",
     "batch_sched",
     "publish_executed",
-    "warm_prefixes",
     "warm_target",
 ]

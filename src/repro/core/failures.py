@@ -19,13 +19,15 @@ The model distinguishes four failure kinds:
     returned NaN / a value outside [0, 1]. Also deterministic; quarantined
     so one buggy adapter region cannot poison the whole campaign.
 ``timeout``
-    The scenario exceeded its wall-clock deadline. Transient (a loaded
-    machine can time out a healthy scenario), so retried with exponential
-    backoff before quarantine.
+    Either the scenario spent its simulation's event budget
+    (:class:`~repro.sim.simulator.EventBudgetExceeded`) — a pure function of
+    the scenario, so never retried — or a worker sat past the wall-clock
+    backstop on its channel, which the fabric resets and re-drives like a
+    crash before quarantine.
 ``worker-crash``
     A worker died mid-scenario (``os._exit``, segfault, OOM kill, torn
     connection). Transient from the campaign's point of view: the workers
-    are reset and the scenario retried before quarantine.
+    are reset and the scenario re-driven before quarantine.
 
 Failures are first-class results: a :class:`ScenarioFailure` *is* a
 :class:`~repro.core.scenario.ScenarioResult` with ``impact == 0.0``, so
@@ -35,12 +37,8 @@ while ``result.failed`` lets callers filter.
 
 from __future__ import annotations
 
-import math
-import signal
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 from .hyperspace import CoordsKey
 from .scenario import ScenarioResult
@@ -51,13 +49,6 @@ HARNESS_BUG = "harness-bug"
 TIMEOUT = "timeout"
 WORKER_CRASH = "worker-crash"
 
-#: Kinds that are retried (with backoff) before quarantine.
-TRANSIENT_KINDS = frozenset({TIMEOUT, WORKER_CRASH})
-
-
-class ScenarioTimeout(Exception):
-    """A scenario exceeded its wall-clock deadline."""
-
 
 @dataclass(frozen=True)
 class ScenarioFailure(ScenarioResult):
@@ -65,8 +56,9 @@ class ScenarioFailure(ScenarioResult):
 
     ``kind`` is one of the module-level failure kinds; ``error`` is a
     human-readable description of the last failure; ``attempts`` counts how
-    many executions were tried before giving up (1 for non-transient
-    kinds, up to ``RetryPolicy.max_attempts`` for transient ones).
+    many executions were tried before giving up: 1 for a scenario that
+    failed where it ran, up to ``RetryPolicy.max_attempts`` for one whose
+    worker was lost and re-driven.
     """
 
     kind: str = TARGET_FAULT
@@ -80,7 +72,7 @@ class ScenarioFailure(ScenarioResult):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry budget and exponential backoff for transient failures."""
+    """Retry budget and exponential backoff for re-driving lost workers."""
 
     #: Total execution attempts (1 = no retries).
     max_attempts: int = 3
@@ -212,35 +204,6 @@ def describe_exception(exc: BaseException) -> str:
     return f"{described} [{module}.{tb.tb_frame.f_code.co_name}:{tb.tb_lineno}]"
 
 
-def _alarm_usable() -> bool:
-    return hasattr(signal, "SIGALRM") and threading.current_thread() is threading.main_thread()
-
-
-@contextmanager
-def scenario_deadline(seconds: Optional[float]):
-    """Raise :class:`ScenarioTimeout` if the block outlives ``seconds``.
-
-    Enforced with ``SIGALRM`` (main thread, POSIX). Where the alarm is not
-    usable — non-main thread, platforms without ``SIGALRM`` — the block
-    runs without a deadline; a scenario executing on a worker is still
-    covered by the controller's wall-clock backstop on the channel.
-    """
-    if not seconds or seconds <= 0 or not math.isfinite(seconds) or not _alarm_usable():
-        yield
-        return
-
-    def _expire(signum, frame):
-        raise ScenarioTimeout(f"scenario exceeded its {seconds}s wall-clock deadline")
-
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 __all__ = [
     "HARNESS_BUG",
     "FailureSignal",
@@ -248,11 +211,8 @@ __all__ = [
     "QuarantineEntry",
     "RetryPolicy",
     "ScenarioFailure",
-    "ScenarioTimeout",
     "TARGET_FAULT",
     "TIMEOUT",
-    "TRANSIENT_KINDS",
     "WORKER_CRASH",
     "describe_exception",
-    "scenario_deadline",
 ]

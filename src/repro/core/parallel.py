@@ -28,9 +28,9 @@ A batch takes one of two routes:
   run on this object's own
   :class:`~repro.core.executor.ScenarioExecutor`, on the calling thread.
   With ``batch_size=1`` this *is* the paper's serial loop. Local execution
-  is deliberately not modelled as one more channel: channels are driven
-  from puller threads, and the ``SIGALRM`` scenario deadline exists only
-  on the main thread.
+  is deliberately not modelled as one more channel: a channel's failure
+  path is to reset its worker and re-drive the scenario elsewhere, and the
+  controller's own process cannot be reset.
 - **Workers.** Anything else is one ``WorkStealingScheduler.run`` over the
   live channels.
 
@@ -58,17 +58,18 @@ wall-clock. Only workers that never started end there; one lost
 mid-campaign never does (next paragraph).
 
 Crash safety. Workers run every scenario through their executor's
-*isolated* path, so target faults, harness bugs, and in-worker deadline
+*isolated* path, so target faults, harness bugs, and event-budget
 overruns come back as zero-impact
 :class:`~repro.core.failures.ScenarioFailure` values instead of
 exceptions. Failures the worker cannot report — a worker dying, a
-connection tearing, a worker stuck past the wall-clock backstop — surface
-as lost result slots. The channels are then reset (children killed,
-sessions dropped; reopened on next use) and the lost scenarios re-driven
-one at a time, so the culprit is identified exactly: it burns its own
-retry budget (fresh workers per attempt, exponential backoff between) and
-is quarantined as ``worker-crash``/``timeout`` without ever executing in
-the controller's process, while innocent batch-mates complete normally.
+connection tearing, a worker stuck past the wall-clock backstop
+(``timeout`` seconds on the channel) — surface as lost result slots. The
+channels are then reset (children killed, sessions dropped; reopened on
+next use) and the lost scenarios re-driven one at a time, so the culprit
+is identified exactly: it burns its own retry budget (fresh workers per
+attempt, exponential backoff between) and is quarantined as
+``worker-crash``/``timeout`` without ever executing in the controller's
+process, while innocent batch-mates complete normally.
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ class ParallelScenarioExecutor:
         coverage_capture: bool = False,
         hosts: Sequence[str] = (),
     ) -> None:
+        if timeout is not None and not timeout > 0:
+            raise ValueError("timeout must be positive (or None for no backstop)")
         self.target = target
         #: Propagated to every worker in the hello (and assumed already
         #: set in *this* process by the caller) so deployments on both
@@ -159,6 +162,9 @@ class ParallelScenarioExecutor:
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
         self.campaign_seed = campaign_seed
         self.workers = resolve_workers(workers)
+        #: Wall-clock backstop, in seconds, on one scenario in flight on a
+        #: worker channel (None = wait forever). In-process execution has
+        #: none: a scenario's own deadline is its simulation's event budget.
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.hosts = tuple(hosts)
@@ -171,9 +177,7 @@ class ParallelScenarioExecutor:
         self.fallback_serial = False
         self.fallback_reason: Optional[str] = None
         self._sleep = sleep
-        self._local = ScenarioExecutor(
-            target, campaign_seed=campaign_seed, timeout=timeout, retry=retry, sleep=sleep
-        )
+        self._local = ScenarioExecutor(target, campaign_seed=campaign_seed)
         #: One label per worker to open: host endpoints, else child names.
         #: Empty means every batch runs locally.
         self._endpoints: Tuple[str, ...] = self.hosts
@@ -243,8 +247,6 @@ class ParallelScenarioExecutor:
             self._hello = {
                 "target_blob": target_blob,
                 "campaign_seed": self.campaign_seed,
-                "timeout": self.timeout,
-                "retry": self.retry.to_dict(),
                 "coverage_capture": self.coverage_capture,
             }
         channels: List[Channel] = []
@@ -262,19 +264,6 @@ class ParallelScenarioExecutor:
         if not channels:
             self._degrade("no reachable worker hosts: " + ", ".join(refused))
         return channels
-
-    def _wait_budget(self) -> Optional[float]:
-        """Parent-side backstop for one in-flight scenario, or None.
-
-        The in-worker ``SIGALRM`` deadline fires first for scenarios that
-        hang in Python code; this backstop only catches workers stuck in
-        non-interruptible code. It covers a full in-worker retry cycle
-        (attempts x (deadline + backoff)) plus queueing slack.
-        """
-        if self.timeout is None:
-            return None
-        per_attempt = self.timeout + self.retry.backoff_max
-        return self.retry.max_attempts * per_attempt + 10.0
 
     # ------------------------------------------------------------------
     # execution
@@ -299,9 +288,8 @@ class ParallelScenarioExecutor:
         if not channels:
             results = [self._local.execute_isolated(*task) for task in tasks]
         else:
-            wait = self._wait_budget()
             results, lost = WorkStealingScheduler(channels).run(
-                tasks, lambda channel, task: channel.call(*task, wait)
+                tasks, lambda channel, task: channel.call(*task, self.timeout)
             )
             if lost:
                 self._reset_channels()
@@ -344,11 +332,10 @@ class ParallelScenarioExecutor:
             attempts += 1
             channels = self._live_channels()
             if not channels:
-                # Workers permanently unavailable: last resort is in-process,
-                # where the deadline/retry machinery still applies.
+                # Workers permanently unavailable: last resort is in-process.
                 return self._local.execute_isolated(scenario, test_index)
             try:
-                return channels[0].call(scenario, test_index, self._wait_budget())
+                return channels[0].call(scenario, test_index, self.timeout)
             except ChannelTimeout as exc:
                 kind, error = TIMEOUT, str(exc)
             except ChannelError as exc:

@@ -24,8 +24,7 @@ payload length followed by ``pickle.dumps((kind, payload))``. One
 connection is one *session*:
 
 - ``("hello", {...})`` — client opens the session: protocol version,
-  pickled target blob, campaign seed, per-scenario timeout, retry policy,
-  and the coverage-capture toggle.
+  pickled target blob, campaign seed, and the coverage-capture toggle.
 - ``("ready", {"protocol": N})`` — worker built its executor; or
   ``("error", reason)`` and the connection closes.
 - ``("exec", {"scenario": ..., "test_index": ...})`` — run one scenario
@@ -39,14 +38,10 @@ controller's RNG — it only maps ``(scenario, test_index)`` to a result,
 so *where* a scenario runs can never change *what* it measures. Workers
 may die or hang; the client side (:class:`repro.core.backends.Channel`)
 reports both as :exc:`~repro.core.backends.ChannelError` and the policy
-layer re-drives the affected scenarios.
-
-Scenario deadlines are ``SIGALRM``-based and therefore exist only on a
-process's main thread. A local worker serves its session on its main
-thread, so :func:`~repro.core.failures.scenario_deadline` fires inside
-it. A :class:`WorkerServer` session runs on a connection thread, where
-the deadline degrades to none and the client's wall-clock backstop (the
-socket timeout) catches a stuck scenario instead.
+layer re-drives the affected scenarios. A scenario's own deadline is its
+simulation's event budget, so a budget overrun is the same ``timeout``
+result on a local worker's main thread and on a :class:`WorkerServer`
+connection thread.
 """
 
 from __future__ import annotations
@@ -59,10 +54,10 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 from ..sim.trace import set_kind_capture
 from .executor import ScenarioExecutor, warm_target
-from .failures import RetryPolicy, describe_exception
+from .failures import describe_exception
 
 #: Version of the frame protocol; bumped on any incompatible change.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frame header: payload length as an unsigned 4-byte big-endian integer.
 _HEADER = struct.Struct(">I")
@@ -191,12 +186,8 @@ class WorkerSession:
                 set_kind_capture(True)
             target = pickle.loads(payload["target_blob"])
             warm_target(target)
-            retry_data = payload.get("retry")
             self.executor = ScenarioExecutor(
-                target,
-                campaign_seed=int(payload.get("campaign_seed", 0)),
-                timeout=payload.get("timeout"),
-                retry=RetryPolicy.from_dict(retry_data) if retry_data else None,
+                target, campaign_seed=int(payload.get("campaign_seed", 0))
             )
         except Exception as exc:
             send_frame(self.conn, "error", f"session setup failed: {describe_exception(exc)}")

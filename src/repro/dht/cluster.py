@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim import LanLatency, Network, Simulator
 from ..sim.clock import SECOND
+from ..sim.simulator import event_budget
 from .ids import node_id
 from .node import DhtConfig, DhtNode, MaliciousDhtNode, VictimEndpoint
 
@@ -48,6 +49,7 @@ class DhtDeployment:
     ``attack_start_us``. The benign prefix is therefore a pure function of
     (config, populations, seed), which is what the snapshot-and-fork executor
     captures; at ``attack_start_us=0`` the attack is in force from the start.
+    The simulator's event budget is the run's deadline, as for PBFT.
     """
 
     def __init__(
@@ -89,6 +91,9 @@ class DhtDeployment:
         stagger = max(config.lookup_interval_us // max(len(everyone), 1), 1)
         for index, node in enumerate(self.correct_nodes):
             node.start_workload(initial_delay_us=index * stagger)
+        self.simulator.event_budget = event_budget(
+            len(self.network.endpoints), config.warmup_us + config.measurement_us
+        )
 
         self._attack: Optional[DhtAttack] = None
         self._attack_start_us = attack_start_us

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.rng import derive_seed
 from ..sim import LanLatency, LatencyModel, Network, SECOND, Simulator
+from ..sim.simulator import event_budget
 from .attack import PbftAttack
 from .client import Client
 from .config import PbftConfig, client_name, malicious_client_name
@@ -67,7 +68,8 @@ class PbftDeployment:
     The deployment is always built benign: 3f+1 correct replicas, the
     correct clients, and ``n_malicious_clients`` designates that run as
     correct clients until an attack arms them. :meth:`install_attack` is
-    the only way to make anything malicious.
+    the only way to make anything malicious. The simulator's event budget
+    (:func:`~repro.sim.simulator.event_budget`) is the run's deadline.
 
     Parameters
     ----------
@@ -135,6 +137,9 @@ class PbftDeployment:
             )
             for index in range(n_malicious_clients)
         ]
+        self.simulator.event_budget = event_budget(
+            len(self.network.endpoints), config.warmup_us + config.measurement_us
+        )
 
         #: The activation event is a *priority* event (it never consumes the
         #: shared event sequence counter), so a deployment without an attack

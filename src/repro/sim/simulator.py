@@ -10,6 +10,13 @@ The run loop inlines the peek/pop cycle over the queue's raw heap (one heap
 traversal and zero method calls per event). ``tests/_reference.py`` swaps in
 a loop over the queue's public ``peek_time``/``pop`` API, and the
 trace-equivalence suite holds the two bit-identical for any seed.
+
+A scenario's deadline is counted in events, not seconds: a deployment sets
+:attr:`Simulator.event_budget` from its own shape (:func:`event_budget`),
+and :meth:`Simulator.run` raises :class:`EventBudgetExceeded` once the
+budget is spent with an event still due before the horizon. The count is
+part of the simulator's state, so a run forked from a snapshot trips at the
+same event as one from scratch, on any host and any thread.
 """
 
 from __future__ import annotations
@@ -22,15 +29,29 @@ import heapq
 import random
 from typing import Callable, Optional
 
-from .clock import TIME_INFINITY
+from .clock import SECOND, TIME_INFINITY
 from .events import EventHandle, EventQueue
 from .metrics import MetricsRegistry
 from .rng import RngRegistry
 from .trace import Tracer
 
+#: Events a deployment may execute per node per simulated second. Every
+#: campaign workload measured peaks below 3,000 and the densest test near
+#: 5,500 (EXPERIMENTS.md "Event budget"), so only a runaway reaches it.
+EVENTS_PER_NODE_SECOND = 100_000
+
+
+def event_budget(nodes: int, horizon_us: int) -> int:
+    """The event budget of a ``nodes``-node deployment run to ``horizon_us``."""
+    return EVENTS_PER_NODE_SECOND * nodes * horizon_us // SECOND
+
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation kernel."""
+
+
+class EventBudgetExceeded(SimulationError):
+    """A run spent its event budget with events still due before its horizon."""
 
 
 class Simulator:
@@ -52,6 +73,8 @@ class Simulator:
         self.metrics = MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.events_executed = 0
+        #: Cap on ``events_executed`` over the simulator's life; None = none.
+        self.event_budget: Optional[int] = None
         self._running = False
         self._stop_requested = False
 
@@ -110,18 +133,34 @@ class Simulator:
         ``until`` (the clock is then advanced to ``until``), when
         ``max_events`` events have run, or when :meth:`stop` is called from
         inside an event. Returns the number of events executed by this call.
+
+        Raises :class:`EventBudgetExceeded` when :attr:`event_budget` runs
+        out while an event at or before ``until`` is still pending.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         if until < self.now:
             raise SimulationError(f"cannot run into the past: {until} < {self.now}")
+        budget = self.event_budget
+        limit = max_events
+        if budget is not None:
+            left = max(0, budget - self.events_executed)
+            if limit is None or left < limit:
+                limit = left
         self._running = True
         self._stop_requested = False
         try:
-            executed = self._run_loop(until, max_events)
+            executed = self._run_loop(until, limit)
         finally:
             self._running = False
         self.events_executed += executed
+        # Capped by the budget rather than the caller, and the cap was hit.
+        if limit != max_events and executed == limit and not self._stop_requested:
+            pending = self.queue.peek_time()
+            if pending is not None and pending <= until:
+                raise EventBudgetExceeded(
+                    f"simulation exceeded its budget of {budget} events at t={self.now}us"
+                )
         if not self.queue and self.now < until < TIME_INFINITY:
             # Queue drained before the horizon: the system is quiescent, so
             # time simply advances to the requested horizon.
@@ -163,4 +202,10 @@ class Simulator:
         self._stop_requested = True
 
 
-__all__ = ["SimulationError", "Simulator"]
+__all__ = [
+    "EVENTS_PER_NODE_SECOND",
+    "EventBudgetExceeded",
+    "SimulationError",
+    "Simulator",
+    "event_budget",
+]

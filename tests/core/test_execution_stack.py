@@ -4,8 +4,9 @@ Local workers are child processes serving a ``WorkerSession`` over a
 socketpair, remote workers are ``repro worker`` hosts, and both sit behind
 the same ``Channel`` + ``WorkStealingScheduler``. Trajectory identity is
 pinned elsewhere (``test_parallel.py``, ``test_backends.py``); this file
-pins what identity tests cannot see: deadlines still fire *inside* local
-workers, children are reaped (or killed, when hung) and never orphaned,
+pins what identity tests cannot see: a spent event budget is the same
+``timeout`` verdict in-process, on a child and on a server thread,
+children are reaped (or killed, when hung) and never orphaned,
 degradation is announced, a long-lived worker does not leak threads, a
 bounded one (``--max-sessions``) finishes the sessions it admitted, and the
 wire speaks one dialect (a stale peer is refused at the hello, a reply
@@ -29,7 +30,7 @@ import time
 
 import pytest
 
-from repro.core import RetryPolicy, ScenarioFailure
+from repro.core import RetryPolicy, ScenarioExecutor, ScenarioFailure
 from repro.core.backends import Channel, ChannelError
 from repro.core.failures import TIMEOUT
 from repro.core.parallel import ParallelScenarioExecutor
@@ -41,7 +42,12 @@ from repro.core.worker import (
     serve_socket,
 )
 from tests.core.fake_target import HillTarget, LoadPlugin, MaskPlugin, make_hill_target
-from tests.core.test_failures import HangingTarget, scenario_for_mask
+from tests.core.test_failures import (
+    RUNAWAY_ERROR,
+    HangingTarget,
+    RunawayTarget,
+    scenario_for_mask,
+)
 from tests.core.test_parallel import make_batch
 
 ONE_ATTEMPT = RetryPolicy(max_attempts=1, backoff_base=0.0)
@@ -55,10 +61,6 @@ class BusyTarget(HillTarget):
         for value in range(200_000):
             total += value & 7
         return super().execute(params, seed)
-
-
-def hanging_batch(target, count=4):
-    return [scenario_for_mask(target, mask) for mask in range(count)]
 
 
 def wait_until(condition, seconds=10.0):
@@ -82,23 +84,34 @@ def process_gone(pid):
 # ---------------------------------------------------------------------------
 # deadlines, reaping, hung and orphaned children
 # ---------------------------------------------------------------------------
-def test_scenario_deadline_fires_inside_local_workers():
-    target = HangingTarget([MaskPlugin()], poison=range(256))
-    with ParallelScenarioExecutor(
-        target, campaign_seed=1, workers=2, timeout=0.05, retry=ONE_ATTEMPT
-    ) as pool:
-        assert pool._wait_budget() >= 10.0  # the parent backstop is far away
-        started = time.monotonic()
-        results = pool.execute_batch_isolated(hanging_batch(target), start_index=0)
-        elapsed = time.monotonic() - started
-        assert pool.pool_rebuilds == 0  # the workers reported it themselves
-        assert not pool.fallback_serial
-    assert elapsed < 5.0
-    assert [r.test_index for r in results] == [0, 1, 2, 3]
-    for result in results:
-        assert isinstance(result, ScenarioFailure)
-        assert result.kind == TIMEOUT
-        assert "deadline" in result.error
+def verdicts(results):
+    return [(r.kind, r.error, r.attempts, r.test_index, r.key) for r in results]
+
+
+def test_budget_overrun_is_one_timeout_wherever_it_runs():
+    # The deadline is the simulation's event budget, so where a scenario
+    # runs (main thread, child process, connection thread) cannot change it.
+    target = RunawayTarget([MaskPlugin()])
+    scenarios = [scenario_for_mask(target, mask) for mask in (1, 2, 3)]
+    local = ScenarioExecutor(target, campaign_seed=4)
+    in_process = [local.execute_isolated(s, index) for index, s in enumerate(scenarios)]
+    with ParallelScenarioExecutor(target, campaign_seed=4, workers=2) as pool:
+        on_children = pool.execute_batch_isolated(scenarios, start_index=0)
+        assert pool.pool_rebuilds == 0 and not pool.fallback_serial
+    server = WorkerServer().serve_in_thread()
+    try:
+        with ParallelScenarioExecutor(
+            target, campaign_seed=4, hosts=(server.endpoint,)
+        ) as pool:
+            on_thread = pool.execute_batch_isolated(scenarios, start_index=0)
+            assert pool.pool_rebuilds == 0 and not pool.fallback_serial
+    finally:
+        server.shutdown()
+    expected = [(TIMEOUT, RUNAWAY_ERROR, 1, i, s.key) for i, s in enumerate(scenarios)]
+    assert verdicts(in_process) == expected
+    assert verdicts(on_children) == expected
+    assert verdicts(on_thread) == expected
+    assert all(isinstance(r, ScenarioFailure) for r in in_process + on_children + on_thread)
 
 
 def test_close_reaps_local_workers_into_rusage_children():
@@ -117,12 +130,13 @@ def test_close_reaps_local_workers_into_rusage_children():
 
 
 def test_hung_worker_is_killed_by_the_reset_not_joined():
-    # No in-worker deadline (timeout=None), so only the parent backstop can
-    # end the 30 s sleep; shrink it instead of waiting out the real one.
+    # A sleep spends no events, so only the parent's wall-clock backstop can
+    # end the 30 s hang; a short one stands in for a realistic setting.
     target = HangingTarget([MaskPlugin()], poison=(3,))
     scenarios = [scenario_for_mask(target, mask) for mask in (1, 3, 5, 7)]
-    pool = ParallelScenarioExecutor(target, campaign_seed=3, workers=2, retry=ONE_ATTEMPT)
-    pool._wait_budget = lambda: 0.3
+    pool = ParallelScenarioExecutor(
+        target, campaign_seed=3, workers=2, timeout=0.3, retry=ONE_ATTEMPT
+    )
     started = time.monotonic()
     results = pool.execute_batch_isolated(scenarios, start_index=0)
     elapsed = time.monotonic() - started
@@ -233,8 +247,6 @@ def session_hello(target):
     return {
         "target_blob": pickle.dumps(target),
         "campaign_seed": 0,
-        "timeout": None,
-        "retry": None,
         "coverage_capture": False,
     }
 

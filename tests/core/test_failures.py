@@ -3,9 +3,10 @@
 The contract under test (see ``repro.core.failures`` / ``executor`` /
 ``parallel``): a failing scenario never takes the campaign down. It comes
 back as a zero-impact :class:`ScenarioFailure`, classified by kind —
-deterministic faults fail fast, transient faults (timeouts, worker
-crashes) are retried with exponential backoff — and terminal failures are
-quarantined so the generator never proposes them again.
+whatever fails inside an executor fails fast (one attempt), a worker that
+dies is reset and its scenario re-driven with exponential backoff — and
+terminal failures are quarantined so the generator never proposes them
+again.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.core import (
     RetryPolicy,
     ScenarioExecutor,
     ScenarioFailure,
-    ScenarioTimeout,
     TestController,
     TestScenario,
     run_campaign,
@@ -40,9 +40,9 @@ from repro.core.failures import (
     TIMEOUT,
     WORKER_CRASH,
     describe_exception,
-    scenario_deadline,
 )
 from repro.core.parallel import ParallelScenarioExecutor
+from repro.sim import SECOND, Simulator
 from tests._strategies import trajectory
 from tests.core.fake_target import HillTarget, LoadPlugin, MaskPlugin, make_hill_target
 
@@ -61,22 +61,6 @@ class PoisonedTarget(HillTarget):
         return super().execute(params, seed)
 
 
-class FlakyTimeoutTarget(HillTarget):
-    """Times out the first ``flaky`` executions of each scenario, then works."""
-
-    def __init__(self, plugins, flaky):
-        super().__init__(plugins)
-        self.flaky = flaky
-        self.attempts = {}
-
-    def execute(self, params, seed):
-        count = self.attempts.get(seed, 0) + 1
-        self.attempts[seed] = count
-        if count <= self.flaky:
-            raise ScenarioTimeout("simulated deadline overrun")
-        return super().execute(params, seed)
-
-
 class HangingTarget(HillTarget):
     """Sleeps far past any reasonable deadline on poisoned masks."""
 
@@ -88,6 +72,25 @@ class HangingTarget(HillTarget):
         if params["mask"] in self.poison:
             time.sleep(30.0)
         return super().execute(params, seed)
+
+
+class RunawayTarget(HillTarget):
+    """A simulation whose one event re-arms itself forever: it can only end
+    by spending its event budget (1,000 events: the last runs at t=999us)."""
+
+    def execute(self, params, seed):
+        simulator = Simulator(seed=seed)
+        simulator.event_budget = 1_000
+
+        def tick():
+            simulator.schedule(1, tick)
+
+        simulator.schedule(0, tick)
+        simulator.run(until=SECOND)
+        return super().execute(params, seed)
+
+
+RUNAWAY_ERROR = "simulation exceeded its budget of 1000 events at t=999us"
 
 
 class BadImpactTarget(HillTarget):
@@ -151,27 +154,6 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.01, backoff_max=0.05)
 
 
 # ---------------------------------------------------------------------------
-# the deadline context manager
-# ---------------------------------------------------------------------------
-def test_scenario_deadline_interrupts_a_hung_block():
-    with pytest.raises(ScenarioTimeout):
-        with scenario_deadline(0.05):
-            time.sleep(5.0)
-
-
-def test_scenario_deadline_disabled_values_are_noops():
-    for seconds in (None, 0, -1.0, float("inf"), float("nan")):
-        with scenario_deadline(seconds):
-            pass
-
-
-def test_scenario_deadline_clears_the_timer_on_exit():
-    with scenario_deadline(0.05):
-        pass
-    time.sleep(0.08)  # an un-cleared itimer would fire here and kill us
-
-
-# ---------------------------------------------------------------------------
 # retry policy
 # ---------------------------------------------------------------------------
 def test_retry_policy_backoff_schedule_is_exponential_and_capped():
@@ -223,7 +205,7 @@ def test_quarantine_records_merges_and_round_trips():
 # ---------------------------------------------------------------------------
 def test_raising_target_becomes_a_target_fault_without_retry():
     target = PoisonedTarget([MaskPlugin()], poison=range(256))
-    executor = ScenarioExecutor(target, campaign_seed=1, retry=FAST_RETRY)
+    executor = ScenarioExecutor(target, campaign_seed=1)
     scenario = scenario_for_mask(target, 3)
     result = executor.execute_isolated(scenario, test_index=0)
     assert isinstance(result, ScenarioFailure)
@@ -257,7 +239,7 @@ def test_raw_execute_still_raises():
 
 def test_impact_contract_violation_is_a_harness_bug():
     target = BadImpactTarget([MaskPlugin()], poison=range(256))
-    executor = ScenarioExecutor(target, campaign_seed=1, retry=FAST_RETRY)
+    executor = ScenarioExecutor(target, campaign_seed=1)
     result = executor.execute_isolated(scenario_for_mask(target, 3), test_index=0)
     assert isinstance(result, ScenarioFailure)
     assert result.kind == HARNESS_BUG
@@ -265,50 +247,20 @@ def test_impact_contract_violation_is_a_harness_bug():
     assert "outside [0, 1]" in result.error
 
 
-def test_transient_timeout_is_retried_with_backoff_then_succeeds():
-    target = FlakyTimeoutTarget([MaskPlugin()], flaky=2)
-    sleeps = []
-    executor = ScenarioExecutor(
-        target, campaign_seed=1, retry=FAST_RETRY, sleep=sleeps.append
-    )
-    result = executor.execute_isolated(scenario_for_mask(target, 3), test_index=0)
-    assert not result.failed  # third attempt succeeded
-    assert executor.failures == 0
-    assert sleeps == [FAST_RETRY.delay(1), FAST_RETRY.delay(2)]
-
-
-def test_transient_timeout_exhausts_retries_then_quarantines():
-    target = FlakyTimeoutTarget([MaskPlugin()], flaky=99)
-    sleeps = []
-    executor = ScenarioExecutor(
-        target, campaign_seed=1, retry=FAST_RETRY, sleep=sleeps.append
-    )
+def test_spent_event_budget_is_a_timeout_without_retry():
+    target = RunawayTarget([MaskPlugin()])
+    executor = ScenarioExecutor(target, campaign_seed=1)
     result = executor.execute_isolated(scenario_for_mask(target, 3), test_index=0)
     assert isinstance(result, ScenarioFailure)
     assert result.kind == TIMEOUT
-    assert result.attempts == FAST_RETRY.max_attempts
-    assert len(sleeps) == FAST_RETRY.max_attempts - 1
-
-
-def test_real_hang_is_cut_by_the_wall_clock_deadline():
-    target = HangingTarget([MaskPlugin()], poison=range(256))
-    executor = ScenarioExecutor(
-        target,
-        campaign_seed=1,
-        timeout=0.05,
-        retry=RetryPolicy(max_attempts=1),
-    )
-    start = time.monotonic()
-    result = executor.execute_isolated(scenario_for_mask(target, 3), test_index=0)
-    assert time.monotonic() - start < 5.0  # nowhere near the 30s sleep
-    assert isinstance(result, ScenarioFailure)
-    assert result.kind == TIMEOUT
-    assert "deadline" in result.error
+    assert result.attempts == 1  # a pure function of the scenario: no retry
+    assert result.error == RUNAWAY_ERROR
+    assert executor.failures == 1
 
 
 def test_keyboard_interrupt_is_never_swallowed():
     target = InterruptingTarget([MaskPlugin()], poison=range(256))
-    executor = ScenarioExecutor(target, campaign_seed=1, retry=FAST_RETRY)
+    executor = ScenarioExecutor(target, campaign_seed=1)
     with pytest.raises(KeyboardInterrupt):
         executor.execute_isolated(scenario_for_mask(target, 3), test_index=0)
 
@@ -316,7 +268,7 @@ def test_keyboard_interrupt_is_never_swallowed():
 def test_executor_rejects_nonpositive_timeouts():
     target, _ = make_hill_target()
     with pytest.raises(ValueError):
-        ScenarioExecutor(target, timeout=0.0)
+        ParallelScenarioExecutor(target, workers=2, timeout=0.0)
     with pytest.raises(ValueError):
         ControllerConfig(scenario_timeout=-1.0)
 
@@ -464,14 +416,3 @@ def test_a_dying_worker_never_sends_a_baseline_campaign_serial(monkeypatch, capl
     assert not pool.fallback_serial and pool.fallback_reason is None
     assert pool.pool_rebuilds >= len(poisoned)
     assert not [r for r in caplog.records if "degraded" in r.getMessage()]
-
-
-def test_wait_budget_covers_a_full_retry_cycle():
-    target, _ = make_hill_target()
-    retry = RetryPolicy(max_attempts=3, backoff_max=2.0)
-    pool = ParallelScenarioExecutor(target, workers=2, timeout=1.5, retry=retry)
-    assert pool._wait_budget() == pytest.approx(3 * (1.5 + 2.0) + 10.0)
-    pool.close()
-    no_deadline = ParallelScenarioExecutor(target, workers=2)
-    assert no_deadline._wait_budget() is None
-    no_deadline.close()

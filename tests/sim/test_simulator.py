@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import SimulationError, Simulator
+from repro.sim.simulator import EventBudgetExceeded
 from tests._reference import in_mode
 
 
@@ -173,3 +174,34 @@ def test_events_executed_counter_accumulates():
     sim.run(max_events=2)
     sim.run()
     assert sim.events_executed == 4
+
+
+def spaced(budget, count=10):
+    """A simulator with ``count`` events 10us apart and ``budget`` to spend."""
+    sim = Simulator()
+    sim.event_budget = budget
+    for i in range(count):
+        sim.schedule(i * 10, lambda: None)
+    return sim
+
+
+@pytest.mark.parametrize("optimized", [True, False], ids=["optimized", "reference"])
+def test_event_budget_trips_only_with_an_event_due(optimized):
+    with in_mode(optimized):
+        sim = spaced(budget=4)
+        assert sim.run(until=35) == 4  # spent, but nothing else is due by 35
+        with pytest.raises(EventBudgetExceeded, match=r"budget of 4 events at t=30us$"):
+            sim.run(until=45)
+        assert sim.events_executed == 4
+        exact = spaced(budget=10)
+        assert exact.run() == 10  # spending it on the last event is no overrun
+
+
+@pytest.mark.parametrize("optimized", [True, False], ids=["optimized", "reference"])
+def test_event_budget_skips_cancelled_events_and_max_events(optimized):
+    with in_mode(optimized):
+        sim = spaced(budget=3, count=3)
+        sim.cancel(sim.schedule(25, lambda: None))
+        assert sim.run(max_events=2) == 2  # the caller's cap, not the budget
+        assert sim.run() == 1  # the cancelled event at 25 is not due work
+        assert sim.events_executed == 3 and sim.now == 20

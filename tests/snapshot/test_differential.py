@@ -20,6 +20,9 @@ import hashlib
 import pytest
 
 from repro.core import snapshot
+from repro.sim import SECOND
+from repro.sim import simulator as simulator_mod
+from repro.sim.simulator import EventBudgetExceeded, event_budget
 from tests._reference import reference_mode
 from tests.snapshot.conftest import dht_spec, pbft_spec
 
@@ -132,3 +135,33 @@ def test_attack_timing_changes_the_snapshot_key():
     assert snapshot.cache().stats()[0] == 2
     # Later activation means a longer benign prefix.
     assert d_late.simulator.now > d_early.simulator.now
+
+
+@pytest.mark.parametrize("make_spec", [pbft_spec, dht_spec], ids=["pbft", "dht"])
+def test_budget_overrun_in_the_suffix_forks_like_scratch(make_spec, monkeypatch):
+    """The event budget counts ``events_executed``, which rides in the
+    snapshot: a fork and a from-scratch run trip at the same event."""
+    spec, seed = make_spec(), 7
+    prefix_events = spec.build_prefix(seed).simulator.events_executed
+    with snapshot.disabled():
+        full = spec.build(seed)
+    full.run()
+    nodes = len(full.network.endpoints)
+    horizon_us = spec.config.warmup_us + spec.config.measurement_us
+    halfway = (prefix_events + full.simulator.events_executed) // 2
+    monkeypatch.setattr(
+        simulator_mod, "EVENTS_PER_NODE_SECOND", halfway * SECOND // (nodes * horizon_us)
+    )
+    assert prefix_events < event_budget(nodes, horizon_us) < full.simulator.events_executed
+    snapshot.reset_cache()
+
+    def verdict():
+        deployment = spec.build(seed)  # the prefix stays inside the budget
+        with pytest.raises(EventBudgetExceeded) as overrun:
+            deployment.run()
+        return str(overrun.value)
+
+    forked = verdict()
+    assert snapshot.cache().stats()[2] == 1  # captured under the lowered budget
+    with snapshot.disabled():
+        assert verdict() == forked
