@@ -145,9 +145,9 @@ def _recipe(args) -> dict:
 
 def _build_target(recipe: dict):
     """(target, plugins) for a recipe — this invocation's or a checkpoint's."""
-    if recipe.get("target", "pbft") == "pbft":
-        plugins = _build_plugins(recipe.get("tools", "mac,clients").split(","))
-        config = _pbft_config(recipe.get("fixed_timers"), recipe.get("aardvark"))
+    if recipe["target"] == "pbft":
+        plugins = _build_plugins(recipe["tools"].split(","))
+        config = _pbft_config(recipe["fixed_timers"], recipe["aardvark"])
         return PbftTarget(plugins, config=config), plugins
     plugins = [RoutingPoisonPlugin()]
     return DhtTarget(plugins), plugins
@@ -275,20 +275,20 @@ def cmd_resume(args) -> int:
         data = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot resume: {exc}")
-    context = data.get("context", {})
-    run_params = data.get("run", {})
+    context = data["context"]
+    if "strategy" not in context:  # written through the library API
+        raise SystemExit("cannot resume: the checkpoint carries no `repro campaign` recipe")
+    run_params = data["run"]
     # Telemetry continues on the stream the campaign started, or starts
     # afresh on a new path given here.
-    stream = args.telemetry or context.get("telemetry")
-    continuing = stream == context.get("telemetry")
-    cursor = int(data.get("telemetry", {}).get("seq", 0))
+    stream = args.telemetry or context["telemetry"]
+    continuing = stream == context["telemetry"]
+    cursor = data["telemetry_seq"]
     bus = _open_bus(stream, args.progress, resume_seq=cursor if continuing else None)
 
     def job():
         controller = restore_controller(data, *_build_target(context), telemetry=bus)
-        budget = args.budget if args.budget is not None else int(run_params.get("budget", 0))
-        if budget < 1:
-            raise SystemExit("checkpoint carries no budget; pass --budget explicitly")
+        budget = args.budget if args.budget is not None else run_params["budget"]
         done = len(controller.results)
         if done >= budget:
             print(f"campaign already complete ({done}/{budget} tests); nothing to resume")
@@ -296,25 +296,21 @@ def cmd_resume(args) -> int:
         print(f"resuming campaign at test {done}/{budget} from {args.checkpoint} ...")
         # batch_size comes from the checkpoint: the trajectory depends on
         # it. The worker count is override-safe (wall-clock only).
-        workers = args.workers if args.workers is not None else run_params.get("workers", 1)
+        workers = args.workers if args.workers is not None else run_params["workers"]
         controller.run(
             CampaignSpec(
                 budget=budget,
                 workers=workers,
-                batch_size=run_params.get("batch_size"),
+                batch_size=run_params["batch_size"],
                 checkpoint_path=args.checkpoint,
-                checkpoint_every=int(run_params.get("checkpoint_every", 25)),
+                checkpoint_every=run_params["checkpoint_every"],
             )
         )
         return controller, stream
 
     controller, written = _run_closing(job, bus, "cannot resume: ")
-    # A checkpoint whose context predates the strategy key keeps the "avd"
-    # label resume always gave it.
-    campaign = CampaignResult(
-        strategy=context.get("strategy", "avd"), results=list(controller.results)
-    )
-    _report(campaign, args.out or context.get("out"), written)
+    campaign = CampaignResult(strategy=context["strategy"], results=list(controller.results))
+    _report(campaign, args.out or context["out"], written)
     return 0
 
 

@@ -137,6 +137,11 @@ class TestController:
         self._checkpoint_every: int = 25
         self._last_checkpoint_at: int = 0
         self._run_params: Dict[str, object] = {}
+        #: ``(run params, results so far, telemetry cursor)`` per checkpoint
+        #: record written or replayed, and the file this run appends them
+        #: to (None until the run's first write has rewritten it whole).
+        self._checkpoint_log: List[Tuple[Dict[str, object], int, int]] = []
+        self._checkpoint_file: Optional[str] = None
 
         self.top_set = TopSet(capacity=config.top_set_size)  # Pi
         self.pending: Deque[TestScenario] = deque()  # Psi
@@ -410,9 +415,10 @@ class TestController:
           ``batch_size`` controls speculative generation per round and
           defaults to two per worker slot, or ``1`` with no workers.
         - ``checkpoint_path`` makes the run crash-safe across process
-          death: a versioned checkpoint is written atomically at least
-          every ``checkpoint_every`` executed scenarios, and once more
-          when the budget completes; a controller restored from it
+          death: a checkpoint record is written at least every
+          ``checkpoint_every`` executed scenarios, and once more when the
+          budget completes (the run's first write rewrites the file
+          atomically, later ones append); a controller restored from it
           (``restore_controller`` / ``repro resume``) continues the
           campaign bit-identically to an uninterrupted run.
         - ``telemetry`` attaches a :class:`~repro.telemetry.TelemetryBus`:
@@ -436,6 +442,7 @@ class TestController:
         self._checkpoint_path = spec.checkpoint_path
         self._checkpoint_every = spec.checkpoint_every
         self._last_checkpoint_at = len(self.results)
+        self._checkpoint_file = None
         coverage_on = self.novelty_weight > 0.0
         # Coverage capture is sampled at deployment construction, so the
         # toggle only needs to cover this run; the previous override is
@@ -468,9 +475,7 @@ class TestController:
             self._write_checkpoint(spec.checkpoint_path)  # final state, resume-safe
         return results
 
-    def _run_batched(
-        self, budget: int, batch_size: int, pool: ParallelScenarioExecutor
-    ) -> List[ScenarioResult]:
+    def _run_batched(self, budget: int, batch_size: int, pool) -> List[ScenarioResult]:
         """The campaign loop: generate a batch, execute it, absorb it.
 
         With ``batch_size=1`` this is the paper's strictly sequential
@@ -478,6 +483,9 @@ class TestController:
         on the pool's local executor, never on a worker); larger batches
         trade a little guidance staleness — siblings are generated before
         their predecessors' impacts are known — for parallel execution.
+        ``pool`` is a :class:`ParallelScenarioExecutor`, or the replay
+        source with which ``restore_controller`` rebuilds a checkpointed
+        campaign by running this same loop over its recorded results.
         """
         while len(self.results) < budget:
             room = min(batch_size, budget - len(self.results))

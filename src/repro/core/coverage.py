@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 #: Number of quantization levels for throughput-timeline n-grams.
 SERIES_LEVELS = 4
 
-#: Length of the signature hex digest kept in events/checkpoints. 64 bits
+#: Length of the signature hex digest kept in events. 64 bits
 #: of SHA-256 is far beyond accidental-collision range for campaign-scale
 #: behaviour sets (≤ 10^6 distinct signatures).
 SIGNATURE_HEX_CHARS = 16
@@ -218,26 +218,6 @@ class CoverageMap:
 
     def __contains__(self, signature: str) -> bool:
         return signature in self.seen
-
-    # -- checkpointing -------------------------------------------------
-    def to_state(self) -> Dict[str, List[List[Any]]]:
-        """JSON-ready state: signature and feature counts, first-seen order."""
-        return {
-            "signatures": [[signature, count] for signature, count in self.seen.items()],
-            "features": [[feature, count] for feature, count in self.features.items()],
-        }
-
-    @classmethod
-    def from_state(cls, state: Optional[Mapping[str, Any]]) -> "CoverageMap":
-        """Rebuild from :meth:`to_state` output (``None``: an empty map)."""
-        out = cls()
-        if state is None:
-            return out
-        for signature, count in state.get("signatures") or ():
-            out.seen[str(signature)] = int(count)
-        for feature, count in state.get("features") or ():
-            out.features[str(feature)] = int(count)
-        return out
 
 
 __all__ = [

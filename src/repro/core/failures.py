@@ -123,8 +123,8 @@ class Quarantine:
 
     The controller records every terminal :class:`ScenarioFailure` here;
     since a quarantined key is also in Omega, the generator never proposes
-    it again. The set is serialized into campaign checkpoints so a resumed
-    campaign does not re-pay for known crashers.
+    it again. Checkpoints do not store it: a resumed campaign rebuilds it by
+    replaying the recorded failures, so it never re-pays for known crashers.
     """
 
     def __init__(self) -> None:
@@ -151,30 +151,6 @@ class Quarantine:
     @property
     def entries(self) -> List[QuarantineEntry]:
         return list(self._entries.values())
-
-    def to_list(self) -> List[Dict[str, Any]]:
-        return [
-            {
-                "key": [list(pair) for pair in entry.key],
-                "kind": entry.kind,
-                "error": entry.error,
-                "attempts": entry.attempts,
-            }
-            for entry in self._entries.values()
-        ]
-
-    @classmethod
-    def from_list(cls, data: List[Dict[str, Any]]) -> "Quarantine":
-        quarantine = cls()
-        for item in data:
-            key: CoordsKey = tuple((str(name), int(pos)) for name, pos in item["key"])
-            quarantine.record(
-                key,
-                kind=item.get("kind", TARGET_FAULT),
-                error=item.get("error", ""),
-                attempts=int(item.get("attempts", 1)),
-            )
-        return quarantine
 
 
 class FailureSignal(Exception):

@@ -10,13 +10,18 @@ Format history
 --------------
 - **v1** — results with coords/params/origin/plugin/mutate_distance
   (no longer loaded: nothing has written it since v2 landed).
-- **v2** (current) — adds per-result ``parent_key`` provenance and a
-  ``failure`` block (kind/error/attempts) for crash-safe campaigns, plus
-  the *campaign checkpoint* document (``kind: "avd-checkpoint"``): the
-  complete Test Controller state — executed results, RNG state, plugin
-  fitness stats, the pending queue Psi with its parent-impact map, and
-  the quarantine — written atomically so a killed campaign resumes
-  bit-identically (``restore_controller`` / ``repro resume``).
+- **v2** — adds per-result ``parent_key`` provenance and a ``failure``
+  block (kind/error/attempts), plus a checkpoint document that carried a
+  second, hand-serialized copy of the controller's state (RNG, plugin
+  stats, Psi, quarantine, coverage). No longer loaded.
+- **v3** (current) — campaign files are unchanged from v2. A checkpoint
+  (``kind: "avd-checkpoint"``) is JSON Lines: a header line with the
+  campaign's recipe (seed, controller config, plugin names, caller
+  context), then one record per checkpoint write holding the run's
+  parameters, the results absorbed since the previous record and the
+  telemetry cursor. Everything else is rebuilt by replaying those results
+  through the controller's own loop (``restore_controller`` /
+  ``repro resume``), so a killed campaign resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .failures import RetryPolicy, ScenarioFailure
 from .hyperspace import CoordsKey, coords_key
 from .scenario import ScenarioResult, TestScenario
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 CHECKPOINT_KIND = "avd-checkpoint"
 
 
@@ -175,22 +180,22 @@ def campaign_from_dict(data: Dict[str, Any]) -> CampaignResult:
     return CampaignResult(strategy=data["strategy"], results=results)
 
 
-def _atomic_write_json(path: Union[str, Path], data: Dict[str, Any]) -> None:
-    """Write JSON so a crash mid-write never leaves a torn file.
+def _atomic_write(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` so a crash mid-write never leaves a torn file.
 
-    The document is serialized to a sibling temp file and moved into place
-    with ``os.replace`` (atomic on POSIX): readers see either the previous
+    The text goes to a sibling temp file that is moved into place with
+    ``os.replace`` (atomic on POSIX): readers see either the previous
     complete file or the new complete file, never a prefix.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data, indent=2))
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
 def save_campaign(campaign: CampaignResult, path: Union[str, Path]) -> None:
     """Write a campaign to ``path`` as JSON (atomically)."""
-    _atomic_write_json(path, campaign_to_dict(campaign))
+    _atomic_write(path, json.dumps(campaign_to_dict(campaign), indent=2))
 
 
 def load_campaign(path: Union[str, Path]) -> CampaignResult:
@@ -201,106 +206,111 @@ def load_campaign(path: Union[str, Path]) -> CampaignResult:
 # ---------------------------------------------------------------------------
 # campaign checkpoints
 # ---------------------------------------------------------------------------
-def checkpoint_to_dict(controller) -> Dict[str, Any]:
-    """Serialize a Test Controller's complete campaign state.
-
-    Everything the meta-heuristic has learned or committed to is captured:
-    executed results (Pi and Omega are rebuilt from them by deterministic
-    replay), the controller's RNG state, per-plugin fitness-gain stats,
-    the pending queue Psi with the parent-impact map that feeds those
-    stats, and the quarantine. Restoring this state and continuing is
-    bit-identical to never having stopped.
-    """
-    config = controller.config
-    rng_version, rng_internal, rng_gauss = controller.rng.getstate()
+def _checkpoint_header(controller) -> Dict[str, Any]:
+    """The campaign's recipe: everything replay needs besides its results."""
     return {
         "format_version": FORMAT_VERSION,
         "kind": CHECKPOINT_KIND,
         "campaign_seed": controller.campaign_seed,
-        "config": {
-            "top_set_size": config.top_set_size,
-            "seed_tests": config.seed_tests,
-            "random_restart_rate": config.random_restart_rate,
-            "dedup_retries": config.dedup_retries,
-            "fixed_mutate_distance": config.fixed_mutate_distance,
-            "uniform_plugin_choice": config.uniform_plugin_choice,
-            "scenario_timeout": config.scenario_timeout,
-            "novelty_weight": controller.novelty_weight,
-            "retry": config.retry.to_dict(),
-        },
-        "rng_state": [rng_version, list(rng_internal), rng_gauss],
-        "max_impact": controller.max_impact,
-        "plugin_stats": {
-            name: {
-                "selections": stats.selections,
-                "total_gain": stats.total_gain,
-                "improvements": stats.improvements,
-            }
-            for name, stats in controller.plugin_sampler.stats.items()
-        },
-        "pending": [
-            {
-                "coords": dict(scenario.coords),
-                "parent_key": _key_to_jsonable(scenario.parent_key),
-                "plugin": scenario.plugin,
-                "mutate_distance": scenario.mutate_distance,
-                "origin": scenario.origin,
-            }
-            for scenario in controller.pending
-        ],
-        "parent_impact": [
-            [_key_to_jsonable(key), impact]
-            for key, impact in controller._parent_impact.items()
-        ],
-        "quarantine": controller.quarantine.to_list(),
-        # The seen-behaviour map and its per-scenario signatures. Stored
-        # verbatim (not recomputed on restore): loaded measurements are
-        # attribute views, and replaying extraction over them must never
-        # be able to drift from what the live run observed.
-        "coverage": {
-            "seen": controller.coverage.to_state(),
-            "signatures": [
-                [_key_to_jsonable(key), signature]
-                for key, signature in controller._signatures.items()
-            ],
-            "features": [
-                [_key_to_jsonable(key), list(features)]
-                for key, features in controller._features.items()
-            ],
-            "corpus": [_key_to_jsonable(key) for key in controller._novel_corpus],
-        },
-        "results": [_result_to_dict(result) for result in controller.results],
-        "run": dict(controller._run_params),
+        "config": dataclasses.asdict(controller.config),
+        "plugins": list(controller.plugins),
         "context": dict(controller.checkpoint_context),
-        # The telemetry cursor: how many events the bus has sequenced so
-        # far. A resumed campaign fast-forwards its bus past this so an
-        # appended JSONL stream never reuses sequence numbers. (Old v2
-        # checkpoints without the key restore with a cursor of 0.)
-        "telemetry": {"seq": int(controller.telemetry.seq)},
     }
 
 
+def _record_line(results: List[ScenarioResult], log, index: int) -> str:
+    """Record ``index`` of a checkpoint log, as one JSON line."""
+    run, end, telemetry_seq = log[index]
+    start = log[index - 1][1] if index else 0
+    record = {
+        "run": run,
+        "results": [_result_to_dict(result) for result in results[start:end]],
+        "telemetry_seq": telemetry_seq,
+    }
+    return json.dumps(record) + "\n"
+
+
 def save_checkpoint(controller, path: Union[str, Path]) -> None:
-    """Atomically write a campaign checkpoint (crash-safe: never torn)."""
-    _atomic_write_json(path, checkpoint_to_dict(controller))
+    """Write the campaign's next checkpoint record.
+
+    A run's first write rewrites the file atomically (temp file +
+    ``os.replace``): the header plus every record so far. Its later writes
+    append one line holding only the results absorbed since the previous
+    write; a kill can tear that line, never an earlier one.
+    """
+    path = str(path)
+    results = controller.results
+    log = controller._checkpoint_log + [
+        (dict(controller._run_params), len(results), int(controller.telemetry.seq))
+    ]
+    if controller._checkpoint_file == path:
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(_record_line(results, log, len(log) - 1))
+    else:
+        lines = [_record_line(results, log, index) for index in range(len(log))]
+        _atomic_write(path, json.dumps(_checkpoint_header(controller)) + "\n" + "".join(lines))
+        controller._checkpoint_file = path
+    controller._checkpoint_log = log
 
 
 def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read and validate a checkpoint document written by :func:`save_checkpoint`."""
-    data = json.loads(Path(path).read_text())
-    _check_version(data)
-    if data.get("kind") != CHECKPOINT_KIND:
+    """Read and validate a checkpoint written by :func:`save_checkpoint`.
+
+    Returns the header with the ``records`` list, every recorded result
+    under ``results``, and the last record's ``run`` and
+    ``telemetry_seq``. An unparseable final line (a write torn by a kill)
+    is dropped, so the checkpoint loads as of the previous record; any
+    other corrupt line is refused.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    header, end = json.JSONDecoder().raw_decode(text)
+    _check_version(header)
+    if header.get("kind") != CHECKPOINT_KIND:
         raise ValueError(
-            f"not a campaign checkpoint: kind={data.get('kind')!r} "
+            f"not a campaign checkpoint: kind={header.get('kind')!r} "
             f"(expected {CHECKPOINT_KIND!r})"
         )
-    if "shard" in data.get("context", {}):
-        # Its Pi/Omega held partner results this version no longer replays.
-        raise ValueError(
-            "checkpoint belongs to one shard of a sharded campaign; "
-            "sharding was removed, so it cannot be continued"
-        )
-    return data
+    lines = text[end:].strip().split("\n")
+    records = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            if number < len(lines):
+                raise ValueError(f"checkpoint record {number} is corrupt") from None
+    if not records:
+        raise ValueError("checkpoint holds no records")
+    return dict(
+        header,
+        records=records,
+        results=[entry for record in records for entry in record["results"]],
+        run=records[-1]["run"],
+        telemetry_seq=int(records[-1]["telemetry_seq"]),
+    )
+
+
+class _Replay:
+    """Stands in for the worker pool while a checkpoint is replayed.
+
+    It serves each recorded result to the controller's own loop after
+    checking that the loop regenerated the scenario that produced it. It
+    executes nothing and publishes nothing.
+    """
+
+    def __init__(self) -> None:
+        self.entries: List[Dict[str, Any]] = []
+
+    def execute_batch_isolated(self, batch, start_index: int) -> List[ScenarioResult]:
+        results = []
+        for index, scenario in enumerate(batch, start=start_index):
+            result = _result_from_dict(self.entries[index])
+            if result.scenario != scenario or result.test_index != index:
+                raise ValueError(
+                    f"checkpoint diverges from its campaign at test {index}: "
+                    f"recorded {result.scenario.coords}, regenerated {scenario.coords}"
+                )
+            results.append(result)
+        return results
 
 
 def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
@@ -308,12 +318,16 @@ def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
 
     ``target`` and ``plugins`` must be reconstructed by the caller exactly
     as in the original campaign (same target configuration, same plugin
-    set) — the scenario seeds derive from the campaign seed, so identical
-    inputs reproduce identical measurements. Plugin names are validated
-    against the checkpoint; a mismatch raises ``ValueError``.
+    set). Every piece of controller state — Pi, Psi, Omega, mu, the plugin
+    fitness stats, the quarantine, coverage and the RNG — is rebuilt by
+    feeding the recorded results back through the controller's own
+    campaign loop, one record at a time at that record's batch size. A
+    regenerated scenario that differs from the recorded one (a stale
+    checkpoint, or one resumed against a different hyperspace) raises
+    ``ValueError`` naming the test index; so does a plugin-set mismatch.
 
     ``telemetry`` optionally attaches a
-    :class:`~repro.telemetry.TelemetryBus` to the restored controller;
+    :class:`~repro.telemetry.TelemetryBus` once the replay is done;
     whether passed here or later via a ``CampaignSpec``, the bus is
     fast-forwarded past the checkpointed sequence cursor so a resumed
     stream (e.g. a JSONL sink in append mode) continues without reusing
@@ -337,99 +351,32 @@ def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
             + ", ".join(unknown)
         )
     config = ControllerConfig(retry=retry, **config_data)
-    controller = TestController(
-        target, plugins, seed=int(data["campaign_seed"]), config=config,
-        telemetry=telemetry,
-    )
-    controller._telemetry_seq_floor = int(data.get("telemetry", {}).get("seq", 0))
-    if controller.telemetry.seq < controller._telemetry_seq_floor:
-        controller.telemetry.seq = controller._telemetry_seq_floor
-    saved_plugins = set(data["plugin_stats"])
-    live_plugins = set(controller.plugins)
-    if saved_plugins != live_plugins:
+    controller = TestController(target, plugins, seed=int(data["campaign_seed"]), config=config)
+    if set(data["plugins"]) != set(controller.plugins):
         raise ValueError(
             "checkpoint plugin set does not match the provided plugins: "
-            f"saved {sorted(saved_plugins)}, got {sorted(live_plugins)}"
+            f"saved {sorted(data['plugins'])}, got {sorted(controller.plugins)}"
         )
 
-    # Replay the executed results through the normal absorption path:
-    # Pi, Omega, mu, and the quarantine are rebuilt deterministically.
-    for entry in data["results"]:
-        result = _result_from_dict(entry)
-        controller.history.add(result.key)
-        controller.results.append(result)
-        if isinstance(result, ScenarioFailure):
-            controller.quarantine.record(
-                result.key, kind=result.kind, error=result.error, attempts=result.attempts
+    replay = _Replay()
+    for record in data["records"]:
+        replay.entries.extend(record["results"])
+        controller._run_batched(len(replay.entries), int(record["run"]["batch_size"]), replay)
+        if len(controller.results) < len(replay.entries):
+            raise ValueError(
+                "checkpoint diverges from its campaign at test "
+                f"{len(controller.results)}: the hyperspace ran out of scenarios"
             )
-        else:
-            controller.top_set.offer(result)
-            if result.impact > controller.max_impact:
-                controller.max_impact = result.impact
-
-    # Fitness-gain stats are restored verbatim, not replayed: the replay
-    # above has no parent-impact map for historical mutations.
-    for name, stats_data in data["plugin_stats"].items():
-        stats = controller.plugin_sampler.stats[name]
-        stats.selections = int(stats_data["selections"])
-        stats.total_gain = float(stats_data["total_gain"])
-        stats.improvements = int(stats_data["improvements"])
-
-    # Psi: scenarios generated (RNG already consumed) but not yet executed.
-    for entry in data.get("pending", []):
-        scenario = TestScenario(
-            coords={k: int(v) for k, v in entry["coords"].items()},
-            parent_key=_key_from_jsonable(entry.get("parent_key")),
-            plugin=entry.get("plugin"),
-            mutate_distance=entry.get("mutate_distance", 0.0),
-            origin=entry.get("origin", "random"),
+        controller._checkpoint_log.append(
+            (dict(record["run"]), len(replay.entries), int(record["telemetry_seq"]))
         )
-        controller.pending.append(scenario)
-        controller._pending_keys.add(scenario.key)
-    controller._parent_impact = {
-        _key_from_jsonable(key): float(impact)
-        for key, impact in data.get("parent_impact", [])
-    }
 
-    # Quarantine entries whose failures predate the kept results (e.g. a
-    # checkpoint chain) are merged in on top of the replayed ones.
-    for item in data.get("quarantine", []):
-        key = tuple((str(name), int(pos)) for name, pos in item["key"])
-        if key not in controller.quarantine:
-            controller.quarantine.record(
-                key,
-                kind=item.get("kind", "target-fault"),
-                error=item.get("error", ""),
-                attempts=int(item.get("attempts", 1)),
-            )
-
-    # Coverage state is restored verbatim (old checkpoints without the
-    # block come back with an empty map — matching their novelty_weight
-    # of 0). Corpus entries are rebuilt by key lookup over the replayed
-    # results; a key that no longer resolves is simply dropped.
-    from .coverage import CoverageMap
-
-    coverage_data = data.get("coverage", {})
-    controller.coverage = CoverageMap.from_state(coverage_data.get("seen"))
-    controller._signatures = {
-        _key_from_jsonable(key): str(signature)
-        for key, signature in coverage_data.get("signatures", [])
-    }
-    controller._features = {
-        _key_from_jsonable(key): tuple(str(feature) for feature in features)
-        for key, features in coverage_data.get("features", [])
-    }
-    by_key = {result.key: result for result in controller.results}
-    controller._novel_corpus = {
-        key: by_key[key]
-        for key in map(_key_from_jsonable, coverage_data.get("corpus", []))
-        if key in by_key
-    }
-
-    rng_version, rng_internal, rng_gauss = data["rng_state"]
-    controller.rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
-    controller.max_impact = float(data["max_impact"])
-    controller.checkpoint_context = dict(data.get("context", {}))
+    controller.checkpoint_context = dict(data["context"])
+    controller._telemetry_seq_floor = int(data["telemetry_seq"])
+    if telemetry is not None:
+        controller.telemetry = telemetry
+    if controller.telemetry.seq < controller._telemetry_seq_floor:
+        controller.telemetry.seq = controller._telemetry_seq_floor
     return controller
 
 
@@ -438,7 +385,6 @@ __all__ = [
     "FORMAT_VERSION",
     "campaign_from_dict",
     "campaign_to_dict",
-    "checkpoint_to_dict",
     "load_campaign",
     "load_checkpoint",
     "restore_controller",

@@ -1,11 +1,11 @@
 """Checkpoint/resume: a killed campaign continues bit-identically.
 
 The contract under test (see ``repro.core.persistence``): a campaign run
-with ``checkpoint_path`` writes its complete controller state atomically
-every ``checkpoint_every`` scenarios; killing the process and resuming
-from the last checkpoint produces *exactly* the trajectory an
-uninterrupted run would have — same scenarios, same impacts, same Pi and
-Omega, same plugin fitness statistics.
+with ``checkpoint_path`` logs its results every ``checkpoint_every``
+scenarios; killing the process and resuming from the last checkpoint —
+which replays those results through the controller's own loop — produces
+*exactly* the trajectory an uninterrupted run would have: same scenarios,
+same impacts, same Pi and Omega, same plugin fitness statistics.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.core import (
     load_checkpoint,
     restore_controller,
     run_campaign,
-    save_checkpoint,
 )
 from repro.core.exploration import AvdExploration, RandomExploration
 from repro.core.persistence import CHECKPOINT_KIND, FORMAT_VERSION
@@ -211,33 +210,143 @@ def test_quarantine_survives_the_checkpoint(tmp_path):
 
 
 def test_atomic_write_never_tears_an_existing_checkpoint(tmp_path, monkeypatch):
+    # A run's first write rewrites the whole file: it goes through a temp
+    # file and os.replace, so a crash mid-rename leaves the old file.
     path = tmp_path / "atomic.ckpt.json"
     target, plugins = fresh()
     controller = make_controller(target, plugins)
     controller.run(CampaignSpec(budget=10, checkpoint_path=str(path)))
     before = path.read_text()
-    controller.generate()
 
     def torn_replace(src, dst):
         raise OSError("simulated crash mid-rename")
 
     monkeypatch.setattr(os, "replace", torn_replace)
     with pytest.raises(OSError):
-        save_checkpoint(controller, path)
+        controller.run(CampaignSpec(budget=20, checkpoint_path=str(path), checkpoint_every=5))
     # The visible file is still the previous complete document.
     assert path.read_text() == before
-    load_checkpoint(path)  # and it still parses + validates
+    assert len(load_checkpoint(path)["results"]) == 10  # and it still loads
 
 
 def test_checkpoint_files_are_plain_json(tmp_path):
     path = tmp_path / "plain.ckpt.json"
     target, plugins = fresh()
     controller = make_controller(target, plugins)
-    controller.run(CampaignSpec(budget=10, checkpoint_path=str(path)))
-    data = json.loads(path.read_text())
-    assert data["campaign_seed"] == 13
-    assert isinstance(data["rng_state"], list)
-    assert set(data["plugin_stats"]) == {"mask", "load"}
+    controller.run(CampaignSpec(budget=10, checkpoint_path=str(path), checkpoint_every=5))
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert header["campaign_seed"] == 13
+    assert header["plugins"] == ["mask", "load"]
+    # The recipe and the results, nothing the controller can recompute.
+    assert set(header) == {
+        "format_version", "kind", "campaign_seed", "config", "plugins", "context"
+    }
+    assert [len(record["results"]) for record in records] == [5, 5, 0]
+    assert all(set(record) == {"run", "results", "telemetry_seq"} for record in records)
+
+
+def test_later_writes_of_a_run_append_only_the_new_results(tmp_path, monkeypatch):
+    from repro.core import persistence
+
+    path = tmp_path / "append.ckpt.json"
+    writes = []
+    save = persistence.save_checkpoint
+
+    def recording_save(controller, target_path):
+        save(controller, target_path)
+        writes.append((len(controller.results), os.stat(path).st_ino, path.read_text()))
+
+    monkeypatch.setattr(persistence, "save_checkpoint", recording_save)
+    make_controller(*fresh()).run(
+        CampaignSpec(budget=12, checkpoint_path=str(path), checkpoint_every=4)
+    )
+    restored = restore_controller(load_checkpoint(path), *fresh())
+    restored.run(CampaignSpec(budget=20, checkpoint_path=str(path), checkpoint_every=4))
+    assert [done for done, _, _ in writes] == [4, 8, 12, 12, 16, 20, 20]
+    # Each run's first write (at 4, and at 16) replaces the file; the rest append.
+    inodes = [inode for _, inode, _ in writes]
+    assert len(set(inodes[:4])) == 1 and len(set(inodes[4:])) == 1
+    assert inodes[0] != inodes[4]
+    for (before_done, _, before), (done, _, after) in zip(writes, writes[1:]):
+        assert after.startswith(before)  # a rewrite reproduces every earlier record
+        (line,) = after[len(before):].splitlines()
+        indexes = [entry["test_index"] for entry in json.loads(line)["results"]]
+        assert indexes == list(range(before_done, done))
+
+
+# ---------------------------------------------------------------------------
+# the v3 log: torn tails, corrupt records, stale checkpoints, chains
+# ---------------------------------------------------------------------------
+def test_a_torn_final_record_loads_as_the_previous_record(tmp_path):
+    target, plugins = fresh()
+    reference = make_controller(target, plugins)
+    reference.run(CampaignSpec(budget=BUDGET))
+    path = tmp_path / "torn.ckpt.json"
+    interrupted_target, interrupted_plugins = fresh(die_at=KILL_AT)
+    interrupted = make_controller(interrupted_target, interrupted_plugins)
+    spec = CampaignSpec(budget=BUDGET, checkpoint_path=str(path), checkpoint_every=10)
+    with pytest.raises(KeyboardInterrupt):
+        interrupted.run(spec)
+    text = path.read_text()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    path.write_text(text[: len(text) - len(last) // 2])  # a kill tore the last append
+    data = load_checkpoint(path)
+    assert len(data["results"]) == 40
+    resumed = restore_controller(data, *fresh())
+    resumed.run(spec)
+    assert controller_state(resumed) == controller_state(reference)
+
+
+def test_a_corrupt_middle_record_is_refused(tmp_path):
+    path = tmp_path / "corrupt.ckpt.json"
+    target, plugins = fresh()
+    make_controller(target, plugins).run(
+        CampaignSpec(budget=20, checkpoint_path=str(path), checkpoint_every=5)
+    )
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:-7]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="record 2 is corrupt"):
+        load_checkpoint(path)
+
+
+def test_a_stale_checkpoint_is_refused_at_its_first_divergent_test(tmp_path):
+    path = tmp_path / "stale.ckpt.json"
+    target, plugins = fresh()
+    make_controller(target, plugins).run(
+        CampaignSpec(budget=20, checkpoint_path=str(path), checkpoint_every=5)
+    )
+    data = load_checkpoint(path)
+    # Test 12 is recorded at coordinates the campaign never generated there.
+    entry = data["records"][2]["results"][2]
+    assert entry["test_index"] == 12
+    entry["coords"] = {name: position + 1 for name, position in entry["coords"].items()}
+    with pytest.raises(ValueError, match="diverges from its campaign at test 12"):
+        restore_controller(data, *fresh())
+
+
+def test_a_chain_across_a_partial_batch_matches_one_controller(tmp_path):
+    """Run to 30 at batch_size=4 (the last batch is partial), then resume to
+    50, killed once and resumed again: one controller running to 30 and
+    then to 50 reaches the same state."""
+    target, plugins = fresh()
+    reference = make_controller(target, plugins)
+    reference.run(CampaignSpec(budget=30, workers=1, batch_size=4))
+    reference.run(CampaignSpec(budget=50, workers=1, batch_size=4))
+
+    path = tmp_path / "chain.ckpt.json"
+    spec = dict(workers=1, batch_size=4, checkpoint_path=str(path), checkpoint_every=6)
+    first = make_controller(*fresh())
+    first.run(CampaignSpec(budget=30, **spec))
+    second_target, second_plugins = fresh(die_at=12)
+    second = restore_controller(load_checkpoint(path), second_target, second_plugins)
+    with pytest.raises(KeyboardInterrupt):
+        second.run(CampaignSpec(budget=50, **spec))
+    data = load_checkpoint(path)
+    assert len(data["results"]) == 38  # the killed run wrote once, at 38
+    final = restore_controller(data, *fresh())
+    final.run(CampaignSpec(budget=50, **spec))
+    assert controller_state(final) == controller_state(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +368,10 @@ def test_load_checkpoint_rejects_unknown_versions(tmp_path):
     target, plugins = fresh()
     controller = make_controller(target, plugins)
     controller.run(CampaignSpec(budget=5, checkpoint_path=str(path)))
-    data = json.loads(path.read_text())
+    header, *records = path.read_text().splitlines()
+    data = json.loads(header)
     data["format_version"] = 99
-    path.write_text(json.dumps(data))
+    path.write_text("\n".join([json.dumps(data), *records]) + "\n")
     with pytest.raises(ValueError, match="unsupported"):
         load_checkpoint(path)
 

@@ -159,22 +159,3 @@ def test_pbft_measurements_serialize(tmp_path):
         campaign.results[0].measurement.throughput_rps
     )
     assert measurement.view_changes == campaign.results[0].measurement.view_changes
-
-
-def test_shard_checkpoints_are_refused(tmp_path):
-    """A checkpoint written by one shard of a (removed) sharded campaign held
-    partner results in Pi/Omega that nothing replays any more: loading it
-    is refused, where `repro resume` and every other loader pass."""
-    target, plugins = make_hill_target()
-    strategy = AvdExploration(target, plugins, seed=9)
-    path = tmp_path / "ckpt.json"
-    strategy.run(CampaignSpec(budget=6, checkpoint_path=str(path)))
-    data = json.loads(path.read_text())
-    # As the parent commit wrote it for an unsharded campaign: loads.
-    data["foreign"] = []
-    path.write_text(json.dumps(data))
-    assert load_checkpoint(path)["format_version"] == FORMAT_VERSION
-    data["context"] = {"shard": {"index": 0, "rounds_done": 1}}
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="shard"):
-        load_checkpoint(path)

@@ -47,7 +47,8 @@ def run_hybrid_campaign():
     return (
         trajectory(controller.results),
         sorted(controller._signatures.items()),
-        controller.coverage.to_state(),
+        list(controller.coverage.seen.items()),
+        list(controller.coverage.features.items()),
     )
 
 

@@ -150,21 +150,34 @@ def test_resume_of_a_complete_campaign_is_a_noop(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().out
 
 
+def _stale_checkpoint(ckpt):
+    """A real checkpoint whose header no longer matches its results."""
+    campaign = ["campaign", "--tools", "mac", "--seed", "9", "--budget", "2"]
+    assert main(campaign + ["--checkpoint", str(ckpt)]) == 0
+    header, *records = ckpt.read_text().splitlines()
+    recipe = json.loads(header)
+    recipe["campaign_seed"] += 1
+    ckpt.write_text("\n".join([json.dumps(recipe), *records]) + "\n")
+
+
 @pytest.mark.parametrize(
     "content, expected",
     [
-        ('{"format_version": 3, "kind": "avd-checkpoint"}', "version: 3"),
+        ('{\n  "format_version": 2,\n  "kind": "avd-checkpoint"\n}', "version: 2"),
         ('{"format_version": 2, "kind": "avd-checkpoint", "context": {"shard": {}}}',
-         "sharded campaign"),
+         "version: 2"),
         ("{ not json", "cannot resume"),
         (None, "No such file"),
+        (_stale_checkpoint, "diverges from its campaign at test 0"),
     ],
-    ids=["old-version", "sharded", "not-json", "missing"],
+    ids=["old-version", "sharded", "not-json", "missing", "stale"],
 )
 def test_resume_on_a_bad_checkpoint_is_a_clean_error(tmp_path, content, expected):
     """A checkpoint `resume` cannot read exits 1 with one line, no traceback."""
     ckpt = tmp_path / "ckpt.json"
-    if content is not None:
+    if callable(content):
+        content(ckpt)
+    elif content is not None:
         ckpt.write_text(content)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
@@ -288,7 +301,7 @@ def test_resume_truncates_orphan_telemetry_from_a_killed_run(tmp_path):
          "--checkpoint", str(ckpt),
          "--telemetry", str(stream)]
     ) == 0
-    cursor = json.loads(ckpt.read_text())["telemetry"]["seq"]
+    cursor = json.loads(ckpt.read_text().splitlines()[-1])["telemetry_seq"]
     with open(stream, "a", encoding="utf-8") as handle:
         handle.write(
             json.dumps({"v": 1, "seq": cursor, "type": "ParentSelected",
