@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from typing import List, Optional
@@ -632,9 +633,21 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="AVD: automated vulnerability discovery"
+    )
+    parser.add_argument(
+        "--log-level", choices=_LOG_LEVELS, default=None, metavar="LEVEL",
+        help=f"log to stderr at LEVEL ({', '.join(_LOG_LEVELS)}); default: "
+             "warnings only, unformatted",
+    )
+    parser.add_argument(
+        "-v", dest="log_level", action="store_const", const="INFO",
+        help="same as --log-level INFO",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -870,6 +883,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.log_level is not None:
+        logging.basicConfig(
+            level=args.log_level,
+            stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
     return args.func(args)
 
 

@@ -6,6 +6,14 @@ replica (Castro & Liskov '99). The Big MAC attack (Clement et al., NSDI'09)
 exploits exactly this structure: a faulty client can craft an authenticator
 whose MAC is valid for the primary but invalid for the other replicas.
 
+The attacks depend only on *which receivers consider which tag valid*, so an
+:class:`Authenticator` carries the recipe for its vector rather than ``n``
+computed tags: the signer, the key root, the payload digest, the verifiers,
+and which verifiers got a corrupted tag. A receiver checking the payload the
+authenticator was made for decides by membership alone; any other check, and
+:meth:`Authenticator.tag_for`, computes the tags exactly as the eager vector
+would have held them.
+
 The corruption hook is the paper's fault-injection surface: AVD's MAC
 corruption tool decides, per ``generateMAC`` *call number*, whether the
 produced tag is corrupted (Sec. 6: a 12-bit Gray-coded bitmask over call
@@ -14,10 +22,10 @@ numbers mod 12).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, FrozenSet, Iterable, Optional, Tuple
 
-from .digest import mix64, stable_digest
-from .keys import KeyStore
+from .digest import mix64
+from .keys import KeyStore, derive_session_key
 
 #: Corruption policy: (call_number, verifier_name) -> corrupt this tag?
 CorruptionPolicy = Callable[[int, str], bool]
@@ -25,6 +33,8 @@ CorruptionPolicy = Callable[[int, str], bool]
 #: XOR mask applied to corrupted tags; any nonzero constant works because
 #: verification recomputes the genuine tag and compares for equality.
 _CORRUPTION_MASK = 0xBAD_0BAD_0BAD
+
+_NONE_CORRUPTED: FrozenSet[str] = frozenset()
 
 
 def compute_mac(session_key: int, payload_digest: int) -> int:
@@ -62,49 +72,92 @@ class MacGenerator:
         return tag
 
     def authenticator(self, verifiers: Iterable[str], payload_digest: int) -> "Authenticator":
-        """Generate the full authenticator vector for ``verifiers``.
+        """Generate the authenticator for ``verifiers``.
 
         One ``generateMAC`` call per verifier, in iteration order — the call
-        numbering the MAC-corruption bitmask indexes into.
+        numbering the MAC-corruption bitmask indexes into. No tag is
+        computed: the policy's verdicts are recorded instead. A verifier
+        listed twice keeps its last call's verdict, as a tag vector would
+        keep its last write.
         """
-        if self.corruption_policy is None:
-            # No corruption hook installed (every correct node): the vector
-            # is just the expected tags, so skip the per-call wrapper and
-            # bump the generateMAC counter in bulk.
-            expected = self.keystore.expected_tag
-            calls = self.calls
-            tags = {}
+        if type(verifiers) is not tuple:
+            verifiers = tuple(verifiers)
+        policy = self.corruption_policy
+        corrupted = _NONE_CORRUPTED
+        if policy is None:
+            # Every correct node: bump the generateMAC counter in bulk.
+            self.calls += len(verifiers)
+        else:
+            marked = set()
             for verifier in verifiers:
-                calls += 1
-                tags[verifier] = expected(verifier, payload_digest)
-            self.calls = calls
-            return Authenticator(tags)
+                self.calls += 1
+                if policy(self.calls, verifier):
+                    self.corrupted_calls += 1
+                    marked.add(verifier)
+                else:
+                    marked.discard(verifier)
+            if marked:
+                corrupted = frozenset(marked)
+        keystore = self.keystore
         return Authenticator(
-            {verifier: self.generate(verifier, payload_digest) for verifier in verifiers}
+            keystore.owner, keystore.key_root, payload_digest, verifiers, corrupted
         )
 
 
 class Authenticator:
-    """A MAC vector: verifier name -> tag."""
+    """A MAC vector, held as its recipe.
 
-    __slots__ = ("tags",)
+    ``signer`` MAC-ed ``digest`` under its session key (derived from
+    ``key_root``) with each of ``verifiers``; the tags of ``corrupted``
+    verifiers were flipped to invalid ones.
+    """
 
-    def __init__(self, tags: Dict[str, int]) -> None:
-        self.tags = tags
+    __slots__ = ("signer", "key_root", "digest", "verifiers", "corrupted")
+
+    def __init__(
+        self,
+        signer: str,
+        key_root: int,
+        digest: int,
+        verifiers: Tuple[str, ...],
+        corrupted: FrozenSet[str],
+    ) -> None:
+        self.signer = signer
+        self.key_root = key_root
+        self.digest = digest
+        self.verifiers = verifiers
+        self.corrupted = corrupted
 
     def tag_for(self, verifier: str) -> Optional[int]:
-        return self.tags.get(verifier)
+        """The tag this vector holds for ``verifier`` (None if it holds none)."""
+        if verifier not in self.verifiers:
+            return None
+        tag = compute_mac(derive_session_key(self.key_root, self.signer, verifier), self.digest)
+        if verifier in self.corrupted:
+            tag ^= _CORRUPTION_MASK
+        return tag
 
     def verifies_for(self, keystore: KeyStore, signer: str, payload_digest: int) -> bool:
         """Whether ``keystore.owner`` accepts this vector as coming from
         ``signer`` over ``payload_digest``."""
-        tag = self.tags.get(keystore.owner)
-        if tag is None:
+        owner = keystore.owner
+        if owner not in self.verifiers:
             return False
-        return tag == keystore.expected_tag(signer, payload_digest)
+        if (
+            signer == self.signer
+            and payload_digest == self.digest
+            and keystore.key_root == self.key_root
+        ):
+            # Session keys are symmetric, so the genuine tag is exactly the
+            # one the verifier expects, and a corrupted one never is.
+            return owner not in self.corrupted
+        return self.tag_for(owner) == keystore.expected_tag(signer, payload_digest)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Authenticator({sorted(self.tags)})"
+        return (
+            f"<Authenticator {self.signer}->{sorted(self.verifiers)} "
+            f"corrupted={sorted(self.corrupted)}>"
+        )
 
 
 def verify_tag(

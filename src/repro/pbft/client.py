@@ -41,7 +41,7 @@ class Client(CrashAwareNode):
         self.behavior = CORRECT_CLIENT
         self.keystore = KeyStore(key_root, name)
         self.mac = MacGenerator(self.keystore)
-        self.replica_names = [replica_name(i) for i in range(config.n_replicas)]
+        self.replica_names = tuple(replica_name(i) for i in range(config.n_replicas))
 
         self.view_hint = 0
         self.timestamp = 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..crypto import KeyStore, MacGenerator, compute_mac, mix64, stable_digest
+from ..crypto import KeyStore, MacGenerator, compute_mac, stable_digest
 from ..crypto.keys import derive_session_key
 from ..sim import Network, Simulator
 from ..sim.node import CrashAwareNode
@@ -39,6 +39,9 @@ from .messages import (
     Request,
     Status,
     ViewChange,
+    _FNV_OFFSET,
+    _FNV_PRIME,
+    _MASK64,
 )
 from .timers import RequestKey, make_view_change_timer
 
@@ -46,6 +49,8 @@ from .timers import RequestKey, make_view_change_timer
 #: PREPARE/COMMIT domains live in :mod:`repro.pbft.messages` next to the
 #: message classes that memoize payloads under them).
 _RESULT_DOMAIN = stable_digest("pbft-result")
+#: ``mix64(_RESULT_DOMAIN, d)`` is one more FNV step from this state.
+_RESULT_STATE = ((_FNV_OFFSET ^ (_RESULT_DOMAIN & _MASK64)) * _FNV_PRIME) & _MASK64
 
 
 class Replica(CrashAwareNode):
@@ -66,8 +71,8 @@ class Replica(CrashAwareNode):
         self.key_root = key_root
         self.keystore = KeyStore(key_root, self.name)
         self.mac = MacGenerator(self.keystore)
-        self.replica_names = [replica_name(i) for i in range(config.n_replicas)]
-        self.peer_names = [n for n in self.replica_names if n != self.name]
+        self.replica_names = tuple(replica_name(i) for i in range(config.n_replicas))
+        self.peer_names = tuple(n for n in self.replica_names if n != self.name)
 
         # -- protocol state -------------------------------------------------
         self.view = 0
@@ -543,9 +548,13 @@ class Replica(CrashAwareNode):
             entry = client_table.get(client)
             if entry is not None and timestamp <= entry[0]:
                 continue  # duplicate ordered twice across a view change
+            # The two folds are `mix64(state_digest, digest)` and
+            # `mix64(_RESULT_DOMAIN, digest)`, inlined.
             digest = request.digest
-            state_digest = mix64(state_digest, digest)
-            result = mix64(_RESULT_DOMAIN, digest)
+            folded = digest & _MASK64
+            state_digest = ((_FNV_OFFSET ^ (state_digest & _MASK64)) * _FNV_PRIME) & _MASK64
+            state_digest = ((state_digest ^ folded) * _FNV_PRIME) & _MASK64
+            result = ((_RESULT_STATE ^ folded) * _FNV_PRIME) & _MASK64
             reply = Reply(view, timestamp, client, name, result)
             client_table[client] = (timestamp, reply)
             send(client, reply)

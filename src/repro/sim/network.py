@@ -111,11 +111,21 @@ MessageHandler = Callable[[object, str], None]
 
 
 class Endpoint(Protocol):
-    """Anything that can be registered on a network."""
+    """Anything that can be registered on a network.
+
+    The network delivers to ``on_message`` unless the endpoint also has a
+    ``delivery_handler()`` naming what to call instead (see
+    :class:`~repro.sim.node.CrashAwareNode`).
+    """
 
     name: str
 
     def on_message(self, payload: object, src: str) -> None: ...
+
+
+def _handler_of(endpoint: Endpoint) -> MessageHandler:
+    delivery_handler = getattr(endpoint, "delivery_handler", None)
+    return endpoint.on_message if delivery_handler is None else delivery_handler()
 
 
 class Network:
@@ -138,9 +148,9 @@ class Network:
         self.name = name
         self.rng = simulator.rng(f"network:{name}")
         self.endpoints: Dict[str, Endpoint] = {}
-        #: Bound ``on_message`` per endpoint, kept in lockstep with
-        #: ``endpoints`` — delivery calls through this dict, saving one
-        #: attribute lookup per message.
+        #: What delivery calls per endpoint, kept in lockstep with
+        #: ``endpoints``: a crash-aware node's bound ``handle_message`` (or a
+        #: drop once it crashed), else the bound ``on_message``.
         self._handlers: Dict[str, MessageHandler] = {}
         self.faults: List[NetworkFault] = []
         self.messages_sent = 0
@@ -158,7 +168,7 @@ class Network:
         # deployment uses, deliveries go straight onto the event heap with
         # the exponential draw inlined (`-log(1-u)/lambd` — exactly
         # `rng.expovariate(lambd)`, so the fused and the `Envelope` path
-        # consume identical RNG streams).
+        # consume identical RNG streams). `Node.send` calls it directly.
         self._fast_send = self._make_fast_send()
 
     # ------------------------------------------------------------------
@@ -177,22 +187,23 @@ class Network:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Both derived attributes wait for `rebind_fast_paths`: a cyclic
+        # reference may land us here while the simulator, or an endpoint
+        # whose `crashed` flag picks its handler, is still mid-restore.
         self.__dict__.update(state)
-        # `endpoints` is restored atomically with this state, so its derived
-        # view can be rebuilt immediately; the queue-dependent fast path
-        # waits for `rebind_fast_paths` (the simulator may still be
-        # mid-restore when a cyclic reference lands us here first).
-        self._handlers = {
-            name: endpoint.on_message for name, endpoint in self.endpoints.items()
-        }
+        self._handlers = None  # type: ignore[assignment]
         self._fast_send = None
 
     def rebind_fast_paths(self) -> None:
-        """Rebuild the queue-capturing fast path after an unpickle.
+        """Rebuild the delivery handlers and the queue-capturing fast path
+        after an unpickle.
 
         Called by the owning deployment's ``__setstate__`` once the whole
-        object graph (simulator, queue, heap) is restored.
+        object graph (simulator, queue, heap, endpoints) is restored.
         """
+        self._handlers = {
+            name: _handler_of(endpoint) for name, endpoint in self.endpoints.items()
+        }
         self._fast_send = self._make_fast_send()
 
     # ------------------------------------------------------------------
@@ -209,13 +220,19 @@ class Network:
         if endpoint.name in self.endpoints:
             raise SimulationError(f"duplicate endpoint name: {endpoint.name}")
         self.endpoints[endpoint.name] = endpoint
-        self._handlers[endpoint.name] = endpoint.on_message
+        self._handlers[endpoint.name] = _handler_of(endpoint)
         self.delivered_per_endpoint.setdefault(endpoint.name, 0)
 
     def unregister(self, name: str) -> None:
         """Remove an endpoint; in-flight messages to it are dropped on arrival."""
         self.endpoints.pop(name, None)
         self._handlers.pop(name, None)
+
+    def refresh_handler(self, name: str) -> None:
+        """Re-read a registered endpoint's delivery handler (after a crash)."""
+        endpoint = self.endpoints.get(name)
+        if endpoint is not None:
+            self._handlers[name] = _handler_of(endpoint)
 
     # ------------------------------------------------------------------
     # fault pipeline
@@ -237,13 +254,17 @@ class Network:
 
         Closure cells beat attribute loads at ~10⁶ calls per campaign, and
         everything captured is construction-stable (the queue, the RNG, the
-        latency parameters). Returns None for any other model (and for a
-        jitter-free LAN): those take the ``Envelope`` path in :meth:`send`,
-        schedule-identical.
+        latency parameters, the fault list). It counts the send, and takes
+        the ``Envelope`` path whenever a fault stage is installed. Returns
+        None for any other model (and for a jitter-free LAN): those always
+        take the ``Envelope`` path, schedule-identical.
         """
         lan = self.latency_model
         if type(lan) is not LanLatency or not lan.jitter_mean_us:
             return None
+        network = self
+        faults = self.faults  # mutated in place by add/remove/clear_faults
+        send_envelope = self._send_envelope
         simulator = self.simulator
         rng_random = self.rng.random
         queue = simulator.queue
@@ -255,9 +276,16 @@ class Network:
         log = _log
 
         def fast_send(src: str, dst: str, payload: object) -> None:
+            if faults:
+                send_envelope(src, dst, payload)
+                return
+            network.messages_sent += 1
             # Inlined `rng.expovariate(lambd)` jitter (identical RNG
             # stream) on top of the base latency, then an inlined
-            # `queue.defer` (delivery times are never negative).
+            # `queue.defer` (delivery times are never negative). Fresh
+            # envelopes carry no extra delay, and nothing between send and
+            # delivery observes them when no faults are installed, so none
+            # is materialized.
             heappush(
                 heap,
                 [
@@ -275,16 +303,10 @@ class Network:
 
     def send(self, src: str, dst: str, payload: object) -> None:
         """Send ``payload`` from ``src`` to ``dst`` through the pipeline."""
+        (self._fast_send or self._send_envelope)(src, dst, payload)
+
+    def _send_envelope(self, src: str, dst: str, payload: object) -> None:
         self.messages_sent += 1
-        if not self.faults:
-            # Fused delivery scheduling: inline the latency draw and go
-            # straight to the queue without materializing an Envelope
-            # (fresh envelopes carry no extra delay, and nothing between
-            # send and delivery observes them when no faults are installed).
-            fast = self._fast_send
-            if fast is not None:
-                fast(src, dst, payload)
-                return
         envelope = Envelope(src, dst, payload, self.simulator.now)
         if self.faults:
             self._run_pipeline(envelope)

@@ -6,7 +6,7 @@ from typing import Iterable, Optional
 
 from ..injection import LibraryRuntime
 from .events import EventHandle
-from .network import Network
+from .network import MessageHandler, Network
 from .simulator import Simulator
 
 
@@ -43,7 +43,10 @@ class Node:
         counts["send"] = number
         if lib._plans and lib.check("send", number) is not None:
             return False
-        self.network.send(self.name, dst, payload)
+        # Straight to the fused send closure, skipping the `Network.send`
+        # frame; a network without one (non-LAN latency) takes its own path.
+        network = self.network
+        (network._fast_send or network.send)(self.name, dst, payload)
         return True
 
     def broadcast(self, dsts: Iterable[str], payload: object) -> int:
@@ -82,10 +85,11 @@ class Node:
     # lifecycle
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Silence the node: it stops sending and handling messages.
+        """Silence the node: it stops sending and firing timers.
 
-        The network still delivers envelopes to it, but the default
-        dispatch in :meth:`receive` discards them.
+        The network still delivers messages to it, and counts them. A
+        :class:`CrashAwareNode` drops them; a plain node's
+        :meth:`on_message` sees them and must check ``crashed`` itself.
         """
         self.crashed = True
 
@@ -101,13 +105,25 @@ class Node:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class CrashAwareNode(Node):
-    """Node whose message handling is automatically gated on ``crashed``."""
+def _drop(payload: object, src: str) -> None:
+    """A crashed node's delivery handler."""
 
-    def on_message(self, payload: object, src: str) -> None:
-        if self.crashed:
-            return
-        self.handle_message(payload, src)
+
+class CrashAwareNode(Node):
+    """Node whose message handling is automatically gated on ``crashed``.
+
+    Subclasses implement :meth:`handle_message`, not :meth:`on_message`:
+    the network calls it directly, one frame per delivery, and
+    :meth:`crash` swaps in a drop.
+    """
+
+    def delivery_handler(self) -> MessageHandler:
+        """What the network calls to deliver a message to this node."""
+        return _drop if self.crashed else self.handle_message
+
+    def crash(self) -> None:
+        super().crash()
+        self.network.refresh_handler(self.name)
 
     def handle_message(self, payload: object, src: str) -> None:
         raise NotImplementedError

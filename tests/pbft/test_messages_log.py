@@ -1,6 +1,6 @@
 """Message digests and the per-sequence log/quorum certificates."""
 
-from repro.crypto import Authenticator
+from repro.crypto import KeyStore, MacGenerator
 from repro.pbft import (
     PrePrepare,
     ReplicaLog,
@@ -11,13 +11,17 @@ from repro.pbft import (
 from repro.pbft.messages import NULL_DIGEST, fast_request_digest
 
 
+def authenticator(signer, verifiers=(), payload_digest=0):
+    return MacGenerator(KeyStore(7, signer)).authenticator(verifiers, payload_digest)
+
+
 def make_request(client="client-0", ts=1, op=("op", 1)):
-    return Request(client, ts, op, Authenticator({}))
+    return Request(client, ts, op, authenticator(client))
 
 
 def test_request_digest_ignores_authenticator():
-    a = Request("c", 1, "op", Authenticator({"r0": 111}))
-    b = Request("c", 1, "op", Authenticator({"r0": 222}))
+    a = Request("c", 1, "op", authenticator("c", ["r0"], 111))
+    b = Request("c", 1, "op", authenticator("c", ["r0"], 222))
     assert a.digest == b.digest
 
 

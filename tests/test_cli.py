@@ -423,3 +423,33 @@ def test_parser_knows_worker():
     worker_args = parser.parse_args(["worker", "--listen", "127.0.0.1:0",
                                      "--max-sessions", "1"])
     assert callable(worker_args.func) and worker_args.max_sessions == 1
+
+
+def _campaign_subprocess(cwd, *flags):
+    cwd.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *flags, "campaign", "--tools", "mac,timing",
+         "--budget", "2", "--seed", "1", "--telemetry", "run.jsonl"],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
+
+
+def test_log_level_surfaces_snapshot_captures_on_stderr_only(tmp_path):
+    """`--log-level DEBUG` writes the snapshot cache's capture line to
+    stderr; stdout and the telemetry stream are byte-identical without it."""
+    quiet = _campaign_subprocess(tmp_path / "quiet")
+    loud = _campaign_subprocess(tmp_path / "loud", "--log-level", "DEBUG")
+    assert quiet.returncode == loud.returncode == 0
+    assert "DEBUG repro.core.snapshot: captured pbft:" in loud.stderr
+    assert quiet.stderr == ""
+    assert loud.stdout == quiet.stdout
+    assert (tmp_path / "loud" / "run.jsonl").read_bytes() == (
+        tmp_path / "quiet" / "run.jsonl"
+    ).read_bytes()
+
+
+def test_v_is_log_level_info():
+    assert build_parser().parse_args(["-v", "lint"]).log_level == "INFO"
+    assert build_parser().parse_args(["lint"]).log_level is None
