@@ -48,7 +48,6 @@ from .core import (
     ParallelScenarioExecutor,
     Quarantine,
     RandomExploration,
-    RetryPolicy,
     ScenarioFailure,
     ScenarioResult,
     TestController,
@@ -123,7 +122,6 @@ __all__ = [
     "Quarantine",
     "RandomExploration",
     "ReplicaBehavior",
-    "RetryPolicy",
     "RoutingPoisonPlugin",
     "ScenarioFailure",
     "ScenarioResult",

@@ -37,7 +37,7 @@ from .core import (
     HybridExploration,
     POWER_LADDER,
     RandomExploration,
-    RetryPolicy,
+    WorkerStartError,
     available_plugins,
     describe_best,
     compare_campaigns,
@@ -98,6 +98,11 @@ def _workers_arg(text: str) -> int:
             f"must be >= 0 (0 = one per CPU), got {value}"
         )
     return value
+
+
+def _hosts_arg(text: str) -> List[str]:
+    """argparse type for ``--hosts``: ``host:port`` endpoints, comma-separated."""
+    return [host.strip() for host in text.split(",") if host.strip()]
 
 
 _TOOL_FACTORIES = {
@@ -186,11 +191,14 @@ def _open_bus(path: Optional[str], progress: bool, resume_seq: Optional[int] = N
 def _run_closing(job, bus, refusal: str = ""):
     """Run ``job()`` and close the bus, whatever happens. A ``ValueError``
     (a strategy refusing the spec, a checkpoint that does not match its
-    campaign) is the user's to read: a one-line exit, not a traceback."""
+    campaign) and a :exc:`WorkerStartError` (no worker to run on) are the
+    user's to read: a one-line exit, not a traceback."""
     try:
         return job()
     except ValueError as exc:
         raise SystemExit(f"{refusal}{exc}")
+    except WorkerStartError as exc:
+        raise SystemExit(f"cannot start workers: {exc}")
     finally:
         if bus is not None:
             bus.close()
@@ -239,7 +247,7 @@ def cmd_campaign(args) -> int:
         novelty_weight = HybridExploration.DEFAULT_NOVELTY_WEIGHT if hybrid else 0.0
     config = ControllerConfig(
         scenario_timeout=args.scenario_timeout,
-        retry=RetryPolicy(max_attempts=args.retries),
+        max_attempts=args.retries,
         novelty_weight=novelty_weight,
     )
     recipe = _recipe(args)
@@ -263,7 +271,7 @@ def cmd_campaign(args) -> int:
         batch_size=args.batch_size,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        hosts=[host.strip() for host in (args.hosts or "").split(",") if host.strip()],
+        hosts=args.hosts,
         telemetry=bus,
     )
     campaign = _run_closing(lambda: run_campaign(strategy, spec), bus)
@@ -296,12 +304,14 @@ def cmd_resume(args) -> int:
             return controller, None
         print(f"resuming campaign at test {done}/{budget} from {args.checkpoint} ...")
         # batch_size comes from the checkpoint: the trajectory depends on
-        # it. The worker count is override-safe (wall-clock only).
+        # it. Placement is override-safe (wall-clock only).
         workers = args.workers if args.workers is not None else run_params["workers"]
+        hosts = args.hosts if args.hosts is not None else run_params["hosts"]
         controller.run(
             CampaignSpec(
                 budget=budget,
                 workers=workers,
+                hosts=hosts,
                 batch_size=run_params["batch_size"],
                 checkpoint_path=args.checkpoint,
                 checkpoint_every=run_params["checkpoint_every"],
@@ -676,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
              "hosts or more than one worker, else 1)",
     )
     campaign.add_argument(
-        "--hosts", default=None, metavar="HOST:PORT[,...]",
+        "--hosts", type=_hosts_arg, default=[], metavar="HOST:PORT[,...]",
         help="run scenarios on these `repro worker` endpoints instead of on "
              "local worker processes; the exploration trajectory does not "
              "depend on this",
@@ -693,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
              "is its simulation's event budget",
     )
     campaign.add_argument(
-        "--retries", type=int, default=3, metavar="N",
+        "--retries", type=_positive_int, default=3, metavar="N",
         help="attempts per scenario whose worker died or hit the backstop, "
              "before quarantine (default: 3)",
     )
@@ -728,6 +738,11 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--workers", type=_workers_arg, default=None,
         help="override the worker count (safe: the trajectory does not depend on it)",
+    )
+    resume.add_argument(
+        "--hosts", type=_hosts_arg, default=None, metavar="HOST:PORT[,...]",
+        help="override the checkpointed `repro worker` endpoints; \"\" runs "
+             "locally (safe: the trajectory does not depend on it)",
     )
     resume.add_argument("--out", help="save results to this JSON file (default: checkpointed --out)")
     resume.add_argument(

@@ -11,11 +11,7 @@ from .campaign import CampaignResult, compare_campaigns, run_campaign
 from .controller import ControllerConfig, TestController
 from .coverage import CoverageMap, extract_features, signature_of
 from .executor import ScenarioExecutor, publish_executed
-from .failures import (
-    Quarantine,
-    RetryPolicy,
-    ScenarioFailure,
-)
+from .failures import Quarantine, ScenarioFailure
 from .exploration import (
     AnnealingExploration,
     AvdExploration,
@@ -35,7 +31,7 @@ from .hyperspace import (
     IntRangeDimension,
     coords_key,
 )
-from .parallel import ParallelScenarioExecutor, resolve_workers
+from .parallel import ParallelScenarioExecutor, WorkerStartError, resolve_workers
 from .persistence import (
     load_campaign,
     load_checkpoint,
@@ -95,7 +91,6 @@ __all__ = [
     "PluginStats",
     "Quarantine",
     "RandomExploration",
-    "RetryPolicy",
     "ScenarioExecutor",
     "ScenarioFailure",
     "ScenarioResult",
@@ -111,6 +106,7 @@ __all__ = [
     "TopSet",
     "WorkStealingScheduler",
     "WorkerServer",
+    "WorkerStartError",
     "available_plugins",
     "compare_campaigns",
     "coords_key",

@@ -8,8 +8,8 @@ Three layers run a batch of scenarios:
   of one worker session, and :class:`WorkStealingScheduler` pulls one batch
   through a set of channels.
 - :class:`~repro.core.parallel.ParallelScenarioExecutor` is the **policy**:
-  batching, submission-order results, telemetry publication, degradation
-  to local execution, per-suspect retry.
+  batching, submission-order results, telemetry publication, per-suspect
+  retry, and the one placement error (:exc:`~repro.core.parallel.WorkerStartError`).
 
 There are two ways to open a channel and one protocol behind both:
 

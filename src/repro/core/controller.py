@@ -37,7 +37,7 @@ from ..telemetry.events import (
 from . import coverage as coverage_mod
 from .coverage import CoverageMap
 from .executor import Target
-from .failures import Quarantine, RetryPolicy, ScenarioFailure
+from .failures import Quarantine, ScenarioFailure
 from .hyperspace import CoordsKey
 from .parallel import ParallelScenarioExecutor
 from .plugin import ToolPlugin
@@ -75,9 +75,9 @@ class ControllerConfig:
     #: worker channel (``--workers`` >= 2 or ``--hosts``; None = none). A
     #: scenario's own deadline is its simulation's event budget.
     scenario_timeout: Optional[float] = None
-    #: Re-drive budget + backoff for a scenario whose worker was lost (it
-    #: died, or sat past the backstop).
-    retry: RetryPolicy = RetryPolicy()
+    #: Executions, in all, of a scenario whose worker was lost (it died, or
+    #: sat past the backstop) before it is quarantined.
+    max_attempts: int = 3
     #: Coverage-novelty blend for parent selection: 0 = the paper's pure
     #: impact-weighted sampling (legacy RNG behaviour, bit-for-bit), 1 =
     #: pure novelty. Any positive value turns on coverage capture and
@@ -97,6 +97,8 @@ class ControllerConfig:
             raise ValueError("fixed_mutate_distance must be in [0, 1]")
         if self.scenario_timeout is not None and not self.scenario_timeout > 0:
             raise ValueError("scenario_timeout must be positive (or None)")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         if not 0.0 <= self.novelty_weight <= 1.0:
             raise ValueError("novelty_weight must be in [0, 1]")
 
@@ -445,16 +447,16 @@ class TestController:
         self._checkpoint_file = None
         coverage_on = self.novelty_weight > 0.0
         # Coverage capture is sampled at deployment construction, so the
-        # toggle only needs to cover this run; the previous override is
+        # toggle only needs to cover this run; the previous value is
         # restored on the way out so co-resident campaigns are unaffected.
-        capture_before = set_kind_capture(True) if coverage_on else None
+        capture_before = set_kind_capture(coverage_on)
         try:
             with ParallelScenarioExecutor(
                 self.target,
                 campaign_seed=self.campaign_seed,
                 workers=spec.workers,
                 timeout=self.config.scenario_timeout,
-                retry=self.config.retry,
+                max_attempts=self.config.max_attempts,
                 telemetry=self.telemetry,
                 coverage_capture=coverage_on,
                 hosts=spec.hosts,
@@ -465,11 +467,11 @@ class TestController:
                     "workers": pool.workers,
                     "batch_size": batch_size,
                     "checkpoint_every": spec.checkpoint_every,
+                    "hosts": list(pool.hosts),
                 }
                 results = self._run_batched(spec.budget, batch_size, pool)
         finally:
-            if coverage_on:
-                set_kind_capture(capture_before)
+            set_kind_capture(capture_before)
             self._checkpoint_path = None
         if spec.checkpoint_path is not None:
             self._write_checkpoint(spec.checkpoint_path)  # final state, resume-safe

@@ -1,4 +1,4 @@
-"""Scenario failure model: classification, retry policy, and quarantine.
+"""Scenario failure model: classification, re-drive backoff, and quarantine.
 
 A campaign runs hundreds to thousands of simulated deployments; the Test
 Controller must survive every one of them. Injected faults routinely
@@ -38,7 +38,7 @@ while ``result.failed`` lets callers filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List
+from typing import Dict, Iterator, List
 
 from .hyperspace import CoordsKey
 from .scenario import ScenarioResult
@@ -57,8 +57,8 @@ class ScenarioFailure(ScenarioResult):
     ``kind`` is one of the module-level failure kinds; ``error`` is a
     human-readable description of the last failure; ``attempts`` counts how
     many executions were tried before giving up: 1 for a scenario that
-    failed where it ran, up to ``RetryPolicy.max_attempts`` for one whose
-    worker was lost and re-driven.
+    failed where it ran, up to the campaign's ``max_attempts`` for one
+    whose worker was lost and re-driven.
     """
 
     kind: str = TARGET_FAULT
@@ -70,44 +70,16 @@ class ScenarioFailure(ScenarioResult):
         return True
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry budget and exponential backoff for re-driving lost workers."""
+#: Backoff before a lost scenario's second attempt, in seconds; each further
+#: attempt doubles it, up to the cap.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
 
-    #: Total execution attempts (1 = no retries).
-    max_attempts: int = 3
-    #: Backoff before the second attempt, in seconds.
-    backoff_base: float = 0.05
-    #: Multiplier applied per further attempt.
-    backoff_factor: float = 2.0
-    #: Upper bound on any single backoff sleep, in seconds.
-    backoff_max: float = 2.0
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff after the ``attempt``-th failed execution (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        return min(self.backoff_max, self.backoff_base * self.backoff_factor ** (attempt - 1))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max": self.backoff_max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RetryPolicy":
-        return cls(**{key: data[key] for key in cls().to_dict() if key in data})
+def backoff_delay(attempt: int) -> float:
+    """Seconds to wait after the ``attempt``-th failed execution (1-based)."""
+    return min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
 
 
 @dataclass
@@ -185,10 +157,10 @@ __all__ = [
     "FailureSignal",
     "Quarantine",
     "QuarantineEntry",
-    "RetryPolicy",
     "ScenarioFailure",
     "TARGET_FAULT",
     "TIMEOUT",
     "WORKER_CRASH",
+    "backoff_delay",
     "describe_exception",
 ]

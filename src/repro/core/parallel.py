@@ -8,7 +8,7 @@ test — so nothing in the algorithm requires them to run one at a time.
 
 :class:`ParallelScenarioExecutor` executes *batches* of scenarios and owns
 every decision about them: batching, submission-order results, telemetry
-publication, degradation to local execution, and per-suspect retry
+publication, and per-suspect retry
 (:meth:`~ParallelScenarioExecutor.execute_batch_isolated`, the one batch
 entry point every strategy calls). Where
 a scenario runs is mechanism (:mod:`repro.core.backends`): a
@@ -23,10 +23,9 @@ rule, so asking for workers or hosts is enough to use them.
 
 A batch takes one of two routes:
 
-- **Local.** A batch of at most one scenario, an executor with no workers
-  (``workers=1`` and no hosts), or one that has degraded: the scenarios
-  run on this object's own
-  :class:`~repro.core.executor.ScenarioExecutor`, on the calling thread.
+- **Local.** A batch of at most one scenario, or an executor with no
+  workers (``workers=1`` and no hosts): the scenarios run on this object's
+  own :class:`~repro.core.executor.ScenarioExecutor`, on the calling thread.
   With ``batch_size=1`` this *is* the paper's serial loop. Local execution
   is deliberately not modelled as one more channel: a channel's failure
   path is to reset its worker and re-drive the scenario elsewhere, and the
@@ -49,13 +48,12 @@ Together these give the determinism guarantee the test harnesses in
 enforce: for a fixed ``(seed, batch_size)`` the exploration trajectory is
 bit-identical regardless of worker count *and* of where the workers are.
 
-Degradation. The target travels to every worker as one pickled blob in the
-session hello. A target that cannot be pickled and a set of hosts none of
-which answers end the same way: the executor stops using workers for
-good, records why in :attr:`~ParallelScenarioExecutor.fallback_reason`,
-logs one warning, and runs everything locally — same results, serial
-wall-clock. Only workers that never started end there; one lost
-mid-campaign never does (next paragraph).
+Placement errors. The target travels to every worker as one pickled blob
+in the session hello. A target that cannot be pickled, or endpoints none of
+which opens, raise :exc:`WorkerStartError` before any scenario of the batch
+runs: at the first batch that needs workers, or at a re-open after a reset.
+Nothing falls back to the controller's process. Endpoints that refuse
+while others open are named in one warning; the rest run the batch.
 
 Crash safety. Workers run every scenario through their executor's
 *isolated* path, so target faults, harness bugs, and event-budget
@@ -95,10 +93,10 @@ from .executor import (
     warm_target,
 )
 from .failures import (
-    RetryPolicy,
     ScenarioFailure,
     TIMEOUT,
     WORKER_CRASH,
+    backoff_delay,
     describe_exception,
 )
 from .scenario import ScenarioResult, TestScenario
@@ -109,6 +107,10 @@ _LOG = logging.getLogger(__name__)
 
 #: One unit of work: a scenario and its campaign-wide test index.
 Task = Tuple[TestScenario, int]
+
+
+class WorkerStartError(RuntimeError):
+    """No worker could be started, so a batch that needs them cannot run."""
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -136,13 +138,17 @@ class ParallelScenarioExecutor:
     manager (or call :meth:`close`) to release them.
     """
 
+    #: Always False: nothing falls back to in-process execution. Kept only
+    #: for ``benchmark/trace.py``, which reads it on every close.
+    fallback_serial = False
+
     def __init__(
         self,
         target: Target,
         campaign_seed: int = 0,
         workers: Optional[int] = 1,
         timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
+        max_attempts: int = 3,
         sleep: Callable[[float], None] = time.sleep,
         telemetry: Optional[TelemetryBus] = None,
         coverage_capture: bool = False,
@@ -150,6 +156,8 @@ class ParallelScenarioExecutor:
     ) -> None:
         if timeout is not None and not timeout > 0:
             raise ValueError("timeout must be positive (or None for no backstop)")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         self.target = target
         #: Propagated to every worker in the hello (and assumed already
         #: set in *this* process by the caller) so deployments on both
@@ -166,16 +174,12 @@ class ParallelScenarioExecutor:
         #: worker channel (None = wait forever). In-process execution has
         #: none: a scenario's own deadline is its simulation's event budget.
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.max_attempts = max_attempts
         self.hosts = tuple(hosts)
         #: Scenarios executed through this instance (either route).
         self.executed = 0
         #: Times the channels were torn down after a crash or a hang.
         self.pool_rebuilds = 0
-        #: True once workers were abandoned; execution then stays local
-        #: for the lifetime. ``fallback_reason`` says why.
-        self.fallback_serial = False
-        self.fallback_reason: Optional[str] = None
         self._sleep = sleep
         self._local = ScenarioExecutor(target, campaign_seed=campaign_seed)
         #: One label per worker to open: host endpoints, else child names.
@@ -215,16 +219,9 @@ class ParallelScenarioExecutor:
         self._channels = []
         self.pool_rebuilds += 1
 
-    def _degrade(self, reason: str) -> None:
-        """Stop using workers for good, and say so once."""
-        self.fallback_serial = True
-        self.fallback_reason = reason
-        _LOG.warning("workers degraded to in-process execution: %s", reason)
-        self.close()
-
     def _live_channels(self) -> List[Channel]:
         """The channels a batch may use; empty means run it locally."""
-        if self.fallback_serial or not self._endpoints:
+        if not self._endpoints:
             return []
         self._channels = [channel for channel in self._channels if channel.alive]
         if not self._channels:
@@ -242,8 +239,7 @@ class ParallelScenarioExecutor:
             try:
                 target_blob = pickle.dumps(self.target)
             except Exception as exc:
-                self._degrade(f"target does not pickle ({describe_exception(exc)})")
-                return []
+                raise WorkerStartError(f"target does not pickle ({describe_exception(exc)})")
             self._hello = {
                 "target_blob": target_blob,
                 "campaign_seed": self.campaign_seed,
@@ -262,7 +258,10 @@ class ParallelScenarioExecutor:
                 continue
             channels.append(channel)
         if not channels:
-            self._degrade("no reachable worker hosts: " + ", ".join(refused))
+            raise WorkerStartError("no worker answered: " + ", ".join(refused))
+        if refused:
+            _LOG.warning("running on %d of %d workers; refused: %s",
+                         len(channels), len(self._endpoints), ", ".join(refused))
         return channels
 
     # ------------------------------------------------------------------
@@ -324,27 +323,19 @@ class ParallelScenarioExecutor:
         Each attempt gets fresh workers; a scenario that keeps killing or
         hanging them exhausts its retry budget and is returned as a
         ``worker-crash``/``timeout`` failure without ever running inside
-        the controller's own process.
+        the controller's own process (no worker to re-open raises).
         """
-        attempts = 0
-        kind, error = WORKER_CRASH, "worker died mid-scenario"
-        while attempts < self.retry.max_attempts:
-            attempts += 1
-            channels = self._live_channels()
-            if not channels:
-                # Workers permanently unavailable: last resort is in-process.
-                return self._local.execute_isolated(scenario, test_index)
+        for attempt in range(1, self.max_attempts + 1):
+            if attempt > 1:
+                self._sleep(backoff_delay(attempt - 1))
+            channel = self._live_channels()[0]
             try:
-                return channels[0].call(scenario, test_index, self.timeout)
+                return channel.call(scenario, test_index, self.timeout)
             except ChannelTimeout as exc:
                 kind, error = TIMEOUT, str(exc)
             except ChannelError as exc:
                 kind, error = WORKER_CRASH, str(exc)
             self._reset_channels()
-            if attempts < self.retry.max_attempts:
-                delay = self.retry.delay(attempts)
-                if delay > 0:
-                    self._sleep(delay)
         self._local.failures += 1
         return ScenarioFailure(
             scenario=scenario,
@@ -354,8 +345,8 @@ class ParallelScenarioExecutor:
             params=self.target.hyperspace.params(scenario.coords),
             kind=kind,
             error=error,
-            attempts=attempts,
+            attempts=self.max_attempts,
         )
 
 
-__all__ = ["ParallelScenarioExecutor", "batch_sched", "resolve_workers"]
+__all__ = ["ParallelScenarioExecutor", "WorkerStartError", "batch_sched", "resolve_workers"]

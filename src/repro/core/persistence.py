@@ -14,7 +14,7 @@ Format history
   block (kind/error/attempts), plus a checkpoint document that carried a
   second, hand-serialized copy of the controller's state (RNG, plugin
   stats, Psi, quarantine, coverage). No longer loaded.
-- **v3** (current) — campaign files are unchanged from v2. A checkpoint
+- **v3** — campaign files are unchanged from v2. A checkpoint
   (``kind: "avd-checkpoint"``) is JSON Lines: a header line with the
   campaign's recipe (seed, controller config, plugin names, caller
   context), then one record per checkpoint write holding the run's
@@ -22,23 +22,31 @@ Format history
   telemetry cursor. Everything else is rebuilt by replaying those results
   through the controller's own loop (``restore_controller`` /
   ``repro resume``), so a killed campaign resumes bit-identically.
+- **v4** (current) — a checkpoint record's ``run`` block names the
+  ``hosts`` the campaign ran on, so ``repro resume`` keeps its placement,
+  and the controller config's ``retry`` policy is one ``max_attempts``
+  number. Campaign files are unchanged and share the version.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .campaign import CampaignResult
-from .failures import RetryPolicy, ScenarioFailure
+from .failures import ScenarioFailure
 from .hyperspace import CoordsKey, coords_key
 from .scenario import ScenarioResult, TestScenario
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 CHECKPOINT_KIND = "avd-checkpoint"
+
+#: Operator-facing diagnostics (stderr); never part of a result or checkpoint.
+_LOG = logging.getLogger(__name__)
 
 
 class _MeasurementView:
@@ -259,8 +267,8 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
     Returns the header with the ``records`` list, every recorded result
     under ``results``, and the last record's ``run`` and
     ``telemetry_seq``. An unparseable final line (a write torn by a kill)
-    is dropped, so the checkpoint loads as of the previous record; any
-    other corrupt line is refused.
+    is dropped with one warning, so the checkpoint loads as of the
+    previous record; any other corrupt line is refused.
     """
     text = Path(path).read_text(encoding="utf-8")
     header, end = json.JSONDecoder().raw_decode(text)
@@ -278,6 +286,7 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
         except ValueError:
             if number < len(lines):
                 raise ValueError(f"checkpoint record {number} is corrupt") from None
+            _LOG.warning("%s: dropped torn checkpoint record %d", path, number)
     if not records:
         raise ValueError("checkpoint holds no records")
     return dict(
@@ -343,14 +352,13 @@ def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
     if data.get("kind") != CHECKPOINT_KIND:
         raise ValueError("restore_controller needs a checkpoint document")
     config_data = dict(data["config"])
-    retry = RetryPolicy.from_dict(config_data.pop("retry", {}))
     unknown = sorted(set(config_data) - {f.name for f in dataclasses.fields(ControllerConfig)})
     if unknown:
         raise ValueError(
             "checkpoint config carries settings this version does not have: "
             + ", ".join(unknown)
         )
-    config = ControllerConfig(retry=retry, **config_data)
+    config = ControllerConfig(**config_data)
     controller = TestController(target, plugins, seed=int(data["campaign_seed"]), config=config)
     if set(data["plugins"]) != set(controller.plugins):
         raise ValueError(

@@ -46,6 +46,7 @@ connection thread.
 
 from __future__ import annotations
 
+import logging
 import pickle
 import socket
 import struct
@@ -55,6 +56,9 @@ from typing import Any, Iterable, List, Optional, Tuple
 from ..sim.trace import set_kind_capture
 from .executor import ScenarioExecutor, warm_target
 from .failures import describe_exception
+
+#: Operator-facing diagnostics (stderr); never part of a result.
+_LOG = logging.getLogger(__name__)
 
 #: Version of the frame protocol; bumped on any incompatible change.
 PROTOCOL_VERSION = 3
@@ -167,33 +171,32 @@ class WorkerSession:
         except FrameError:
             return False
         if kind != "hello" or not isinstance(payload, dict):
-            send_frame(self.conn, "error", "expected a hello message")
-            return False
+            return self._refuse("expected a hello message")
         if payload.get("protocol") != PROTOCOL_VERSION:
-            send_frame(
-                self.conn,
-                "error",
+            return self._refuse(
                 f"protocol mismatch: worker speaks {PROTOCOL_VERSION}, "
-                f"client sent {payload.get('protocol')!r}",
+                f"client sent {payload.get('protocol')!r}"
             )
-            return False
         try:
-            if payload.get("coverage_capture"):
-                # Before the target is unpickled and warmed: deployments
-                # (and snapshot-cache prefixes) sample the toggle at
-                # construction, and their snapshot keys include it. Sticky
-                # for the life of the worker process.
-                set_kind_capture(True)
+            # For this session's thread, before the target is unpickled and
+            # warmed: deployments (and snapshot-cache prefixes) sample the
+            # toggle at construction, and their snapshot keys include it.
+            set_kind_capture(bool(payload.get("coverage_capture")))
             target = pickle.loads(payload["target_blob"])
             warm_target(target)
             self.executor = ScenarioExecutor(
                 target, campaign_seed=int(payload.get("campaign_seed", 0))
             )
         except Exception as exc:
-            send_frame(self.conn, "error", f"session setup failed: {describe_exception(exc)}")
-            return False
+            return self._refuse(f"session setup failed: {describe_exception(exc)}")
         send_frame(self.conn, "ready", {"protocol": PROTOCOL_VERSION})
         return True
+
+    def _refuse(self, reason: str) -> bool:
+        """Answer the hello with ``reason``, say so once, end the session."""
+        _LOG.warning("refused a session: %s", reason)
+        send_frame(self.conn, "error", reason)
+        return False
 
     def _execute(self, payload: Any) -> None:
         assert self.executor is not None
@@ -282,9 +285,12 @@ class WorkerServer:
         """Stop accepting sessions (idempotent; live sessions finish)."""
         self._closing = True
         try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
+            # Wakes an accept() blocked on another thread: on Linux a plain
+            # close leaves that accept() running, taking new sessions.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already closed
             pass
+        self._listener.close()
 
 
 __all__ = [

@@ -1,10 +1,10 @@
 """PKL rules: objects that cross the process pool must pickle.
 
 ``ParallelScenarioExecutor`` ships the target (with its plugins) to worker
-processes by pickling it once per worker; anything unpicklable silently
-degrades the campaign to serial execution. ``parallel.py`` documents the
-hazard in prose — "closures, open simulators, test doubles with lambdas" —
-and these rules turn that prose into diagnostics:
+processes by pickling it once per session; a target that does not pickle
+stops a ``--workers N`` / ``--hosts`` campaign at its first batch with
+``WorkerStartError``. These rules catch the usual causes (closures, test
+doubles with lambdas) before the campaign runs:
 
 - PKL001 — a lambda or locally-defined function passed directly into a
   pool entrypoint (executor constructors, ``submit``/``map``, batch
@@ -14,9 +14,8 @@ and these rules turn that prose into diagnostics:
   ``__init__`` default.
 - PKL003 — a lambda or locally-defined closure stored on a
   *snapshot-captured* class (simulators, networks, nodes, deployments:
-  everything reachable from ``SimSnapshot.capture``'s pickle). Unlike the
-  pool case there is no serial fallback — the capture raises — so the
-  rule fires unless the class opts into custom pickling by defining
+  everything reachable from ``SimSnapshot.capture``'s pickle). The
+  capture raises on one, so the rule fires unless the class opts into custom pickling by defining
   ``__getstate__`` (the network's fused-send closures are the exemplar).
 """
 
@@ -127,7 +126,7 @@ class PickledAttributeRule(Rule):
     def _message(self, where: str) -> str:
         return (
             f"lambda {where} a pool-crossing class defeats target pickling "
-            "(campaigns silently fall back to serial); use a module-level "
+            "(a campaign on workers cannot start); use a module-level "
             "function"
         )
 

@@ -4,7 +4,7 @@ Tracing is off by default (a single branch per trace point). When enabled it
 records ``TraceRecord`` tuples that tests and debugging sessions can inspect.
 
 This module also hosts the *coverage capture* layer used by
-:mod:`repro.core.coverage`: a process-wide toggle (:func:`set_kind_capture`)
+:mod:`repro.core.coverage`: a per-context toggle (:func:`set_kind_capture`)
 and a bounded, deterministic accumulator of delivered-message kinds and
 their 2-gram transitions (:class:`KindTrail`). It lives here rather than in
 ``repro.core`` because the capture points sit inside ``repro.sim`` (the
@@ -13,6 +13,7 @@ network delivery funnel) and ``sim`` must not import ``core``.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -106,8 +107,9 @@ class Tracer:
 # Coverage-mode capture
 # ---------------------------------------------------------------------------
 
-#: Process-wide capture toggle; ``None`` (never set) means off.
-_KIND_CAPTURE: Optional[bool] = None
+#: Capture toggle of the current context. Every thread starts with a fresh
+#: context, so each ``repro worker`` session thread sees only its own hello.
+_KIND_CAPTURE: ContextVar[bool] = ContextVar("repro_kind_capture", default=False)
 
 #: Bound on distinct keys a :class:`KindTrail` tracks. Message-kind
 #: vocabularies are tiny (a dozen protocol message classes → at most a few
@@ -116,27 +118,22 @@ _KIND_CAPTURE: Optional[bool] = None
 TRAIL_MAX_KEYS = 512
 
 
-def set_kind_capture(enabled: Optional[bool]) -> Optional[bool]:
-    """Set (or clear, with ``None``) the process-wide capture toggle.
+def set_kind_capture(enabled: bool) -> bool:
+    """Set the capture toggle for the calling thread's context.
 
     Returns the previous value so callers can restore it. Components
     sample the toggle at *construction*, so flipping it mid-simulation
     never changes an existing deployment.
     """
-    global _KIND_CAPTURE
-    previous = _KIND_CAPTURE
-    _KIND_CAPTURE = enabled
+    previous = _KIND_CAPTURE.get()
+    _KIND_CAPTURE.set(enabled)
     return previous
 
 
 def kind_capture_enabled() -> bool:
-    """True when coverage-mode message-kind capture is on.
-
-    That is, when :func:`set_kind_capture` turned it on in this process: a
-    hybrid campaign's controller does for its run, and worker processes
-    receive the setting in the session hello (see :mod:`repro.core.worker`).
-    """
-    return bool(_KIND_CAPTURE)
+    """True when :func:`set_kind_capture` turned capture on in this context:
+    a controller sets it for its run, each worker session from its hello."""
+    return _KIND_CAPTURE.get()
 
 
 class KindTrail:

@@ -13,12 +13,17 @@
 
 from __future__ import annotations
 
+import logging
+import os
 import sys
 from collections import deque
 from typing import Deque, IO, List, Optional, Tuple, Union
 
 from .events import ImpactAbsorbed, ScenarioExecuted, TelemetryEvent
 from .schema import event_to_json
+
+#: Operator-facing diagnostics (stderr); never part of the stream itself.
+_LOG = logging.getLogger(__name__)
 
 
 class RingBufferSink:
@@ -67,7 +72,8 @@ class JsonlSink:
     ``resume_seq`` is the checkpoint's telemetry cursor: any tail lines
     with ``seq >= resume_seq`` are orphans from a killed run — the
     resumed controller republishes those sequence numbers — so they are
-    truncated before appending (along with any partial final line).
+    truncated before appending (along with any partial final line), with
+    one warning naming how many lines went.
     """
 
     def __init__(
@@ -89,16 +95,20 @@ class JsonlSink:
         """Drop the orphan tail atomically: the kept prefix goes to a sibling
         temp file that replaces the stream, so a kill at any point leaves
         either the old complete stream or the new one, never a shorter one."""
-        import os
-
         from .reader import complete_prefix_lines
 
         if not os.path.exists(path):
             return
-        kept = "".join(f"{line}\n" for line in complete_prefix_lines(path, resume_seq))
+        with open(path, encoding="utf-8") as handle:
+            dropped = sum(1 for line in handle if line.strip())
+        kept = list(complete_prefix_lines(path, resume_seq))
+        dropped -= len(kept)
+        if dropped:
+            _LOG.warning("%s: dropped %d line(s) at or past telemetry seq %d",
+                         path, dropped, resume_seq)
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(kept)
+            handle.write("".join(f"{line}\n" for line in kept))
         os.replace(tmp, path)
 
     def emit(self, seq: int, event: TelemetryEvent) -> None:

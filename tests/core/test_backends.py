@@ -14,11 +14,12 @@ task it was holding.
 
 from __future__ import annotations
 
+import logging
 import threading
 
 import pytest
 
-from repro.core import CampaignSpec, TestController, WorkStealingScheduler
+from repro.core import CampaignSpec, TestController, WorkerStartError, WorkStealingScheduler
 from repro.core.backends import ChannelError
 from repro.core.executor import batch_sched
 from repro.core.worker import WorkerServer
@@ -94,13 +95,25 @@ def test_socket_backend_with_one_worker_matches_two(worker_pair):
     assert controller_state(one) == controller_state(two)
 
 
-def test_unreachable_socket_hosts_degrade_to_local_execution():
-    # Nothing listens on this port; the campaign must still complete with
-    # the reference trajectory (fallback contract, same as a non-picklable
-    # target on the process pool).
+def test_unreachable_socket_hosts_raise_before_any_scenario_runs():
+    # Nothing listens on this port: the campaign stops at its first batch,
+    # and never runs it in the controller's process instead.
+    target, plugins = make_hill_target((LoadPlugin(),))
+    controller = TestController(target, plugins, seed=SEEDS[2])
+    spec = CampaignSpec(budget=BUDGET, workers=2, batch_size=BATCH, hosts=("127.0.0.1:9",))
+    with pytest.raises(WorkerStartError, match="no worker answered: 127.0.0.1:9"):
+        controller.run(spec)
+    assert controller.results == [] and target.executions == 0
+
+
+def test_partly_reachable_hosts_warn_once_and_keep_the_trajectory(worker_pair, caplog):
     reference = run_placed(SEEDS[2])
-    degraded = run_placed(SEEDS[2], workers=2, hosts=("127.0.0.1:9",))
-    assert controller_state(degraded) == controller_state(reference)
+    with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
+        placed = run_placed(SEEDS[2], hosts=(worker_pair[0], "127.0.0.1:9"))
+    assert controller_state(placed) == controller_state(reference)
+    (warning,) = [r for r in caplog.records if r.name == "repro.core.parallel"]
+    assert warning.levelno == logging.WARNING
+    assert "running on 1 of 2 workers; refused: 127.0.0.1:9" in warning.getMessage()
 
 
 def test_spec_has_no_backend_field():

@@ -11,6 +11,7 @@ same impacts, same Pi and Omega, same plugin fitness statistics.
 from __future__ import annotations
 
 import json
+import logging
 import os
 
 import pytest
@@ -172,6 +173,7 @@ def test_completed_run_writes_a_final_checkpoint(tmp_path):
         "workers": 1,
         "batch_size": 1,
         "checkpoint_every": 1000,
+        "hosts": [],
     }
     restored = restore_controller(data, *fresh())
     assert controller_state(restored) == controller_state(controller)
@@ -195,18 +197,18 @@ def test_checkpoint_context_round_trips(tmp_path):
 
 
 def test_quarantine_survives_the_checkpoint(tmp_path):
-    from tests.core.test_failures import FAST_RETRY, POISON, PoisonedTarget
+    from tests.core.test_failures import POISON, PoisonedTarget
 
     path = tmp_path / "poison.ckpt.json"
     plugins = [MaskPlugin(), LoadPlugin()]
     target = PoisonedTarget(plugins, poison=POISON)
-    config = ControllerConfig(retry=FAST_RETRY)
+    config = ControllerConfig(max_attempts=2)
     controller = TestController(target, plugins, seed=5, config=config)
     controller.run(CampaignSpec(budget=40, checkpoint_path=str(path)))
     assert len(controller.quarantine) > 0
     restored = restore_controller(load_checkpoint(path), target, plugins)
     assert set(restored.quarantine) == set(controller.quarantine)
-    assert restored.config.retry == FAST_RETRY
+    assert restored.config.max_attempts == 2
 
 
 def test_atomic_write_never_tears_an_existing_checkpoint(tmp_path, monkeypatch):
@@ -277,7 +279,7 @@ def test_later_writes_of_a_run_append_only_the_new_results(tmp_path, monkeypatch
 # ---------------------------------------------------------------------------
 # the v3 log: torn tails, corrupt records, stale checkpoints, chains
 # ---------------------------------------------------------------------------
-def test_a_torn_final_record_loads_as_the_previous_record(tmp_path):
+def test_a_torn_final_record_loads_as_the_previous_record(tmp_path, caplog):
     target, plugins = fresh()
     reference = make_controller(target, plugins)
     reference.run(CampaignSpec(budget=BUDGET))
@@ -290,8 +292,13 @@ def test_a_torn_final_record_loads_as_the_previous_record(tmp_path):
     text = path.read_text()
     last = text.rstrip("\n").rsplit("\n", 1)[1]
     path.write_text(text[: len(text) - len(last) // 2])  # a kill tore the last append
-    data = load_checkpoint(path)
+    with caplog.at_level(logging.WARNING, logger="repro.core.persistence"):
+        data = load_checkpoint(path)
     assert len(data["results"]) == 40
+    torn_number = len(text.splitlines()) - 1  # the header is not a record
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: dropped torn checkpoint record {torn_number}"
+    ]
     resumed = restore_controller(data, *fresh())
     resumed.run(spec)
     assert controller_state(resumed) == controller_state(reference)

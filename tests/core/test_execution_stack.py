@@ -7,7 +7,8 @@ pinned elsewhere (``test_parallel.py``, ``test_backends.py``); this file
 pins what identity tests cannot see: a spent event budget is the same
 ``timeout`` verdict in-process, on a child and on a server thread,
 children are reaped (or killed, when hung) and never orphaned,
-degradation is announced, a long-lived worker does not leak threads, a
+workers that cannot start stop the batch before any scenario runs, a
+long-lived worker does not leak threads, a
 bounded one (``--max-sessions``) finishes the sessions it admitted, and the
 wire speaks one dialect (a stale peer is refused at the hello, a reply
 other than ``result`` is a lost worker).
@@ -30,10 +31,10 @@ import time
 
 import pytest
 
-from repro.core import RetryPolicy, ScenarioExecutor, ScenarioFailure
+from repro.core import ScenarioExecutor, ScenarioFailure
 from repro.core.backends import Channel, ChannelError
 from repro.core.failures import TIMEOUT
-from repro.core.parallel import ParallelScenarioExecutor
+from repro.core.parallel import ParallelScenarioExecutor, WorkerStartError
 from repro.core.worker import (
     PROTOCOL_VERSION,
     WorkerServer,
@@ -49,8 +50,6 @@ from tests.core.test_failures import (
     scenario_for_mask,
 )
 from tests.core.test_parallel import make_batch
-
-ONE_ATTEMPT = RetryPolicy(max_attempts=1, backoff_base=0.0)
 
 
 class BusyTarget(HillTarget):
@@ -97,14 +96,14 @@ def test_budget_overrun_is_one_timeout_wherever_it_runs():
     in_process = [local.execute_isolated(s, index) for index, s in enumerate(scenarios)]
     with ParallelScenarioExecutor(target, campaign_seed=4, workers=2) as pool:
         on_children = pool.execute_batch_isolated(scenarios, start_index=0)
-        assert pool.pool_rebuilds == 0 and not pool.fallback_serial
+        assert pool.pool_rebuilds == 0
     server = WorkerServer().serve_in_thread()
     try:
         with ParallelScenarioExecutor(
             target, campaign_seed=4, hosts=(server.endpoint,)
         ) as pool:
             on_thread = pool.execute_batch_isolated(scenarios, start_index=0)
-            assert pool.pool_rebuilds == 0 and not pool.fallback_serial
+            assert pool.pool_rebuilds == 0
     finally:
         server.shutdown()
     expected = [(TIMEOUT, RUNAWAY_ERROR, 1, i, s.key) for i, s in enumerate(scenarios)]
@@ -135,7 +134,7 @@ def test_hung_worker_is_killed_by_the_reset_not_joined():
     target = HangingTarget([MaskPlugin()], poison=(3,))
     scenarios = [scenario_for_mask(target, mask) for mask in (1, 3, 5, 7)]
     pool = ParallelScenarioExecutor(
-        target, campaign_seed=3, workers=2, timeout=0.3, retry=ONE_ATTEMPT
+        target, campaign_seed=3, workers=2, timeout=0.3, max_attempts=1
     )
     started = time.monotonic()
     results = pool.execute_batch_isolated(scenarios, start_index=0)
@@ -184,16 +183,9 @@ def test_killing_the_controller_leaves_no_worker_children(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# degradation is announced, once, with a reason
+# workers that cannot start stop the batch before any scenario runs
 # ---------------------------------------------------------------------------
-def reference_results(scenarios, campaign_seed):
-    target, _ = make_hill_target((LoadPlugin(),))
-    with ParallelScenarioExecutor(target, campaign_seed=campaign_seed, workers=1) as serial:
-        results = serial.execute_batch_isolated(scenarios, start_index=0)
-    return [(r.key, r.impact) for r in results]
-
-
-def degradation_warnings(caplog):
+def parallel_warnings(caplog):
     return [
         record
         for record in caplog.records
@@ -201,34 +193,36 @@ def degradation_warnings(caplog):
     ]
 
 
-def test_unreachable_hosts_set_a_reason_and_log_once(caplog):
+def test_unreachable_hosts_raise_before_any_scenario_runs():
     target, _ = make_hill_target((LoadPlugin(),))
-    scenarios = make_batch(target, 6)
-    with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
-        with ParallelScenarioExecutor(
-            target, campaign_seed=4, hosts=("127.0.0.1:9",)
-        ) as pool:
-            first = pool.execute_batch_isolated(scenarios[:3], start_index=0)
-            second = pool.execute_batch_isolated(scenarios[3:], start_index=3)
-            assert pool.fallback_serial
-            assert pool.fallback_reason.startswith("no reachable worker hosts: 127.0.0.1:9")
-    assert len(degradation_warnings(caplog)) == 1
-    assert pool.fallback_reason in degradation_warnings(caplog)[0].getMessage()
-    assert [(r.key, r.impact) for r in first + second] == reference_results(scenarios, 4)
+    with ParallelScenarioExecutor(target, campaign_seed=4, hosts=("127.0.0.1:9",)) as pool:
+        with pytest.raises(WorkerStartError, match="no worker answered: 127.0.0.1:9"):
+            pool.execute_batch_isolated(make_batch(target, 3), start_index=0)
+        assert pool.executed == 0
+    assert target.executions == 0
 
 
-def test_non_picklable_target_sets_a_reason_and_logs_once(caplog):
+def test_non_picklable_target_raises_before_any_scenario_runs():
     target, _ = make_hill_target((LoadPlugin(),))
     target.unpicklable = lambda: None
-    scenarios = make_batch(target, 6)
-    with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
-        with ParallelScenarioExecutor(target, campaign_seed=5, workers=3) as pool:
-            first = pool.execute_batch_isolated(scenarios[:3], start_index=0)
-            second = pool.execute_batch_isolated(scenarios[3:], start_index=3)
-            assert pool.fallback_serial
-            assert "does not pickle" in pool.fallback_reason
-    assert len(degradation_warnings(caplog)) == 1
-    assert [(r.key, r.impact) for r in first + second] == reference_results(scenarios, 5)
+    with ParallelScenarioExecutor(target, campaign_seed=5, workers=3) as pool:
+        with pytest.raises(WorkerStartError, match="target does not pickle"):
+            pool.execute_batch_isolated(make_batch(target, 3), start_index=0)
+        assert pool.executed == 0 and pool._channels == []
+    assert target.executions == 0
+
+
+def test_a_failed_reopen_after_a_reset_raises():
+    target, _ = make_hill_target((LoadPlugin(),))
+    server = WorkerServer().serve_in_thread()
+    with ParallelScenarioExecutor(target, campaign_seed=6, hosts=(server.endpoint,)) as pool:
+        pool.execute_batch_isolated(make_batch(target, 4), start_index=0)
+        server.shutdown()
+        pool._reset_channels()  # as after a lost worker
+        with pytest.raises(WorkerStartError, match=server.endpoint):
+            pool.execute_batch_isolated(make_batch(target, 4, seed=4), start_index=4)
+        assert pool.executed == 4
+    assert target.executions == 0  # both batches were for the host alone
 
 
 def test_healthy_workers_log_nothing(caplog):
@@ -236,8 +230,7 @@ def test_healthy_workers_log_nothing(caplog):
     with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
         with ParallelScenarioExecutor(target, workers=2) as pool:
             pool.execute_batch_isolated(make_batch(target, 4), start_index=0)
-            assert not pool.fallback_serial and pool.fallback_reason is None
-    assert degradation_warnings(caplog) == []
+    assert parallel_warnings(caplog) == []
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +272,7 @@ def test_a_reply_other_than_result_is_a_lost_worker():
     assert not channel.alive
 
 
-def test_a_stale_peer_is_refused_at_the_hello_naming_both_versions():
+def test_a_stale_peer_is_refused_at_the_hello_naming_both_versions(caplog):
     target, _ = make_hill_target()
     stale = PROTOCOL_VERSION - 1
     expected = f"worker speaks {PROTOCOL_VERSION}, client sent {stale}"
@@ -287,11 +280,15 @@ def test_a_stale_peer_is_refused_at_the_hello_naming_both_versions():
     ours, theirs = socket.socketpair()
     session = threading.Thread(target=serve_socket, args=(theirs,), daemon=True)
     session.start()
-    with ours:
+    with caplog.at_level(logging.WARNING, logger="repro.core.worker"), ours:
         send_frame(ours, "hello", {"protocol": stale, **session_hello(target)})
         assert recv_frame(ours) == ("error", f"protocol mismatch: {expected}")
-    session.join(timeout=10)
+        session.join(timeout=10)
     assert not session.is_alive()  # refused and gone, no exec loop entered
+    # The worker's operator sees the same reason, once.
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, f"refused a session: protocol mismatch: {expected}")
+    ]
     # This client, a worker of the previous dialect: the refusal it sends
     # back reaches the caller as the reason no session opened.
     refusal = f"protocol mismatch: worker speaks {stale}, client sent {PROTOCOL_VERSION}"
@@ -331,7 +328,59 @@ def test_bounded_worker_finishes_the_sessions_it_admitted():
         for start in (0, 4, 8):
             pool.execute_batch_isolated(make_batch(target, 4, seed=start), start_index=start)
             assert serving.is_alive()  # still serving the one admitted session
-        assert not pool.fallback_serial and pool.pool_rebuilds == 0
+        assert pool.pool_rebuilds == 0
     serving.join(timeout=10)
     assert not serving.is_alive()
     assert server.sessions_served == 1
+
+
+# ---------------------------------------------------------------------------
+# coverage capture belongs to one session, not to the worker process
+# ---------------------------------------------------------------------------
+def capture_probe():
+    """A PBFT target, one scenario (every coordinate at 1) and its
+    in-process counters, with coverage capture off."""
+    from repro.core import TestScenario
+    from repro.pbft import PbftConfig
+    from repro.plugins import ClientCountPlugin, MacCorruptionPlugin
+    from repro.targets import PbftTarget
+
+    plugins = [MacCorruptionPlugin(), ClientCountPlugin(2, 4, 2)]
+    config = PbftConfig.campaign_scale(warmup_us=100_000, measurement_us=200_000)
+    target = PbftTarget(plugins, config=config)
+    scenario = TestScenario(coords={dim.name: 1 for dim in target.hyperspace.dimensions})
+    local = ScenarioExecutor(target, campaign_seed=7).execute_isolated(scenario, 0)
+    return target, scenario, local.measurement.counters
+
+
+def capture_hello(target, coverage_capture):
+    return dict(session_hello(target), campaign_seed=7, coverage_capture=coverage_capture)
+
+
+def test_a_plain_session_after_a_capture_session_captures_nothing():
+    target, scenario, plain_counters = capture_probe()
+    server = WorkerServer().serve_in_thread()
+    try:
+        captured = Channel.dial(server.endpoint, capture_hello(target, True))
+        assert captured.call(scenario, 0, 60.0).measurement.counters != plain_counters
+        captured.goodbye()
+        plain = Channel.dial(server.endpoint, capture_hello(target, False))
+        assert plain.call(scenario, 0, 60.0).measurement.counters == plain_counters
+        plain.goodbye()
+    finally:
+        server.shutdown()
+
+
+def test_concurrent_capture_and_plain_sessions_keep_their_own_setting():
+    target, scenario, plain_counters = capture_probe()
+    server = WorkerServer().serve_in_thread()
+    try:
+        plain = Channel.dial(server.endpoint, capture_hello(target, False))
+        captured = Channel.dial(server.endpoint, capture_hello(target, True))
+        captured_counters = captured.call(scenario, 0, 60.0).measurement.counters
+        assert plain.call(scenario, 0, 60.0).measurement.counters == plain_counters
+        assert any(key.startswith("net.msg.") for key in captured_counters)
+        for channel in (plain, captured):
+            channel.goodbye()
+    finally:
+        server.shutdown()

@@ -14,6 +14,8 @@ from __future__ import annotations
 import logging
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -26,7 +28,6 @@ from repro.core import (
     ExhaustiveExploration,
     GeneticExploration,
     RandomExploration,
-    RetryPolicy,
     ScenarioExecutor,
     ScenarioFailure,
     TestController,
@@ -39,9 +40,10 @@ from repro.core.failures import (
     TARGET_FAULT,
     TIMEOUT,
     WORKER_CRASH,
+    backoff_delay,
     describe_exception,
 )
-from repro.core.parallel import ParallelScenarioExecutor
+from repro.core.parallel import ParallelScenarioExecutor, WorkerStartError
 from repro.sim import SECOND, Simulator
 from tests._strategies import trajectory
 from tests.core.fake_target import HillTarget, LoadPlugin, MaskPlugin, make_hill_target
@@ -150,31 +152,24 @@ def scenario_for_mask(target, mask_value):
     raise AssertionError(f"mask value {mask_value} not in the dimension")
 
 
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.01, backoff_max=0.05)
+def no_sleep(_seconds):
+    """The executor's ``sleep`` seam, for tests that re-drive scenarios."""
 
 
 # ---------------------------------------------------------------------------
-# retry policy
+# retry policy: one number, the attempts a lost scenario gets
 # ---------------------------------------------------------------------------
 def test_retry_policy_backoff_schedule_is_exponential_and_capped():
-    policy = RetryPolicy(max_attempts=5, backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3)
-    assert [policy.delay(n) for n in (1, 2, 3, 4)] == [0.1, 0.2, 0.3, 0.3]
+    delays = [backoff_delay(n) for n in range(1, 8)]
+    assert delays == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
 
 
 def test_retry_policy_validates_itself():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_base=-1.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy().delay(0)
-
-
-def test_retry_policy_round_trips_through_dict():
-    policy = RetryPolicy(max_attempts=7, backoff_base=0.2, backoff_factor=3.0, backoff_max=9.0)
-    assert RetryPolicy.from_dict(policy.to_dict()) == policy
+    target, _ = make_hill_target()
+    with pytest.raises(ValueError, match="max_attempts"):
+        ControllerConfig(max_attempts=0)
+    with pytest.raises(ValueError, match="max_attempts"):
+        ParallelScenarioExecutor(target, workers=2, max_attempts=0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,7 @@ POISON = frozenset(range(0, 256, 4))
 def poisoned_controller(seed=5, poison=POISON, **config_kwargs):
     plugins = [MaskPlugin(), LoadPlugin()]
     target = PoisonedTarget(plugins, poison=poison)
-    config = ControllerConfig(retry=FAST_RETRY, **config_kwargs)
+    config = ControllerConfig(**config_kwargs)
     return TestController(target, plugins, seed=seed, config=config)
 
 
@@ -332,9 +327,7 @@ def test_baseline_strategies_record_failures_instead_of_raising(name):
 def test_campaign_result_surfaces_failures():
     plugins = [MaskPlugin()]
     target = PoisonedTarget(plugins, poison=POISON)
-    strategy = AvdExploration(
-        target, plugins, seed=5, config=ControllerConfig(retry=FAST_RETRY)
-    )
+    strategy = AvdExploration(target, plugins, seed=5)
     campaign = run_campaign(strategy, CampaignSpec(budget=30))
     failures = campaign.failures()
     assert failures == [r for r in campaign.results if r.failed]
@@ -366,8 +359,9 @@ def test_killed_worker_quarantines_the_culprit_not_the_batch():
     plugins = [MaskPlugin()]
     target = WorkerKillerTarget(plugins, poison=(9,))
     scenarios = killer_batch(target, poison_mask=9)
-    retry = RetryPolicy(max_attempts=2, backoff_base=0.0)
-    with ParallelScenarioExecutor(target, campaign_seed=3, workers=2, retry=retry) as pool:
+    with ParallelScenarioExecutor(
+        target, campaign_seed=3, workers=2, max_attempts=2, sleep=no_sleep
+    ) as pool:
         results = pool.execute_batch_isolated(scenarios, start_index=0)
         assert pool.pool_rebuilds >= 1
     assert [r.key for r in results] == [s.key for s in scenarios]
@@ -377,7 +371,7 @@ def test_killed_worker_quarantines_the_culprit_not_the_batch():
     (failure,) = failures
     assert failure.scenario.coords == scenarios[2].coords
     assert failure.kind == WORKER_CRASH
-    assert failure.attempts == retry.max_attempts
+    assert failure.attempts == 2
     # Innocent batch-mates completed with their real measurements.
     reference, _ = make_hill_target()
     local = ScenarioExecutor(reference, campaign_seed=3)
@@ -389,9 +383,9 @@ def test_killed_worker_quarantines_the_culprit_not_the_batch():
 
 
 def test_a_dying_worker_never_sends_a_baseline_campaign_serial(monkeypatch, caplog):
-    # A worker death must neither degrade the pool for good nor get the
-    # killer scenario re-executed inside the controller's own process
-    # (where this one "passes"): it is a worker-crash failure, every time.
+    # A worker death must never get the killer scenario re-executed inside
+    # the controller's own process (where this one "passes"): it is a
+    # worker-crash failure, every time.
     pools = []
 
     class RecordedPool(ParallelScenarioExecutor):
@@ -409,6 +403,43 @@ def test_a_dying_worker_never_sends_a_baseline_campaign_serial(monkeypatch, capl
     assert [r for r in results if r.failed] == poisoned
     assert {r.kind for r in poisoned} == {WORKER_CRASH}
     (pool,) = pools
-    assert not pool.fallback_serial and pool.fallback_reason is None
     assert pool.pool_rebuilds >= len(poisoned)
-    assert not [r for r in caplog.records if "degraded" in r.getMessage()]
+    assert not [r for r in caplog.records if r.name == "repro.core.parallel"]
+
+
+class ParentWitnessKiller(WorkerKillerTarget):
+    """A worker killer that notes every poisoned scenario it is asked to run
+    in the controller's own process (a real crasher would kill it there)."""
+
+    def __init__(self, plugins, poison):
+        super().__init__(plugins, poison)
+        self.poisoned_in_parent = []
+
+    def execute(self, params, seed):
+        if params["mask"] in self.poison and os.getpid() == self.parent_pid:
+            self.poisoned_in_parent.append(params["mask"])
+        return super().execute(params, seed)
+
+
+def test_a_host_killing_scenario_stops_the_campaign_not_the_controller():
+    # One `repro worker` process: the first poisoned scenario kills it, the
+    # re-drive cannot re-open a session, and the campaign stops with one
+    # error instead of running the killer in its own process.
+    repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(repo, "src"), repo]))
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        endpoint = worker.stdout.readline().split()[-1]
+        target = ParentWitnessKiller([MaskPlugin(), LoadPlugin()], poison=POISON)
+        strategy = RandomExploration(target, seed=5)
+        with pytest.raises(WorkerStartError, match="no worker answered"):
+            strategy.run(CampaignSpec(budget=24, hosts=(endpoint,)))
+        assert worker.wait(timeout=10) == 17  # the killer ran on the host
+    finally:
+        worker.kill()
+        worker.wait(timeout=10)
+        worker.stdout.close()
+    assert target.poisoned_in_parent == []

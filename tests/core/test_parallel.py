@@ -8,8 +8,8 @@ The contract under test (see ``repro.core.parallel``):
    bit-identical regardless of worker count — workers change wall-clock
    only, never Pi/Omega/mu or the plugin fitness-gain statistics;
 3. multi-worker runs are stable run-to-run (same best impact, same Omega);
-4. non-picklable targets degrade to in-process execution with identical
-   results.
+4. a non-picklable target stops the first batch that needs workers with
+   ``WorkerStartError``, before any of its scenarios runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import CampaignSpec, RandomExploration, TestController, TestScenario
-from repro.core.parallel import ParallelScenarioExecutor, resolve_workers
+from repro.core.parallel import ParallelScenarioExecutor, WorkerStartError, resolve_workers
 from tests._strategies import campaign_seeds, trajectory
 from tests.core.fake_target import LoadPlugin, make_hill_target
 
@@ -137,17 +137,15 @@ def test_pool_results_match_in_process_results():
     assert [(r.key, r.impact) for r in pooled] == [(r.key, r.impact) for r in local]
 
 
-def test_non_picklable_target_falls_back_in_process():
+def test_non_picklable_target_raises_worker_start_error():
     target, _ = make_hill_target((LoadPlugin(),))
     target.unpicklable = lambda: None  # closures cannot cross processes
-    scenarios = make_batch(target, 6)
     with ParallelScenarioExecutor(target, campaign_seed=0, workers=4) as pool:
-        results = pool.execute_batch_isolated(scenarios, start_index=0)
-        assert pool.fallback_serial
-    reference, _ = make_hill_target((LoadPlugin(),))
-    with ParallelScenarioExecutor(reference, campaign_seed=0, workers=1) as serial:
-        expected = serial.execute_batch_isolated(scenarios, start_index=0)
-    assert [(r.key, r.impact) for r in results] == [(r.key, r.impact) for r in expected]
+        with pytest.raises(WorkerStartError, match="target does not pickle"):
+            pool.execute_batch_isolated(make_batch(target, 6), start_index=0)
+        # A batch of one never needs workers, so it still runs here.
+        (only,) = pool.execute_batch_isolated(make_batch(target, 1), start_index=0)
+    assert target.executions == 1 and not only.failed
 
 
 def test_empty_and_single_batches_never_touch_the_pool():

@@ -1,6 +1,7 @@
 """Clock helpers, RNG derivation, and the tracer."""
 
 import pickle
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -182,12 +183,15 @@ class TestKindCaptureToggle:
 
     def test_cleared_toggle_is_off_whatever_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_COVERAGE", "1")  # the environment is not consulted
-        previous = set_kind_capture(None)
+        previous = set_kind_capture(True)
         try:
-            assert kind_capture_enabled() is False
-            assert set_kind_capture(True) is None
-            assert kind_capture_enabled() is True
-            assert set_kind_capture(None) is True
+            # A fresh thread starts from the default, not from this one's value.
+            seen = []
+            thread = threading.Thread(target=lambda: seen.append(kind_capture_enabled()))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive() and seen == [False]
+            assert set_kind_capture(False) is True
             assert kind_capture_enabled() is False
         finally:
             set_kind_capture(previous)

@@ -129,7 +129,7 @@ def test_scope_and_key_spellings_are_pinned():
     """Both targets' specs spell their scope strings and keys through one
     base; the spellings are what seed every scenario of a class and address
     the cache, so any drift would move every timed trajectory."""
-    previous = set_kind_capture(None)
+    previous = set_kind_capture(False)
     try:
         pbft_config, dht_config = micro_pbft_config(), micro_dht_config()
         pbft, dht = pbft_spec(config=pbft_config), dht_spec(config=dht_config)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 
 import pytest
 
@@ -128,7 +129,7 @@ class TestJsonlSink:
         assert len(path.read_text().splitlines()) == 1  # visible pre-close
         sink.close()
 
-    def test_resume_seq_truncates_the_orphan_tail(self, tmp_path):
+    def test_resume_seq_truncates_the_orphan_tail(self, tmp_path, caplog):
         # A killed run can leave events past the checkpoint cursor; the
         # resumed controller republishes those seqs, so append mode must
         # drop them first.
@@ -136,11 +137,19 @@ class TestJsonlSink:
         with JsonlSink(str(path)) as sink:
             for seq in range(5):
                 sink.emit(seq, _executed(seq))
-        with JsonlSink(str(path), append=True, resume_seq=3) as sink:
-            sink.emit(3, _executed(30))
+        with caplog.at_level(logging.WARNING, logger="repro.telemetry.sinks"):
+            with JsonlSink(str(path), append=True, resume_seq=3) as sink:
+                sink.emit(3, _executed(30))
         assert [json.loads(l)["seq"] for l in path.read_text().splitlines()] == [
             0, 1, 2, 3,
         ]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: dropped 2 line(s) at or past telemetry seq 3"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro.telemetry.sinks"):
+            JsonlSink(str(path), append=True, resume_seq=4).close()
+        assert caplog.records == []  # nothing dropped, nothing said
 
     def test_resume_seq_drops_a_partial_final_line(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -169,8 +169,9 @@ def _stale_checkpoint(ckpt):
         ("{ not json", "cannot resume"),
         (None, "No such file"),
         (_stale_checkpoint, "diverges from its campaign at test 0"),
+        ('{"format_version": 3, "kind": "avd-checkpoint"}', "version: 3"),
     ],
-    ids=["old-version", "sharded", "not-json", "missing", "stale"],
+    ids=["old-version", "sharded", "not-json", "missing", "stale", "v3"],
 )
 def test_resume_on_a_bad_checkpoint_is_a_clean_error(tmp_path, content, expected):
     """A checkpoint `resume` cannot read exits 1 with one line, no traceback."""
@@ -332,6 +333,7 @@ def test_campaign_progress_smoke(capsys):
         ["campaign", "--batch-size", "0"],
         ["campaign", "--budget", "0"],
         ["campaign", "--checkpoint-every", "0"],
+        ["campaign", "--retries", "0"],
         ["campaign", "--workers", "two"],
         ["resume", "x.json", "--workers", "-1"],
         ["resume", "x.json", "--budget", "0"],
@@ -453,3 +455,83 @@ def test_log_level_surfaces_snapshot_captures_on_stderr_only(tmp_path):
 def test_v_is_log_level_info():
     assert build_parser().parse_args(["-v", "lint"]).log_level == "INFO"
     assert build_parser().parse_args(["lint"]).log_level is None
+
+
+# ---------------------------------------------------------------------------
+# placement is declared: no worker, no campaign; resume keeps its hosts
+# ---------------------------------------------------------------------------
+def _repro(cwd, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
+
+
+def test_campaign_with_no_reachable_host_exits_1_and_saves_nothing(tmp_path):
+    result = _repro(tmp_path, "campaign", "--tools", "mac", "--budget", "2",
+                    "--hosts", "127.0.0.1:9", "--out", "out.json")
+    assert result.returncode == 1
+    assert result.stderr.startswith("cannot start workers: no worker answered: 127.0.0.1:9")
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_hosts_campaign_resumes_on_its_hosts(tmp_path):
+    import shutil
+
+    from repro.core.persistence import load_checkpoint
+    from repro.core.worker import WorkerServer
+
+    base = ["campaign", "--tools", "mac", "--seed", "9", "--batch-size", "2"]
+    ckpt, local_ckpt = tmp_path / "ckpt.json", tmp_path / "local.ckpt.json"
+    resumed, local, straight = (tmp_path / f"{n}.json" for n in ("resumed", "local", "straight"))
+    server = WorkerServer().serve_in_thread()
+    try:
+        assert main(base + ["--budget", "4", "--hosts", server.endpoint,
+                            "--checkpoint", str(ckpt)]) == 0
+        assert load_checkpoint(ckpt)["run"]["hosts"] == [server.endpoint]
+        shutil.copy(ckpt, local_ckpt)
+        assert server.sessions_served == 1
+        assert main(["resume", str(ckpt), "--budget", "8", "--out", str(resumed)]) == 0
+        assert server.sessions_served == 2  # resume dialled the recorded host
+        with pytest.raises(SystemExit, match="^cannot start workers: no worker answered"):
+            main(["resume", str(local_ckpt), "--budget", "8", "--hosts", "127.0.0.1:9"])
+        assert main(["resume", str(local_ckpt), "--budget", "8", "--hosts", "",
+                     "--out", str(local)]) == 0
+        assert server.sessions_served == 2  # --hosts "" resumed locally
+    finally:
+        server.shutdown()
+    assert main(base + ["--budget", "8", "--out", str(straight)]) == 0
+    assert resumed.read_bytes() == straight.read_bytes()
+    assert local.read_bytes() == straight.read_bytes()
+
+
+def test_resume_fallbacks_warn_without_changing_a_byte(tmp_path):
+    """A torn checkpoint record and orphan telemetry are each dropped with
+    one warning; results, checkpoint and stream are the same with -v."""
+    import shutil
+
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    quiet.mkdir()
+    assert _repro(quiet, "campaign", "--tools", "mac", "--seed", "9", "--budget", "4",
+                  "--checkpoint", "ckpt", "--checkpoint-every", "2",
+                  "--telemetry", "run.jsonl").returncode == 0
+    with open(quiet / "ckpt", "a", encoding="utf-8") as handle:
+        handle.write('{"run": {"bud')  # a kill tore the last append
+    with open(quiet / "run.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"v": 1, "seq": 999999, "ty')  # and the stream's tail
+    shutil.copytree(quiet, loud)
+    records = len((quiet / "ckpt").read_text().splitlines()) - 1
+    runs = {
+        "quiet": _repro(quiet, "resume", "ckpt", "--budget", "6", "--out", "out.json"),
+        "loud": _repro(loud, "-v", "resume", "ckpt", "--budget", "6", "--out", "out.json"),
+    }
+    assert [run.returncode for run in runs.values()] == [0, 0]
+    for name, prefix in (("quiet", ""), ("loud", "WARNING repro.core.persistence: ")):
+        assert f"{prefix}ckpt: dropped torn checkpoint record {records}" in runs[name].stderr
+    assert "run.jsonl: dropped 1 line(s) at or past telemetry seq" in runs["quiet"].stderr
+    assert "WARNING repro.telemetry.sinks: run.jsonl: dropped 1 line(s)" in runs["loud"].stderr
+    for name in ("out.json", "ckpt", "run.jsonl"):
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes(), name
