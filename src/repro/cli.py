@@ -160,8 +160,9 @@ def _build_target(recipe: dict):
 
 
 #: ``--strategy`` name -> ``builder(target, plugins, seed, config)``. Only
-#: avd and hybrid are backed by a controller: they alone take its config,
-#: checkpoint and publish telemetry.
+#: avd and hybrid are backed by a controller: they alone take its config
+#: (search tunables), checkpoint and publish telemetry. How scenarios
+#: execute travels in the spec, to every strategy.
 _STRATEGIES = {
     "avd": AvdExploration,
     "hybrid": HybridExploration,
@@ -245,11 +246,7 @@ def cmd_campaign(args) -> int:
     if novelty_weight is None:
         hybrid = args.strategy == "hybrid"
         novelty_weight = HybridExploration.DEFAULT_NOVELTY_WEIGHT if hybrid else 0.0
-    config = ControllerConfig(
-        scenario_timeout=args.scenario_timeout,
-        max_attempts=args.retries,
-        novelty_weight=novelty_weight,
-    )
+    config = ControllerConfig(novelty_weight=novelty_weight)
     recipe = _recipe(args)
     workers = resolve_workers(args.workers)
     target, plugins = _build_target(recipe)
@@ -273,6 +270,8 @@ def cmd_campaign(args) -> int:
         checkpoint_every=args.checkpoint_every,
         hosts=args.hosts,
         telemetry=bus,
+        scenario_timeout=args.scenario_timeout,
+        max_attempts=args.retries,
     )
     campaign = _run_closing(lambda: run_campaign(strategy, spec), bus)
     _report(campaign, args.out, args.telemetry)
@@ -303,20 +302,15 @@ def cmd_resume(args) -> int:
             print(f"campaign already complete ({done}/{budget} tests); nothing to resume")
             return controller, None
         print(f"resuming campaign at test {done}/{budget} from {args.checkpoint} ...")
-        # batch_size comes from the checkpoint: the trajectory depends on
-        # it. Placement is override-safe (wall-clock only).
-        workers = args.workers if args.workers is not None else run_params["workers"]
-        hosts = args.hosts if args.hosts is not None else run_params["hosts"]
-        controller.run(
-            CampaignSpec(
-                budget=budget,
-                workers=workers,
-                hosts=hosts,
-                batch_size=run_params["batch_size"],
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=run_params["checkpoint_every"],
-            )
-        )
+        # The run block holds the spec's execution fields as the campaign
+        # ran them. batch_size shapes the trajectory; placement is
+        # override-safe (wall-clock only).
+        spec = dict(run_params, budget=budget, checkpoint_path=args.checkpoint)
+        if args.workers is not None:
+            spec["workers"] = args.workers
+        if args.hosts is not None:
+            spec["hosts"] = args.hosts
+        controller.run(CampaignSpec(**spec))
         return controller, stream
 
     controller, written = _run_closing(job, bus, "cannot resume: ")
@@ -697,15 +691,17 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--scenario-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock backstop on a scenario running on a worker "
-             "(--workers >= 2 or --hosts): a worker past it is reset and the "
-             "scenario re-driven, then quarantined as timeout (default: none). "
-             "In-process scenarios have none; every scenario's own deadline "
-             "is its simulation's event budget",
+             "(--workers >= 2 or --hosts), under every --strategy: a worker "
+             "past it is reset and the scenario re-driven, then quarantined as "
+             "timeout (default: none). In-process scenarios have none; every "
+             "scenario's own deadline is its simulation's event budget. "
+             "`repro resume` keeps the checkpoint's value",
     )
     campaign.add_argument(
         "--retries", type=_positive_int, default=3, metavar="N",
         help="attempts per scenario whose worker died or hit the backstop, "
-             "before quarantine (default: 3)",
+             "before quarantine (default: 3; `repro resume` keeps the "
+             "checkpoint's value)",
     )
     campaign.add_argument(
         "--checkpoint", metavar="PATH",

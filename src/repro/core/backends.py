@@ -27,7 +27,9 @@ children but not on hosts. One blob keeps one contract: what the worker
 executes is exactly what crossed the wire.
 
 With neither hosts nor more than one worker no channel is opened at all;
-the policy layer runs those batches on its own executor.
+the policy layer runs those batches on its own executor. With either, every
+batch goes through the channels, whatever its size: no scenario of a
+worker campaign runs in the controller's process.
 
 Trouble on a channel is reported in one vocabulary. :exc:`ChannelError`
 means the worker is gone (died, connection torn, unexpected reply) and

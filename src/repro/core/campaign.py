@@ -82,13 +82,14 @@ def run_campaign(strategy: ExplorationStrategy, spec: CampaignSpec) -> CampaignR
     """Run a strategy to its spec'd budget and wrap the results.
 
     This is the one front door: every strategy's ``run`` takes the spec and
-    nothing else, and reads from it what it can honour. ``workers``/
-    ``hosts``/``batch_size`` enable concurrent scenario execution for the
-    strategies that parallelize (AVD, random, exhaustive); the result
-    trajectory depends only on ``(seed, batch_size)``, never on where the
-    scenarios ran. ``checkpoint_path`` (periodic resumable state) and
-    ``telemetry`` (the campaign event bus) need a strategy that carries
-    that state — currently AVD; the others refuse them with ``ValueError``.
+    nothing else, and runs its scenarios where and as the spec says
+    (``workers``/``hosts``, the backstop, the retry budget). AVD, random and
+    exhaustive batch at ``batch_size``, the GA one generation and annealing
+    one step at a time; the result trajectory depends only on ``(seed,
+    batch_size)``, never on where the scenarios ran. ``checkpoint_path``
+    (periodic resumable state) and ``telemetry`` (the campaign event bus)
+    need a strategy that carries that state — currently AVD; the others
+    refuse them with ``ValueError``.
     """
     try:
         results = strategy.run(spec)

@@ -39,7 +39,7 @@ from .coverage import CoverageMap
 from .executor import Target
 from .failures import Quarantine, ScenarioFailure
 from .hyperspace import CoordsKey
-from .parallel import ParallelScenarioExecutor
+from .parallel import campaign_executor, run_batches
 from .plugin import ToolPlugin
 from .sampling import PluginSampler, TopSet, weighted_choice
 from .scenario import ScenarioResult, TestScenario
@@ -71,13 +71,6 @@ class ControllerConfig:
     fixed_mutate_distance: Optional[float] = None
     #: Ablation X2: sample plugins uniformly instead of by fitness gain.
     uniform_plugin_choice: bool = False
-    #: Wall-clock backstop, in seconds, on one scenario in flight on a
-    #: worker channel (``--workers`` >= 2 or ``--hosts``; None = none). A
-    #: scenario's own deadline is its simulation's event budget.
-    scenario_timeout: Optional[float] = None
-    #: Executions, in all, of a scenario whose worker was lost (it died, or
-    #: sat past the backstop) before it is quarantined.
-    max_attempts: int = 3
     #: Coverage-novelty blend for parent selection: 0 = the paper's pure
     #: impact-weighted sampling (legacy RNG behaviour, bit-for-bit), 1 =
     #: pure novelty. Any positive value turns on coverage capture and
@@ -95,10 +88,6 @@ class ControllerConfig:
             0.0 <= self.fixed_mutate_distance <= 1.0
         ):
             raise ValueError("fixed_mutate_distance must be in [0, 1]")
-        if self.scenario_timeout is not None and not self.scenario_timeout > 0:
-            raise ValueError("scenario_timeout must be positive (or None)")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if not 0.0 <= self.novelty_weight <= 1.0:
             raise ValueError("novelty_weight must be in [0, 1]")
 
@@ -409,13 +398,16 @@ class TestController:
     def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         """Run a campaign described by a :class:`CampaignSpec`.
 
-        Spec semantics (see :class:`repro.core.spec.CampaignSpec`):
+        The loop is :func:`~repro.core.parallel.run_batches`: this
+        controller generates each batch (:meth:`_next_batch`) and absorbs
+        its results (:meth:`_absorb_batch`). With ``batch_size=1`` that is
+        the paper's strictly sequential Algorithm 1 loop; larger batches
+        trade a little guidance staleness — siblings are generated before
+        their predecessors' impacts are known — for parallel execution.
+        Where and how scenarios execute (``workers``, ``hosts``,
+        ``batch_size``, ``scenario_timeout``, ``max_attempts``) is the
+        spec's (see :class:`~repro.core.spec.CampaignSpec`). Besides:
 
-        - ``workers`` sets how many scenarios execute concurrently on
-          local worker processes (``0``/``None`` means one per CPU) and
-          ``hosts`` sends them to ``repro worker`` processes instead;
-          ``batch_size`` controls speculative generation per round and
-          defaults to two per worker slot, or ``1`` with no workers.
         - ``checkpoint_path`` makes the run crash-safe across process
           death: a checkpoint record is written at least every
           ``checkpoint_every`` executed scenarios, and once more when the
@@ -451,56 +443,37 @@ class TestController:
         # restored on the way out so co-resident campaigns are unaffected.
         capture_before = set_kind_capture(coverage_on)
         try:
-            with ParallelScenarioExecutor(
-                self.target,
-                campaign_seed=self.campaign_seed,
-                workers=spec.workers,
-                timeout=self.config.scenario_timeout,
-                max_attempts=self.config.max_attempts,
-                telemetry=self.telemetry,
-                coverage_capture=coverage_on,
-                hosts=spec.hosts,
+            with campaign_executor(
+                self.target, self.campaign_seed, spec, self.telemetry, coverage_on
             ) as pool:
                 batch_size = spec.batch_size or pool.default_batch_size
-                self._run_params = {
-                    "budget": spec.budget,
-                    "workers": pool.workers,
-                    "batch_size": batch_size,
-                    "checkpoint_every": spec.checkpoint_every,
-                    "hosts": list(pool.hosts),
-                }
-                results = self._run_batched(spec.budget, batch_size, pool)
+                # The spec's execution fields, resolved: resume runs this spec.
+                self._run_params = dict(
+                    budget=spec.budget, workers=pool.workers, batch_size=batch_size,
+                    checkpoint_every=spec.checkpoint_every, hosts=list(pool.hosts),
+                    scenario_timeout=spec.scenario_timeout, max_attempts=spec.max_attempts,
+                )
+                run_batches(pool, self.results, spec.budget, batch_size,
+                            self._next_batch, self._absorb_batch)
         finally:
             set_kind_capture(capture_before)
             self._checkpoint_path = None
         if spec.checkpoint_path is not None:
             self._write_checkpoint(spec.checkpoint_path)  # final state, resume-safe
-        return results
-
-    def _run_batched(self, budget: int, batch_size: int, pool) -> List[ScenarioResult]:
-        """The campaign loop: generate a batch, execute it, absorb it.
-
-        With ``batch_size=1`` this is the paper's strictly sequential
-        Algorithm 1 loop (generate one, execute one — a batch of one runs
-        on the pool's local executor, never on a worker); larger batches
-        trade a little guidance staleness — siblings are generated before
-        their predecessors' impacts are known — for parallel execution.
-        ``pool`` is a :class:`ParallelScenarioExecutor`, or the replay
-        source with which ``restore_controller`` rebuilds a checkpointed
-        campaign by running this same loop over its recorded results.
-        """
-        while len(self.results) < budget:
-            room = min(batch_size, budget - len(self.results))
-            while len(self.pending) < room:
-                if self.generate() is None:
-                    break  # hyperspace exhausted
-            if not self.pending:
-                break
-            batch = [self._dequeue() for _ in range(min(room, len(self.pending)))]
-            for result in pool.execute_batch_isolated(batch, start_index=len(self.results)):
-                self._absorb(result)
-            self._maybe_checkpoint()
         return self.results
+
+    def _next_batch(self, room: int) -> List[TestScenario]:
+        """Fill Psi up to ``room`` scenarios and dequeue them (fewer once
+        the hyperspace is exhausted)."""
+        while len(self.pending) < room:
+            if self.generate() is None:
+                break  # hyperspace exhausted
+        return [self._dequeue() for _ in range(min(room, len(self.pending)))]
+
+    def _absorb_batch(self, results: List[ScenarioResult]) -> None:
+        for result in results:
+            self._absorb(result)
+        self._maybe_checkpoint()
 
     # ------------------------------------------------------------------
     # checkpointing

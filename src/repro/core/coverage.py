@@ -90,6 +90,26 @@ def counter_features(counters: Mapping[str, Any], prefix: str = "ctr") -> List[s
     ]
 
 
+def protocol_counter_features(counters: Mapping[str, Any]) -> List[str]:
+    """Feature strings for a deployment's protocol counters, sorted by name.
+
+    Every numeric counter is bucketed as in :func:`counter_features`, except
+    the delivery trail (``net.msg.*``/``net.seq.*``, recorded under coverage
+    capture): which message kinds and kind->kind transitions occurred at all
+    (AFL-style edge coverage). Bucketing ~70 per-edge counts instead makes
+    every run's vector unique, and novelty degenerates to a constant 1.0.
+    """
+    features: List[str] = []
+    for name, value in sorted(counters.items()):
+        if not isinstance(value, (int, float)):
+            continue
+        if name.startswith(("net.seq.", "net.msg.")):
+            features.append(f"edge:{name[4:]}")
+        else:
+            features.append(f"ctr:{name}:{log2_bucket(value)}")
+    return features
+
+
 def generic_features(measurement: Any, params: Mapping[str, Any]) -> Tuple[str, ...]:
     """Fallback extractor for targets without ``coverage_features``.
 
@@ -228,6 +248,7 @@ __all__ = [
     "extract_features",
     "generic_features",
     "log2_bucket",
+    "protocol_counter_features",
     "quantize_series",
     "series_ngrams",
     "signature_of",

@@ -17,42 +17,48 @@ from typing import List, Optional, Sequence, Set
 from .controller import ControllerConfig, TestController
 from .executor import Target
 from .hyperspace import CoordsKey, Hyperspace, coords_key
-from .parallel import ParallelScenarioExecutor
+from .parallel import campaign_executor, run_batches
 from .plugin import ToolPlugin
 from .scenario import ScenarioResult, TestScenario
 from .spec import CampaignSpec
 
 
-def fresh_random_scenario(
-    hyperspace: Hyperspace, rng: random.Random, seen: Set[CoordsKey]
-) -> Optional[TestScenario]:
-    """A uniformly drawn scenario whose key is not in ``seen`` (64 tries)."""
-    for _ in range(64):
-        coords = hyperspace.random_coords(rng)
-        if coords_key(coords) not in seen:
-            return TestScenario(coords=coords, origin="random")
-    return None
-
-
 class ExplorationStrategy:
     """Common interface: run a :class:`CampaignSpec`, return ordered results.
 
-    ``spec.workers``/``hosts``/``batch_size`` request concurrent scenario
-    execution. A strategy uses what its feedback loop allows: annealing
-    needs each result before the next test (batches of one), the GA runs
-    one batch per generation. The result trajectory is independent of
-    where scenarios run (see :mod:`repro.core.parallel`), and every
-    strategy shares that module's failure contract: a crashing scenario is
-    a zero-impact ``ScenarioFailure`` result, never an exception.
+    Every strategy runs the one campaign loop on the one executor built
+    from the spec (see :mod:`repro.core.parallel`), supplying only its next
+    batch and what it learns from the results. Annealing needs each result
+    before the next test (batches of one), the GA runs one batch per
+    generation; both refuse any other ``batch_size``. The trajectory is
+    independent of where scenarios run, and a crashing scenario is a
+    zero-impact ``ScenarioFailure`` result, never an exception.
     """
 
     name = "strategy"
 
+    def __init__(self, target: Target, seed: int = 0) -> None:
+        self.target = target
+        self.seed = seed
+        self.rng = random.Random(seed)
+        self.results: List[ScenarioResult] = []
+        #: Keys already drawn or executed, as each strategy defines it.
+        self._seen: Set[CoordsKey] = set()
+
     def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         raise NotImplementedError
 
-    def _refuse_campaign_state(self, spec: CampaignSpec) -> None:
-        """Called first by strategies with no resumable state and no bus."""
+    def _random_scenario(self) -> Optional[TestScenario]:
+        """A uniformly drawn scenario whose key is not in ``_seen`` (64 tries)."""
+        for _ in range(64):
+            coords = self.target.hyperspace.random_coords(self.rng)
+            if coords_key(coords) not in self._seen:
+                return TestScenario(coords=coords, origin="random")
+        return None
+
+    def _refuse_campaign_state(self, spec: CampaignSpec, batch_size: Optional[int]) -> None:
+        """Refuse what a strategy with no resumable state, no bus and (if
+        given) a fixed ``batch_size`` cannot honour."""
         if spec.checkpoint_path is not None:
             raise ValueError(
                 f"strategy {self.name!r} does not support checkpointing "
@@ -63,6 +69,20 @@ class ExplorationStrategy:
                 f"strategy {self.name!r} does not publish telemetry "
                 "(only 'avd' campaigns carry the event bus)"
             )
+        if batch_size is not None and spec.batch_size not in (None, batch_size):
+            raise ValueError(
+                f"strategy {self.name!r} runs batches of {batch_size}, not {spec.batch_size}"
+            )
+
+    def _drive(self, spec, next_batch, absorb, batch_size=None) -> List[ScenarioResult]:
+        self._refuse_campaign_state(spec, batch_size)
+        with campaign_executor(self.target, self.seed, spec) as pool:
+            run_batches(
+                pool, self.results, spec.budget,
+                batch_size or spec.batch_size or pool.default_batch_size,
+                next_batch, absorb,
+            )
+        return self.results
 
 
 class AvdExploration(ExplorationStrategy):
@@ -125,30 +145,15 @@ class _OpenLoopExploration(ExplorationStrategy):
     bound how much is in flight; results keep generation order.
     """
 
-    def __init__(self, target: Target, seed: int) -> None:
-        self.target = target
-        self.seed = seed
-        self.results: List[ScenarioResult] = []
-
     def _next_scenario(self) -> Optional[TestScenario]:
         """The next scenario to execute, or None when there is none left."""
         raise NotImplementedError
 
+    def _next_batch(self, room: int) -> List[TestScenario]:
+        return list(itertools.islice(iter(self._next_scenario, None), room))
+
     def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
-        self._refuse_campaign_state(spec)
-        with ParallelScenarioExecutor(
-            self.target, campaign_seed=self.seed, workers=spec.workers, hosts=spec.hosts
-        ) as pool:
-            batch_size = spec.batch_size or pool.default_batch_size
-            while len(self.results) < spec.budget:
-                room = min(batch_size, spec.budget - len(self.results))
-                batch = list(itertools.islice(iter(self._next_scenario, None), room))
-                if not batch:
-                    break
-                self.results.extend(
-                    pool.execute_batch_isolated(batch, start_index=len(self.results))
-                )
-        return self.results
+        return self._drive(spec, self._next_batch, self.results.extend)
 
 
 class RandomExploration(_OpenLoopExploration):
@@ -156,13 +161,8 @@ class RandomExploration(_OpenLoopExploration):
 
     name = "random"
 
-    def __init__(self, target: Target, seed: int = 0) -> None:
-        super().__init__(target, seed)
-        self.rng = random.Random(seed)
-        self._seen: Set[CoordsKey] = set()
-
     def _next_scenario(self) -> Optional[TestScenario]:
-        scenario = fresh_random_scenario(self.target.hyperspace, self.rng, self._seen)
+        scenario = self._random_scenario()
         if scenario is not None:
             self._seen.add(scenario.key)
         return scenario
@@ -209,42 +209,32 @@ class GeneticExploration(ExplorationStrategy):
     ) -> None:
         if population_size < 2 or not 1 <= elite < population_size:
             raise ValueError("bad GA parameters")
-        self.target = target
+        super().__init__(target, seed)
         self.plugins = list(plugins)
-        self.seed = seed
-        self.rng = random.Random(seed)
         self.population_size = population_size
         self.elite = elite
         self.mutation_rate = mutation_rate
-        self.results: List[ScenarioResult] = []
-        self._seen = set()
+        #: The current generation's best, ranked by impact (empty: random).
+        self._population: List[ScenarioResult] = []
 
     def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         # Generations depend on each other; a generation is one batch.
-        self._refuse_campaign_state(spec)
-        budget = spec.budget
-        population: List[ScenarioResult] = []
-        with ParallelScenarioExecutor(
-            self.target, campaign_seed=self.seed, workers=spec.workers, hosts=spec.hosts
-        ) as pool:
-            while len(self.results) < budget:
-                if not population:
-                    generation = [self._random_scenario() for _ in range(self.population_size)]
-                else:
-                    generation = self._breed(population)
-                batch = [scenario for scenario in generation if scenario is not None]
-                evaluated = pool.execute_batch_isolated(
-                    batch[: budget - len(self.results)], start_index=len(self.results)
-                )
-                if not evaluated:
-                    break
-                self._seen.update(result.key for result in evaluated)
-                self.results.extend(evaluated)
-                # A failure is data, not a parent (as in the controller's Pi).
-                ranked = population + [result for result in evaluated if not result.failed]
-                ranked.sort(key=lambda r: r.impact, reverse=True)
-                population = ranked[: self.population_size]
-        return self.results
+        return self._drive(spec, self._next_generation, self._absorb, self.population_size)
+
+    def _next_generation(self, room: int) -> List[TestScenario]:
+        if not self._population:
+            generation = [self._random_scenario() for _ in range(self.population_size)]
+        else:
+            generation = self._breed(self._population)
+        return [scenario for scenario in generation if scenario is not None][:room]
+
+    def _absorb(self, evaluated: List[ScenarioResult]) -> None:
+        self._seen.update(result.key for result in evaluated)
+        self.results.extend(evaluated)
+        # A failure is data, not a parent (as in the controller's Pi).
+        ranked = self._population + [result for result in evaluated if not result.failed]
+        ranked.sort(key=lambda r: r.impact, reverse=True)
+        self._population = ranked[: self.population_size]
 
     def _breed(self, population: List[ScenarioResult]) -> List[Optional[TestScenario]]:
         children: List[Optional[TestScenario]] = []
@@ -265,9 +255,6 @@ class GeneticExploration(ExplorationStrategy):
             else:
                 children.append(TestScenario(coords=coords, origin="mutation"))
         return children
-
-    def _random_scenario(self) -> Optional[TestScenario]:
-        return fresh_random_scenario(self.target.hyperspace, self.rng, self._seen)
 
 
 class AnnealingExploration(ExplorationStrategy):
@@ -293,55 +280,44 @@ class AnnealingExploration(ExplorationStrategy):
             raise ValueError("annealing needs at least one plugin")
         if not 0.0 < cooling < 1.0:
             raise ValueError("cooling must be in (0, 1)")
-        self.target = target
+        super().__init__(target, seed)
         self.plugins = list(plugins)
-        self.rng = random.Random(seed)
-        # No workers: a single walker needs each step's impact before the
-        # next, and a batch of one never leaves this process anyway.
-        self.pool = ParallelScenarioExecutor(target, campaign_seed=seed)
         self.initial_temperature = initial_temperature
         self.cooling = cooling
-        self.results: List[ScenarioResult] = []
-        self._seen = set()
+        #: The walker's position (None until the first, random, step).
+        self._current: Optional[ScenarioResult] = None
+        self._temperature = initial_temperature
 
     def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
         # A single walker: each step needs the previous step's impact.
-        self._refuse_campaign_state(spec)
-        budget = spec.budget
-        current = self._evaluate(self._random_scenario())
-        if current is None:
-            return self.results
-        temperature = self.initial_temperature
-        while len(self.results) < budget:
+        return self._drive(spec, self._next_step, self._absorb, batch_size=1)
+
+    def _next_step(self, room: int) -> List[TestScenario]:
+        if self._current is None:
+            scenario = self._random_scenario()
+        else:
             plugin = self.rng.choice(self.plugins)
-            distance = min(1.0, temperature / self.initial_temperature)
+            distance = min(1.0, self._temperature / self.initial_temperature)
             coords = plugin.mutate(
-                current.scenario.coords, distance, self.rng, self.target.hyperspace
+                self._current.scenario.coords, distance, self.rng, self.target.hyperspace
             )
             if coords_key(coords) in self._seen:
-                candidate = self._evaluate(self._random_scenario())
+                scenario = self._random_scenario()
             else:
-                candidate = self._evaluate(
-                    TestScenario(coords=coords, plugin=plugin.name, origin="mutation")
-                )
-            if candidate is None:
-                break
-            delta = candidate.impact - current.impact
-            if delta >= 0 or self.rng.random() < math.exp(delta / max(temperature, 1e-6)):
-                current = candidate
-            temperature *= self.cooling
-        return self.results
+                scenario = TestScenario(coords=coords, plugin=plugin.name, origin="mutation")
+        return [scenario] if scenario is not None else []
 
-    def _evaluate(self, scenario: Optional[TestScenario]) -> Optional[ScenarioResult]:
-        if scenario is None:
-            return None
-        (result,) = self.pool.execute_batch_isolated([scenario], start_index=len(self.results))
-        self._seen.add(result.key)
-        self.results.append(result)
-        return result
-
-    def _random_scenario(self) -> Optional[TestScenario]:
-        return fresh_random_scenario(self.target.hyperspace, self.rng, self._seen)
+    def _absorb(self, evaluated: List[ScenarioResult]) -> None:
+        (candidate,) = evaluated
+        self._seen.add(candidate.key)
+        self.results.append(candidate)
+        if self._current is None:
+            self._current = candidate
+            return
+        delta = candidate.impact - self._current.impact
+        if delta >= 0 or self.rng.random() < math.exp(delta / max(self._temperature, 1e-6)):
+            self._current = candidate
+        self._temperature *= self.cooling
 
 
 __all__ = [

@@ -21,19 +21,24 @@ that many spawned child processes; else none. The default batch
 (``2 * max(workers, len(hosts))`` with workers, else 1) follows the same
 rule, so asking for workers or hosts is enough to use them.
 
-A batch takes one of two routes:
+Where a batch runs follows from the executor alone, never from the batch:
 
-- **Local.** A batch of at most one scenario, or an executor with no
-  workers (``workers=1`` and no hosts): the scenarios run on this object's
-  own :class:`~repro.core.executor.ScenarioExecutor`, on the calling thread.
-  With ``batch_size=1`` this *is* the paper's serial loop. Local execution
-  is deliberately not modelled as one more channel: a channel's failure
-  path is to reset its worker and re-drive the scenario elsewhere, and the
-  controller's own process cannot be reset.
-- **Workers.** Anything else is one ``WorkStealingScheduler.run`` over the
-  live channels.
+- **Local.** An executor with no workers (``workers=1`` and no hosts)
+  runs every batch on its own :class:`~repro.core.executor.ScenarioExecutor`,
+  on the calling thread. With ``batch_size=1`` this *is* the paper's serial
+  loop. Local execution is deliberately not modelled as one more channel:
+  a channel's failure path is to reset its worker and re-drive the
+  scenario elsewhere, and the controller's own process cannot be reset.
+- **Workers.** An executor with workers runs every batch, a batch of one
+  included, as one ``WorkStealingScheduler.run`` over the live channels.
+  No scenario of a worker campaign ever runs in the controller's process.
 
-Two properties make either route safe for the meta-heuristic's
+:func:`run_batches` is the one campaign loop: every strategy supplies only
+its next batch and what to do with the batch's results, and
+:func:`campaign_executor` is the one place an executor is built for a
+campaign, from its :class:`~repro.core.spec.CampaignSpec`.
+
+Two properties make either placement safe for the meta-heuristic's
 measurements:
 
 1. every scenario's simulation seed derives from ``(campaign_seed,
@@ -76,7 +81,8 @@ import logging
 import os
 import pickle
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..telemetry.bus import TelemetryBus
 from .backends import (
@@ -100,6 +106,7 @@ from .failures import (
     describe_exception,
 )
 from .scenario import ScenarioResult, TestScenario
+from .spec import CampaignSpec
 
 #: Operator-facing diagnostics (stderr). Nothing logged here ever enters
 #: results, checkpoints or the canonical telemetry stream.
@@ -133,9 +140,9 @@ def resolve_workers(workers: Optional[int]) -> int:
 class ParallelScenarioExecutor:
     """Executes scenario batches against a target, locally or on workers.
 
-    Workers are engaged lazily on the first multi-scenario batch and
-    reused for the executor's lifetime; use the instance as a context
-    manager (or call :meth:`close`) to release them.
+    Workers are engaged lazily on the first batch and reused for the
+    executor's lifetime; use the instance as a context manager (or call
+    :meth:`close`) to release them.
     """
 
     #: Always False: nothing falls back to in-process execution. Kept only
@@ -176,7 +183,7 @@ class ParallelScenarioExecutor:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.hosts = tuple(hosts)
-        #: Scenarios executed through this instance (either route).
+        #: Scenarios executed through this instance (wherever they ran).
         self.executed = 0
         #: Times the channels were torn down after a crash or a hang.
         self.pool_rebuilds = 0
@@ -187,9 +194,9 @@ class ParallelScenarioExecutor:
         self._endpoints: Tuple[str, ...] = self.hosts
         if not self.hosts and self.workers > 1:
             self._endpoints = tuple(f"repro-worker-{n}" for n in range(self.workers))
-        #: Batch size for callers that were not given one. Never 1 when
-        #: there are workers: a batch of one always runs locally, which
-        #: would leave them idle without a word.
+        #: Batch size for callers that were not given one: two scenarios
+        #: per worker, so none idles while a batch drains, else 1 (the
+        #: paper's serial loop).
         self.default_batch_size = (
             2 * max(self.workers, len(self.hosts)) if self._endpoints else 1
         )
@@ -220,9 +227,7 @@ class ParallelScenarioExecutor:
         self.pool_rebuilds += 1
 
     def _live_channels(self) -> List[Channel]:
-        """The channels a batch may use; empty means run it locally."""
-        if not self._endpoints:
-            return []
+        """The open channels, reopened if every one was lost."""
         self._channels = [channel for channel in self._channels if channel.alive]
         if not self._channels:
             self._channels = self._open_channels()
@@ -283,11 +288,12 @@ class ParallelScenarioExecutor:
         tasks: List[Task] = [
             (scenario, start_index + offset) for offset, scenario in enumerate(scenarios)
         ]
-        channels = self._live_channels() if len(tasks) > 1 else []
-        if not channels:
+        if not tasks:
+            return []
+        if not self._endpoints:
             results = [self._local.execute_isolated(*task) for task in tasks]
         else:
-            results, lost = WorkStealingScheduler(channels).run(
+            results, lost = WorkStealingScheduler(self._live_channels()).run(
                 tasks, lambda channel, task: channel.call(*task, self.timeout)
             )
             if lost:
@@ -336,7 +342,6 @@ class ParallelScenarioExecutor:
             except ChannelError as exc:
                 kind, error = WORKER_CRASH, str(exc)
             self._reset_channels()
-        self._local.failures += 1
         return ScenarioFailure(
             scenario=scenario,
             impact=0.0,
@@ -349,4 +354,40 @@ class ParallelScenarioExecutor:
         )
 
 
-__all__ = ["ParallelScenarioExecutor", "WorkerStartError", "batch_sched", "resolve_workers"]
+@contextmanager
+def campaign_executor(
+    target: Target, campaign_seed: int, spec: CampaignSpec,
+    telemetry: Optional[TelemetryBus] = None, coverage_capture: bool = False,
+) -> Iterator[ParallelScenarioExecutor]:
+    """The one place a campaign's executor is built: from its spec, so every
+    strategy honours ``workers``, ``hosts``, the backstop and the retry
+    budget alike, and closed however the campaign ends."""
+    with ParallelScenarioExecutor(
+        target, campaign_seed=campaign_seed, workers=spec.workers, hosts=spec.hosts,
+        timeout=spec.scenario_timeout, max_attempts=spec.max_attempts,
+        telemetry=telemetry, coverage_capture=coverage_capture,
+    ) as pool:
+        yield pool
+
+
+def run_batches(
+    pool: Any, results: List[ScenarioResult], budget: int, batch_size: int,
+    next_batch: Callable[[int], List[TestScenario]],
+    absorb: Callable[[List[ScenarioResult]], None],
+) -> None:
+    """The campaign loop: until ``results`` holds ``budget``, execute
+    ``next_batch(room)`` (at most ``room <= batch_size`` scenarios; none
+    ends the campaign) on ``pool`` and hand the results to ``absorb``, which
+    appends them to ``results``. ``pool`` is a
+    :class:`ParallelScenarioExecutor`, or checkpoint replay's stand-in."""
+    while len(results) < budget:
+        batch = next_batch(min(batch_size, budget - len(results)))
+        if not batch:
+            break
+        absorb(pool.execute_batch_isolated(batch, start_index=len(results)))
+
+
+__all__ = [
+    "ParallelScenarioExecutor", "WorkerStartError", "batch_sched", "campaign_executor",
+    "resolve_workers", "run_batches",
+]

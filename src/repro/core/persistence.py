@@ -6,26 +6,21 @@ plain dictionaries (dataclass fields); loading therefore returns
 measurement *dicts*, not the original target-specific classes — enough for
 all reporting and analysis code, which only reads attributes by name.
 
-Format history
---------------
-- **v1** — results with coords/params/origin/plugin/mutate_distance
-  (no longer loaded: nothing has written it since v2 landed).
-- **v2** — adds per-result ``parent_key`` provenance and a ``failure``
-  block (kind/error/attempts), plus a checkpoint document that carried a
-  second, hand-serialized copy of the controller's state (RNG, plugin
-  stats, Psi, quarantine, coverage). No longer loaded.
-- **v3** — campaign files are unchanged from v2. A checkpoint
-  (``kind: "avd-checkpoint"``) is JSON Lines: a header line with the
-  campaign's recipe (seed, controller config, plugin names, caller
-  context), then one record per checkpoint write holding the run's
-  parameters, the results absorbed since the previous record and the
-  telemetry cursor. Everything else is rebuilt by replaying those results
-  through the controller's own loop (``restore_controller`` /
-  ``repro resume``), so a killed campaign resumes bit-identically.
-- **v4** (current) — a checkpoint record's ``run`` block names the
-  ``hosts`` the campaign ran on, so ``repro resume`` keeps its placement,
-  and the controller config's ``retry`` policy is one ``max_attempts``
-  number. Campaign files are unchanged and share the version.
+Format (v5; any other version is refused by name)
+-------------------------------------------------
+A campaign file holds the strategy name and its results (coords, params,
+origin, plugin, mutate distance, ``parent_key`` provenance, and a
+``failure`` block for failures). A checkpoint (``kind: "avd-checkpoint"``)
+is JSON Lines: a header line with the campaign's recipe (seed, controller
+config, plugin names, caller context), then one record per checkpoint
+write holding the run's ``run`` block (the spec's execution fields:
+budget, workers, batch size, cadence, hosts, ``scenario_timeout``,
+``max_attempts``), the results absorbed since the previous record and the
+telemetry cursor. Everything else is rebuilt by replaying those results
+through the controller's own loop (``restore_controller`` / ``repro
+resume``), so a killed campaign resumes bit-identically. v3 introduced the
+log, v4 recorded ``hosts``, v5 moved the backstop and the retry budget from
+the header's config to the ``run`` block; older files are not loaded.
 """
 
 from __future__ import annotations
@@ -40,9 +35,10 @@ from typing import Any, Dict, List, Optional, Union
 from .campaign import CampaignResult
 from .failures import ScenarioFailure
 from .hyperspace import CoordsKey, coords_key
+from .parallel import run_batches
 from .scenario import ScenarioResult, TestScenario
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 CHECKPOINT_KIND = "avd-checkpoint"
 
 #: Operator-facing diagnostics (stderr); never part of a result or checkpoint.
@@ -369,7 +365,10 @@ def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
     replay = _Replay()
     for record in data["records"]:
         replay.entries.extend(record["results"])
-        controller._run_batched(len(replay.entries), int(record["run"]["batch_size"]), replay)
+        run_batches(
+            replay, controller.results, len(replay.entries), int(record["run"]["batch_size"]),
+            controller._next_batch, controller._absorb_batch,
+        )
         if len(controller.results) < len(replay.entries):
             raise ValueError(
                 "checkpoint diverges from its campaign at test "

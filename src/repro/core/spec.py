@@ -3,11 +3,14 @@
 Everything ``TestController.run`` and ``run_campaign`` need to know
 besides the strategy (``budget, workers, batch_size, checkpoint_path,
 checkpoint_every, ...``) is one validated dataclass that every layer —
-CLI, bench, exploration strategies, tests — passes along unchanged.
+CLI, bench, exploration strategies, tests — passes along unchanged. How
+the search works is the strategy's (``ControllerConfig`` for AVD); how its
+scenarios execute is the spec's, read by the one executor built from it
+(:func:`~repro.core.parallel.campaign_executor`).
 
 The spec is declarative: ``workers=0``/``None`` means "one per CPU" and
-``batch_size=None`` means "the executor's default" — resolution happens
-inside :class:`~repro.core.parallel.ParallelScenarioExecutor`, so a spec
+``batch_size=None`` means "the strategy's batch, else the executor's
+default" — resolution happens when the campaign runs, so a spec
 hashes/compares the same way regardless of the machine it later runs on.
 *Where* scenarios run is not a field of its own: it follows from ``hosts``
 and ``workers`` (see :mod:`repro.core.parallel`).
@@ -33,6 +36,7 @@ class CampaignSpec:
     #: Scenarios generated speculatively per round; None = ``2 *
     #: max(workers, len(hosts))`` when there are hosts or ``workers > 1``,
     #: else 1. The trajectory is a pure function of ``(seed, batch_size)``.
+    #: Genetic and annealing refuse any size but their own.
     batch_size: Optional[int] = None
     #: Resumable checkpoint file (AVD only); None disables checkpointing.
     checkpoint_path: Optional[str] = None
@@ -44,6 +48,13 @@ class CampaignSpec:
     #: scenarios run there instead of on local workers. The exploration
     #: trajectory never depends on this (see :mod:`repro.core.backends`).
     hosts: Tuple[str, ...] = field(default_factory=tuple)
+    #: Wall-clock backstop, in seconds, on one scenario in flight on a
+    #: worker (None = none). In-process scenarios have none: a scenario's
+    #: own deadline is its simulation's event budget.
+    scenario_timeout: Optional[float] = None
+    #: Executions, in all, of a scenario whose worker was lost (it died, or
+    #: sat past the backstop) before it is quarantined.
+    max_attempts: int = 3
 
     def __post_init__(self) -> None:
         # Normalize hosts to a tuple so specs stay hashable/frozen even
@@ -57,6 +68,10 @@ class CampaignSpec:
             raise ValueError("checkpoint_every must be >= 1")
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 = auto), got {self.workers}")
+        if self.scenario_timeout is not None and not self.scenario_timeout > 0:
+            raise ValueError("scenario_timeout must be positive (or None)")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
 
 
 __all__ = ["CampaignSpec"]

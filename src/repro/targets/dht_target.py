@@ -97,10 +97,7 @@ class DhtTarget:
         self.plugins = list(plugins)
         self.config = config if config is not None else DhtConfig()
         self.n_correct = n_correct
-        dimensions = []
-        for plugin in self.plugins:
-            dimensions.extend(plugin.dimensions())
-        self.hyperspace = Hyperspace(dimensions)
+        self.hyperspace = Hyperspace(self.dimensions())
         self._baseline: Optional[DhtRunResult] = None
 
     def dimensions(self) -> Sequence:
@@ -150,15 +147,7 @@ class DhtTarget:
             f"spent:{coverage.log2_bucket(m.attacker_messages)}",
             f"lookups:{coverage.log2_bucket(m.lookups_completed)}",
         ]
-        for name, value in sorted((getattr(m, "counters", {}) or {}).items()):
-            if not isinstance(value, (int, float)):
-                continue
-            if name.startswith("net.seq.") or name.startswith("net.msg."):
-                # Presence of a delivery edge, not its tally (see the PBFT
-                # extractor): per-edge counts make every run look novel.
-                features.append(f"edge:{name[4:]}")
-            else:
-                features.append(f"ctr:{name}:{coverage.log2_bucket(value)}")
+        features.extend(coverage.protocol_counter_features(getattr(m, "counters", {}) or {}))
         return tuple(features)
 
     def _spec(self, params: Dict[str, object]) -> DhtScenarioSpec:

@@ -99,10 +99,7 @@ class PbftTarget:
         self.plugins = list(plugins)
         self.config = config if config is not None else PbftConfig.campaign_scale()
         if hyperspace is None:
-            dimensions = []
-            for plugin in self.plugins:
-                dimensions.extend(plugin.dimensions())
-            hyperspace = Hyperspace(dimensions)
+            hyperspace = Hyperspace(self.dimensions())
         self.hyperspace = hyperspace
         #: Benign run result by client count (lazy cache).
         self._baselines: Dict[int, PbftRunResult] = {}
@@ -155,18 +152,7 @@ class PbftTarget:
             f"rtx:{coverage.log2_bucket(m.retransmissions)}",
             f"done:{coverage.log2_bucket(m.completed_requests)}",
         ]
-        for name, value in sorted(m.counters.items()):
-            if not isinstance(value, (int, float)):
-                continue
-            if name.startswith("net.seq.") or name.startswith("net.msg."):
-                # Delivery-trail coverage is *presence*, not tallies: which
-                # message kinds and kind->kind transitions occurred at all
-                # (AFL-style edge coverage). Bucketing ~70 per-edge counts
-                # instead makes every run's joint vector unique, novelty
-                # degenerates to a constant 1.0, and the signal vanishes.
-                features.append(f"edge:{name[4:]}")
-            else:
-                features.append(f"ctr:{name}:{coverage.log2_bucket(value)}")
+        features.extend(coverage.protocol_counter_features(m.counters))
         features.extend(coverage.series_ngrams(m.throughput_series))
         return tuple(features)
 

@@ -19,7 +19,13 @@ import threading
 
 import pytest
 
-from repro.core import CampaignSpec, TestController, WorkerStartError, WorkStealingScheduler
+from repro.core import (
+    AnnealingExploration,
+    CampaignSpec,
+    TestController,
+    WorkerStartError,
+    WorkStealingScheduler,
+)
 from repro.core.backends import ChannelError
 from repro.core.executor import batch_sched
 from repro.core.worker import WorkerServer
@@ -124,8 +130,6 @@ def test_spec_has_no_backend_field():
 
 def test_hosts_alone_run_on_the_hosts():
     # No workers=, no batch_size=: naming a host must be enough to use it.
-    # (The default batch used to be 1 here, and a batch of one always runs
-    # locally — the campaign finished without ever opening a session.)
     server = WorkerServer().serve_in_thread()
     try:
         target, plugins = make_hill_target((LoadPlugin(),))
@@ -135,6 +139,37 @@ def test_hosts_alone_run_on_the_hosts():
         assert server.sessions_served == 1
     finally:
         server.shutdown()
+
+
+def test_a_trailing_batch_of_one_runs_on_the_host():
+    # Budget 5 at the default batch of 2 ends in a batch of one: it crosses
+    # the wire like every other batch, never running in the controller.
+    server = WorkerServer().serve_in_thread()
+    try:
+        target, plugins = make_hill_target((LoadPlugin(),))
+        placed = TestController(target, plugins, seed=SEEDS[1])
+        placed.run(CampaignSpec(budget=5, hosts=(server.endpoint,)))
+    finally:
+        server.shutdown()
+    reference_target, plugins = make_hill_target((LoadPlugin(),))
+    reference = TestController(reference_target, plugins, seed=SEEDS[1])
+    reference.run(CampaignSpec(budget=5, batch_size=2))
+    assert target.executions == 0
+    assert reference_target.executions == 5
+    assert controller_state(placed) == controller_state(reference)
+
+
+def test_annealing_runs_on_its_host(worker_pair):
+    target, plugins = make_hill_target((LoadPlugin(),))
+    placed = AnnealingExploration(target, plugins, seed=SEEDS[2]).run(
+        CampaignSpec(budget=6, hosts=worker_pair[:1])
+    )
+    reference_target, plugins = make_hill_target((LoadPlugin(),))
+    reference = AnnealingExploration(reference_target, plugins, seed=SEEDS[2]).run(
+        CampaignSpec(budget=6)
+    )
+    assert target.executions == 0
+    assert trajectory(placed) == trajectory(reference)
 
 
 # ---------------------------------------------------------------------------

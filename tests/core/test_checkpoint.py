@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import (
     CampaignSpec,
-    ControllerConfig,
     TestController,
     load_checkpoint,
     restore_controller,
@@ -174,6 +173,8 @@ def test_completed_run_writes_a_final_checkpoint(tmp_path):
         "batch_size": 1,
         "checkpoint_every": 1000,
         "hosts": [],
+        "scenario_timeout": None,
+        "max_attempts": 3,
     }
     restored = restore_controller(data, *fresh())
     assert controller_state(restored) == controller_state(controller)
@@ -202,13 +203,13 @@ def test_quarantine_survives_the_checkpoint(tmp_path):
     path = tmp_path / "poison.ckpt.json"
     plugins = [MaskPlugin(), LoadPlugin()]
     target = PoisonedTarget(plugins, poison=POISON)
-    config = ControllerConfig(max_attempts=2)
-    controller = TestController(target, plugins, seed=5, config=config)
-    controller.run(CampaignSpec(budget=40, checkpoint_path=str(path)))
+    controller = TestController(target, plugins, seed=5)
+    controller.run(CampaignSpec(budget=40, checkpoint_path=str(path), max_attempts=2))
     assert len(controller.quarantine) > 0
-    restored = restore_controller(load_checkpoint(path), target, plugins)
+    data = load_checkpoint(path)
+    restored = restore_controller(data, target, plugins)
     assert set(restored.quarantine) == set(controller.quarantine)
-    assert restored.config.max_attempts == 2
+    assert data["run"]["max_attempts"] == 2
 
 
 def test_atomic_write_never_tears_an_existing_checkpoint(tmp_path, monkeypatch):

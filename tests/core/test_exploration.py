@@ -1,13 +1,18 @@
 """Exploration strategies: random, exhaustive, genetic, AVD wrapper."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import (
+    AnnealingExploration,
     AvdExploration,
     CampaignSpec,
     ChoiceDimension,
     ExhaustiveExploration,
     GeneticExploration,
+    HybridExploration,
     Hyperspace,
     RandomExploration,
 )
@@ -83,8 +88,6 @@ def test_strategy_names_distinct():
 
 
 def test_annealing_explores_and_improves():
-    from repro.core import AnnealingExploration
-
     target, plugins = make_hill_target()
     strategy = AnnealingExploration(target, plugins, seed=8)
     results = strategy.run(CampaignSpec(budget=60))
@@ -95,10 +98,68 @@ def test_annealing_explores_and_improves():
 
 
 def test_annealing_parameter_validation():
-    from repro.core import AnnealingExploration
-
     target, plugins = make_hill_target()
     with pytest.raises(ValueError):
         AnnealingExploration(target, [], seed=1)
     with pytest.raises(ValueError):
         AnnealingExploration(target, plugins, cooling=1.0)
+
+
+# ---------------------------------------------------------------------------
+# every strategy's trajectory, pinned
+# ---------------------------------------------------------------------------
+STRATEGIES = {
+    "avd": lambda target, plugins, seed: AvdExploration(target, plugins, seed=seed),
+    "hybrid": lambda target, plugins, seed: HybridExploration(target, plugins, seed=seed),
+    "random": lambda target, plugins, seed: RandomExploration(target, seed=seed),
+    "exhaustive": lambda target, plugins, seed: ExhaustiveExploration(target, seed=seed),
+    "genetic": lambda target, plugins, seed: GeneticExploration(target, plugins, seed=seed),
+    "annealing": lambda target, plugins, seed: AnnealingExploration(target, plugins, seed=seed),
+}
+
+#: Results digest of a 30-test campaign on the hill target, per strategy and
+#: seed. Where and in how many batches scenarios run must never move these.
+PINNED_DIGESTS = {
+    ("avd", 3): "ba2c7eba14487882",
+    ("avd", 17): "fa2490130191b4b5",
+    ("hybrid", 3): "16744e2a1eb50d93",
+    ("hybrid", 17): "773e1cf06f1f4b65",
+    ("random", 3): "6c55228a0839cdf4",
+    ("random", 17): "5b5ee6f6bd5cc9c1",
+    ("exhaustive", 3): "1a77a2140f443f59",
+    ("exhaustive", 17): "1a77a2140f443f59",
+    ("genetic", 3): "22448e9c4725aa09",
+    ("genetic", 17): "d718e82d18e75e7a",
+    ("annealing", 3): "fa99a16c78c5152f",
+    ("annealing", 17): "f1098a8b2e635ca9",
+}
+
+
+def results_digest(results):
+    rows = [
+        [r.test_index, [list(pair) for pair in r.key], repr(r.impact),
+         r.scenario.origin, r.scenario.plugin, r.failed]
+        for r in results
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_DIGESTS))
+def test_strategy_trajectory_is_pinned(name, seed):
+    target, plugins = make_hill_target()
+    results = STRATEGIES[name](target, plugins, seed).run(CampaignSpec(budget=30))
+    assert len(results) == 30
+    assert results_digest(results) == PINNED_DIGESTS[name, seed]
+
+
+def test_fixed_batch_strategies_refuse_any_other_batch_size():
+    target, plugins = make_hill_target()
+    with pytest.raises(ValueError, match="'genetic' runs batches of 12, not 3"):
+        GeneticExploration(target, plugins).run(CampaignSpec(budget=6, batch_size=3))
+    with pytest.raises(ValueError, match="'annealing' runs batches of 1, not 2"):
+        AnnealingExploration(target, plugins).run(CampaignSpec(budget=6, batch_size=2))
+    assert target.executions == 0
+    # Their own batch size is no refusal.
+    genetic = GeneticExploration(target, plugins).run(CampaignSpec(budget=6, batch_size=12))
+    annealing = AnnealingExploration(target, plugins).run(CampaignSpec(budget=6, batch_size=1))
+    assert len(genetic) == len(annealing) == 6

@@ -167,7 +167,7 @@ def test_retry_policy_backoff_schedule_is_exponential_and_capped():
 def test_retry_policy_validates_itself():
     target, _ = make_hill_target()
     with pytest.raises(ValueError, match="max_attempts"):
-        ControllerConfig(max_attempts=0)
+        CampaignSpec(budget=1, max_attempts=0)
     with pytest.raises(ValueError, match="max_attempts"):
         ParallelScenarioExecutor(target, workers=2, max_attempts=0)
 
@@ -261,7 +261,7 @@ def test_executor_rejects_nonpositive_timeouts():
     with pytest.raises(ValueError):
         ParallelScenarioExecutor(target, workers=2, timeout=0.0)
     with pytest.raises(ValueError):
-        ControllerConfig(scenario_timeout=-1.0)
+        CampaignSpec(budget=1, scenario_timeout=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,7 @@ def test_a_dying_worker_never_sends_a_baseline_campaign_serial(monkeypatch, capl
             super().__init__(*args, **kwargs)
             pools.append(self)
 
-    monkeypatch.setattr("repro.core.exploration.ParallelScenarioExecutor", RecordedPool)
+    monkeypatch.setattr("repro.core.parallel.ParallelScenarioExecutor", RecordedPool)
     target = WorkerKillerTarget([MaskPlugin(), LoadPlugin()], poison=POISON)
     with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
         results = RandomExploration(target, seed=5).run(CampaignSpec(budget=24, workers=2))
@@ -405,6 +405,30 @@ def test_a_dying_worker_never_sends_a_baseline_campaign_serial(monkeypatch, capl
     (pool,) = pools
     assert pool.pool_rebuilds >= len(poisoned)
     assert not [r for r in caplog.records if r.name == "repro.core.parallel"]
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_a_baselines_executor_carries_the_whole_spec(name, monkeypatch):
+    # One construction site: workers, the backstop and the retry budget
+    # reach every strategy's executor, which runs every scenario (a batch
+    # of one included) on its workers and is closed when the campaign ends.
+    pools = []
+
+    class RecordedPool(ParallelScenarioExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr("repro.core.parallel.ParallelScenarioExecutor", RecordedPool)
+    plugins = [MaskPlugin(), LoadPlugin()]
+    target = HillTarget(plugins)
+    spec = CampaignSpec(budget=5, workers=2, scenario_timeout=30.0, max_attempts=2)
+    results = BASELINES[name](target, plugins).run(spec)
+    assert len(results) == 5
+    (pool,) = pools
+    assert (pool.workers, pool.timeout, pool.max_attempts) == (2, 30.0, 2)
+    assert pool._channels == []  # closed
+    assert target.executions == 0  # nothing ran in this process
 
 
 class ParentWitnessKiller(WorkerKillerTarget):

@@ -9,14 +9,21 @@ The contract under test (see ``repro.core.parallel``):
    only, never Pi/Omega/mu or the plugin fitness-gain statistics;
 3. multi-worker runs are stable run-to-run (same best impact, same Omega);
 4. a non-picklable target stops the first batch that needs workers with
-   ``WorkerStartError``, before any of its scenarios runs.
+   ``WorkerStartError``, before any of its scenarios runs, and an executor
+   with workers runs every batch on them, a batch of one included.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import CampaignSpec, RandomExploration, TestController, TestScenario
+from repro.core import (
+    CampaignSpec,
+    RandomExploration,
+    ScenarioExecutor,
+    TestController,
+    TestScenario,
+)
 from repro.core.parallel import ParallelScenarioExecutor, WorkerStartError, resolve_workers
 from tests._strategies import campaign_seeds, trajectory
 from tests.core.fake_target import LoadPlugin, make_hill_target
@@ -143,18 +150,24 @@ def test_non_picklable_target_raises_worker_start_error():
     with ParallelScenarioExecutor(target, campaign_seed=0, workers=4) as pool:
         with pytest.raises(WorkerStartError, match="target does not pickle"):
             pool.execute_batch_isolated(make_batch(target, 6), start_index=0)
-        # A batch of one never needs workers, so it still runs here.
-        (only,) = pool.execute_batch_isolated(make_batch(target, 1), start_index=0)
-    assert target.executions == 1 and not only.failed
+        # A batch of one needs workers too: it never runs here instead.
+        with pytest.raises(WorkerStartError, match="target does not pickle"):
+            pool.execute_batch_isolated(make_batch(target, 1), start_index=0)
+    assert target.executions == 0
 
 
-def test_empty_and_single_batches_never_touch_the_pool():
+def test_an_empty_batch_opens_no_worker_and_a_batch_of_one_runs_on_one():
     target, _ = make_hill_target()
-    with ParallelScenarioExecutor(target, workers=4) as pool:
+    reference, _ = make_hill_target()
+    (scenario,) = make_batch(target, 1)
+    with ParallelScenarioExecutor(target, workers=2) as pool:
         assert pool.execute_batch_isolated([], start_index=0) == []
-        (only,) = pool.execute_batch_isolated(make_batch(target, 1), start_index=0)
-        assert only.test_index == 0
-        assert pool._hello is None  # no channel was ever opened
+        assert pool._hello is None  # no channel was opened for nothing
+        (only,) = pool.execute_batch_isolated([scenario], start_index=3)
+        assert pool._hello is not None
+    assert target.executions == 0  # it ran on a worker, not in this process
+    expected = ScenarioExecutor(reference, campaign_seed=0).execute(scenario, test_index=3)
+    assert (only.test_index, only.key, only.impact) == (3, expected.key, expected.impact)
 
 
 def test_resolve_workers():

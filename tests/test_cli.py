@@ -170,8 +170,9 @@ def _stale_checkpoint(ckpt):
         (None, "No such file"),
         (_stale_checkpoint, "diverges from its campaign at test 0"),
         ('{"format_version": 3, "kind": "avd-checkpoint"}', "version: 3"),
+        ('{"format_version": 4, "kind": "avd-checkpoint"}', "version: 4"),
     ],
-    ids=["old-version", "sharded", "not-json", "missing", "stale", "v3"],
+    ids=["old-version", "sharded", "not-json", "missing", "stale", "v3", "v4"],
 )
 def test_resume_on_a_bad_checkpoint_is_a_clean_error(tmp_path, content, expected):
     """A checkpoint `resume` cannot read exits 1 with one line, no traceback."""
@@ -535,3 +536,31 @@ def test_resume_fallbacks_warn_without_changing_a_byte(tmp_path):
     assert "WARNING repro.telemetry.sinks: run.jsonl: dropped 1 line(s)" in runs["loud"].stderr
     for name in ("out.json", "ckpt", "run.jsonl"):
         assert (quiet / name).read_bytes() == (loud / name).read_bytes(), name
+
+
+def test_genetic_refuses_a_batch_size_it_cannot_honour(tmp_path):
+    result = _repro(tmp_path, "campaign", "--strategy", "genetic", "--tools", "mac",
+                    "--budget", "4", "--batch-size", "3")
+    assert result.returncode == 1
+    assert result.stderr == "strategy 'genetic' runs batches of 12, not 3\n"
+
+
+def test_resume_reads_the_backstop_and_retry_budget_from_its_checkpoint(tmp_path, monkeypatch):
+    from repro.core.parallel import ParallelScenarioExecutor
+    from repro.core.persistence import load_checkpoint
+
+    pools = []
+
+    class RecordedPool(ParallelScenarioExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr("repro.core.parallel.ParallelScenarioExecutor", RecordedPool)
+    ckpt = tmp_path / "ckpt.json"
+    assert main(["campaign", "--tools", "mac", "--seed", "2", "--budget", "2",
+                 "--scenario-timeout", "40", "--retries", "2", "--checkpoint", str(ckpt)]) == 0
+    run = load_checkpoint(ckpt)["run"]
+    assert (run["scenario_timeout"], run["max_attempts"]) == (40.0, 2)
+    assert main(["resume", str(ckpt), "--budget", "3"]) == 0
+    assert [(pool.timeout, pool.max_attempts) for pool in pools] == [(40.0, 2), (40.0, 2)]
