@@ -56,7 +56,7 @@ SPEEDUP_WORKERS = 4
 SPEEDUP_SEED = 17
 
 
-def tests_to_collapse(target, campaign) -> Optional[int]:
+def first_collapse_index(target, campaign) -> Optional[int]:
     """1-based index of the first near-total-damage test."""
     return campaign.tests_to_reach(FOUND_IMPACT)
 
@@ -69,8 +69,8 @@ def run_discovery():
         target = PbftTarget(plugins, config=campaign_config())
         avd = run_campaign(AvdExploration(target, plugins, seed=seed), CampaignSpec(budget=BUDGET))
         rnd = run_campaign(RandomExploration(target, seed=seed + 1000), CampaignSpec(budget=BUDGET))
-        avd_tests = tests_to_collapse(target, avd)
-        rnd_tests = tests_to_collapse(target, rnd)
+        avd_tests = first_collapse_index(target, avd)
+        rnd_tests = first_collapse_index(target, rnd)
         finds["avd"].append(avd_tests)
         finds["random"].append(rnd_tests)
         rows.append(

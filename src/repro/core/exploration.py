@@ -223,13 +223,21 @@ class GeneticExploration(ExplorationStrategy):
 
     def _next_generation(self, room: int) -> List[TestScenario]:
         if not self._population:
-            generation = [self._random_scenario() for _ in range(self.population_size)]
+            generation = [
+                self._propose(self._random_scenario()) for _ in range(self.population_size)
+            ]
         else:
             generation = self._breed(self._population)
         return [scenario for scenario in generation if scenario is not None][:room]
 
+    def _propose(self, scenario: Optional[TestScenario]) -> Optional[TestScenario]:
+        """Record a proposal in ``_seen`` as it is made, so no key repeats
+        within a generation either."""
+        if scenario is not None:
+            self._seen.add(scenario.key)
+        return scenario
+
     def _absorb(self, evaluated: List[ScenarioResult]) -> None:
-        self._seen.update(result.key for result in evaluated)
         self.results.extend(evaluated)
         # A failure is data, not a parent (as in the controller's Pi).
         ranked = self._population + [result for result in evaluated if not result.failed]
@@ -249,11 +257,11 @@ class GeneticExploration(ExplorationStrategy):
             if self.rng.random() < self.mutation_rate and self.plugins:
                 plugin = self.rng.choice(self.plugins)
                 coords = plugin.mutate(coords, 0.2, self.rng, self.target.hyperspace)
-            key = coords_key(coords)
-            if key in self._seen:
-                children.append(self._random_scenario())
+            if coords_key(coords) in self._seen:
+                child = self._random_scenario()
             else:
-                children.append(TestScenario(coords=coords, origin="mutation"))
+                child = TestScenario(coords=coords, origin="mutation")
+            children.append(self._propose(child))
         return children
 
 

@@ -55,6 +55,7 @@ class Client(CrashAwareNode):
         self._retransmit_floor = config.client_retransmit_us
         self._retransmit_cap = config.client_retransmit_max_us
         self._reply_quorum = config.reply_quorum
+        self._n_replicas = config.n_replicas
         #: EWMA of observed end-to-end latency; the retransmission timeout
         #: adapts to it (real PBFT clients do the same), which prevents
         #: retransmission spirals when the service saturates at high client
@@ -94,10 +95,6 @@ class Client(CrashAwareNode):
     # ------------------------------------------------------------------
     # request issue / retransmission
     # ------------------------------------------------------------------
-    @property
-    def primary(self) -> str:
-        return self.replica_names[self.view_hint % self.config.n_replicas]
-
     def _issue_next(self) -> None:
         if self.crashed:
             return
@@ -111,7 +108,7 @@ class Client(CrashAwareNode):
         )
         request.authenticator = self.mac.authenticator(self.replica_names, request.digest)
         self.outstanding = request
-        self.sent_at = self.now
+        self.sent_at = self.simulator.now
         self.transmissions = 1
         self._reply_votes.clear()
         timeout = int(4 * self._ewma_latency_us)
@@ -123,7 +120,7 @@ class Client(CrashAwareNode):
         if self.behavior.broadcast_always:
             self.broadcast(self.replica_names, request)
         else:
-            self.send(self.primary, request)
+            self.send(self.replica_names[self.view_hint % self._n_replicas], request)
         self._arm_retransmit()
 
     def _arm_retransmit(self) -> None:
@@ -162,7 +159,8 @@ class Client(CrashAwareNode):
             self._complete()
 
     def _complete(self) -> None:
-        latency = self.now - self.sent_at
+        now = self.simulator.now
+        latency = now - self.sent_at
         if self._ewma_latency_us:
             self._ewma_latency_us += 0.125 * (latency - self._ewma_latency_us)
         else:
@@ -171,12 +169,12 @@ class Client(CrashAwareNode):
         self.cancel_timer(self._retransmit_handle)
         self._retransmit_handle = None
         self.completed_total += 1
-        if self.now >= self.measure_from and (self.measure_to is None or self.now < self.measure_to):
+        if now >= self.measure_from and (self.measure_to is None or now < self.measure_to):
             self.completed_measured += 1
             self.latency_sum_us += latency
             self.latencies.record(latency)
-            self.completions.record(self.now)
-            if self.tail_from is not None and self.now >= self.tail_from:
+            self.completions.record(now)
+            if self.tail_from is not None and now >= self.tail_from:
                 self.completed_tail += 1
         self._issue_next()
 

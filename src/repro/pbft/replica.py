@@ -73,6 +73,13 @@ class Replica(CrashAwareNode):
         self.mac = MacGenerator(self.keystore)
         self.replica_names = tuple(replica_name(i) for i in range(config.n_replicas))
         self.peer_names = tuple(n for n in self.replica_names if n != self.name)
+        # Hoisted config values (two are properties) for the per-message
+        # handlers, which also inline `is_primary`, `primary_of` and
+        # `high_watermark` from them.
+        self._n_replicas = config.n_replicas
+        self._watermark_window = config.watermark_window
+        self._quorum = config.quorum
+        self._prepare_quorum = 2 * config.f
 
         # -- protocol state -------------------------------------------------
         self.view = 0
@@ -181,11 +188,11 @@ class Replica(CrashAwareNode):
         return self.primary_of(self.view) == self.name
 
     def primary_of(self, view: int) -> str:
-        return self.replica_names[view % self.config.n_replicas]
+        return self.replica_names[view % self._n_replicas]
 
     @property
     def high_watermark(self) -> int:
-        return self.stable_seq + self.config.watermark_window
+        return self.stable_seq + self._watermark_window
 
     def _counter(self, name: str) -> None:
         self.simulator.metrics.counter(f"pbft.{name}").increment()
@@ -270,7 +277,8 @@ class Replica(CrashAwareNode):
                 self.send(request.client, cached_reply)
             return
 
-        is_primary = self.is_primary
+        primary = self.replica_names[self.view % self._n_replicas]
+        is_primary = primary == self.name
         if direct and not is_primary:
             # Faithful to the implementation the paper tested: a backup
             # relays a direct client request and arms the liveness timer
@@ -279,7 +287,7 @@ class Replica(CrashAwareNode):
             # all of its messages still drives the system into view changes:
             # the suspect request can never be executed, so the timer keeps
             # expiring (and the implementation eventually crashes).
-            self.send(self.primary_of(self.view), ForwardedRequest(request, self.name))
+            self.send(primary, ForwardedRequest(request, self.name))
             # SRF001 fires here by design: mutating demand state before
             # _verify_request IS the paper's forward-before-auth behaviour
             # (Sec. 6), kept faithfully. Fixing it would erase the Big MAC
@@ -343,13 +351,13 @@ class Replica(CrashAwareNode):
         return taken
 
     def _send_batch(self, batch: Optional[List[Request]] = None) -> None:
-        if not self.is_primary or self.in_view_change:
+        if self.replica_names[self.view % self._n_replicas] != self.name or self.in_view_change:
             return
         if batch is None:
             batch = self._take_pending(self.config.batch_size_max)
         if not batch:
             return
-        if self.seq_counter >= self.high_watermark:
+        if self.seq_counter >= self.stable_seq + self._watermark_window:
             # Log window full (checkpointing stalled): put the batch back and
             # retry after the next checkpoint stabilizes.
             for request in batch:
@@ -388,9 +396,13 @@ class Replica(CrashAwareNode):
     def _on_pre_prepare(self, message: PrePrepare) -> None:
         if self.in_view_change or message.view != self.view:
             return
-        if message.sender != self.primary_of(message.view) or message.sender == self.name:
+        if (
+            message.sender != self.replica_names[message.view % self._n_replicas]
+            or message.sender == self.name
+        ):
             return
-        if not (self.stable_seq < message.seq <= self.high_watermark):
+        stable_seq = self.stable_seq
+        if not (stable_seq < message.seq <= stable_seq + self._watermark_window):
             return
         if message.authenticator is not None and not message.authenticator.verifies_for(
             self.keystore, message.sender, message.batch_digest
@@ -465,9 +477,10 @@ class Replica(CrashAwareNode):
     def _on_prepare(self, message: Prepare) -> None:
         if self.in_view_change or message.view != self.view:
             return
-        if not (self.stable_seq < message.seq <= self.high_watermark):
+        stable_seq = self.stable_seq
+        if not (stable_seq < message.seq <= stable_seq + self._watermark_window):
             return
-        if message.replica == self.primary_of(message.view):
+        if message.replica == self.replica_names[message.view % self._n_replicas]:
             return  # the primary never sends PREPARE; its pre-prepare counts
         if message.authenticator is not None and not message.authenticator.verifies_for(
             self.keystore, message.replica, message.mac_payload()
@@ -482,7 +495,7 @@ class Replica(CrashAwareNode):
         if slot.prepared or not slot.accepted or slot.pre_prepare is None:
             return
         # prepared == pre-prepare + 2f PREPAREs from backups (own included).
-        if slot.matching_prepares() < 2 * self.config.f:
+        if slot.matching_prepares() < self._prepare_quorum:
             return
         slot.prepared = True
         slot.commits[self.name] = slot.pre_prepare.batch_digest
@@ -493,7 +506,8 @@ class Replica(CrashAwareNode):
     def _on_commit(self, message: Commit) -> None:
         if self.in_view_change or message.view != self.view:
             return
-        if not (self.stable_seq < message.seq <= self.high_watermark):
+        stable_seq = self.stable_seq
+        if not (stable_seq < message.seq <= stable_seq + self._watermark_window):
             return
         if message.authenticator is not None and not message.authenticator.verifies_for(
             self.keystore, message.replica, message.mac_payload()
@@ -507,7 +521,7 @@ class Replica(CrashAwareNode):
     def _check_committed(self, slot: SequenceSlot) -> None:
         if slot.committed or not slot.prepared:
             return
-        if slot.matching_commits() < self.config.quorum:
+        if slot.matching_commits() < self._quorum:
             return
         slot.committed = True
         self._try_execute()
@@ -537,7 +551,8 @@ class Replica(CrashAwareNode):
         client_table = self.client_table
         authenticated = self.authenticated
         pending = self.pending
-        request_executed = self.vc_timer.request_executed
+        vc_timer = self.vc_timer
+        suspected = vc_timer.outstanding
         state_digest = self.state_digest
         view = self.view
         name = self.name
@@ -559,8 +574,10 @@ class Replica(CrashAwareNode):
             client_table[client] = (timestamp, reply)
             send(client, reply)
             authenticated.pop(digest, None)
-            pending.pop(request.key, None)
-            request_executed(request.key)
+            key = request.key
+            pending.pop(key, None)
+            if key in suspected:
+                vc_timer.request_executed(key)
             executed += 1
         self.state_digest = state_digest
         if executed:
@@ -568,7 +585,7 @@ class Replica(CrashAwareNode):
             self._period_executed += executed
         executed_real_request = executed > 0
         self.batches_executed += 1
-        if executed_real_request and not self.vc_timer.outstanding:
+        if executed_real_request and not suspected:
             # Every request the replica was suspicious about has now been
             # served: the (fragile) view-change path is out of the picture.
             self.consecutive_view_changes = 0

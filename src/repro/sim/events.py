@@ -17,6 +17,13 @@ Two scheduling paths:
   share one sequence counter, so interleaving them cannot change the
   execution order relative to an all-``push`` run.
 
+The two hottest scheduling sites push their entries themselves, one frame
+each: ``Node.set_timer`` (a ``push`` with its handle) and ``Node.send`` on a
+LAN network (a ``defer`` whose handle slot names the destination endpoint,
+see :class:`~repro.sim.network.Network`). Both take the next ``seq`` exactly
+as these methods do; only a cancellation is counted (``_cancelled``), so an
+entry is live while it is in the heap and not cancelled.
+
 A third lane, :meth:`EventQueue.push_priority`, exists for simulation
 *control* events (snapshot-and-fork attack activation): priority events use
 negative sequence numbers from their own counter, so they sort before every
@@ -44,15 +51,17 @@ class EventHandle:
 
     A pending event's entry points back at its handle; whoever takes the
     entry off the heap to run it (:meth:`EventQueue.pop`, the simulator's
-    inlined loop) detaches it, which is how ``cancel`` tells a handle whose
-    event already ran from one that is still counted live.
+    inlined loop) or cancels it detaches it. That is how ``cancel`` tells a
+    handle whose event is still counted live from one that already ran or
+    was cancelled, and it leaves no handle <-> entry reference cycle behind:
+    a cancelled timer is freed by refcount once it leaves the heap, never by
+    the cyclic collector.
     """
 
-    __slots__ = ("_entry", "cancelled")
+    __slots__ = ("_entry",)
 
     def __init__(self, entry: list):
         self._entry = entry
-        self.cancelled = False
 
     @property
     def time(self) -> int:
@@ -70,18 +79,20 @@ class EventHandle:
     def args(self) -> tuple:
         return self._entry[_ARGS]
 
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will never fire."""
-        self.cancelled = True
-        # Drop references early so cancelled events do not pin objects alive
-        # while they wait to percolate out of the heap.
-        entry = self._entry
-        entry[_CALLBACK] = None
-        entry[_ARGS] = ()
+    @property
+    def cancelled(self) -> bool:
+        """True once the event was cancelled (or dropped by ``clear``)."""
+        return self._entry[_CALLBACK] is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time}, seq={self.seq}, {state})"
+
+
+#: Allocates an :class:`EventHandle` without running ``__init__``: the
+#: timer hot path (``Node.set_timer``) sets ``_entry`` itself, one frame per
+#: arm.
+new_handle = object.__new__
 
 
 class EventQueue:
@@ -96,13 +107,15 @@ class EventQueue:
         self._heap: List[list] = []
         self._seq = 0
         self._priority_seq = self._PRIORITY_BASE
-        self._live = 0
+        #: Cancelled entries still in the heap: every other entry is live,
+        #: so scheduling and running an event touch no counter.
+        self._cancelled = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._cancelled
 
     def push(self, time: int, callback: Callable[..., None], args: tuple = ()) -> EventHandle:
         """Schedule ``callback(*args)`` at ``time`` and return its handle."""
@@ -112,7 +125,6 @@ class EventQueue:
         handle = EventHandle(entry)
         entry[_HANDLE] = handle
         self._seq += 1
-        self._live += 1
         heapq.heappush(self._heap, entry)
         return handle
 
@@ -127,7 +139,6 @@ class EventQueue:
             raise ValueError(f"cannot schedule event at negative time {time}")
         heapq.heappush(self._heap, [time, self._seq, callback, args, None])
         self._seq += 1
-        self._live += 1
 
     def push_priority(self, time: int, callback: Callable[..., None], args: tuple = ()) -> None:
         """Schedule a control event that runs before same-time ordinary events.
@@ -143,30 +154,37 @@ class EventQueue:
             raise ValueError(f"cannot schedule event at negative time {time}")
         heapq.heappush(self._heap, [time, self._priority_seq, callback, args, None])
         self._priority_seq += 1
-        self._live += 1
 
     def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously pushed event (idempotent; a no-op once it ran)."""
-        if not handle.cancelled and handle._entry[_HANDLE] is handle:
-            handle.cancel()
-            self._live -= 1
+        """Cancel a previously pushed event (idempotent; a no-op once it ran).
+
+        Drops the entry's references early, so a cancelled event pins
+        nothing while it waits to percolate out of the heap, and detaches
+        the handle, which breaks the handle <-> entry cycle.
+        """
+        entry = handle._entry
+        if entry[_HANDLE] is handle:
+            entry[_CALLBACK] = None
+            entry[_ARGS] = ()
+            entry[_HANDLE] = None
+            self._cancelled += 1
 
     def pop(self) -> Optional[EventHandle]:
         """Pop the earliest non-cancelled event, or ``None`` if empty.
 
         Returns the event's :class:`EventHandle` (creating one lazily for
-        events scheduled through :meth:`defer`).
+        events scheduled without one).
         """
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
             if entry[_CALLBACK] is None:
+                self._cancelled -= 1
                 continue
-            self._live -= 1
             handle = entry[_HANDLE]
-            if handle is None:
-                return EventHandle(entry)
             entry[_HANDLE] = None  # fired: a late cancel() must not count it
+            if type(handle) is not EventHandle:
+                return EventHandle(entry)
             return handle
         return None
 
@@ -175,24 +193,22 @@ class EventQueue:
         heap = self._heap
         while heap and heap[0][_CALLBACK] is None:
             heapq.heappop(heap)
+            self._cancelled -= 1
         return heap[0][_TIME] if heap else None
 
     def clear(self) -> None:
         """Drop all pending events.
 
-        Every outstanding handle is marked cancelled, so a later
+        Every outstanding handle reads cancelled and is detached, so a later
         ``cancel(handle)`` is a no-op instead of decrementing the live
         count below zero (which used to corrupt ``__len__``/``__bool__``).
         """
         for entry in self._heap:
-            handle = entry[_HANDLE]
-            if handle is not None and not handle.cancelled:
-                handle.cancel()
-            else:
-                entry[_CALLBACK] = None
-                entry[_ARGS] = ()
+            entry[_CALLBACK] = None
+            entry[_ARGS] = ()
+            entry[_HANDLE] = None
         self._heap.clear()
-        self._live = 0
+        self._cancelled = 0
 
 
 __all__ = ["EventHandle", "EventQueue"]

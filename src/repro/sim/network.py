@@ -12,10 +12,9 @@ from __future__ import annotations
 # seeded stream (`simulator.rng(f"network:{name}")`); `repro lint`
 # (DET002) bans module-level `random.*` calls here.
 import random
-from heapq import heappush as _heappush
-from math import log as _log
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence
 
+from .events import _ARGS, _CALLBACK, _HANDLE
 from .simulator import SimulationError, Simulator
 from .trace import KindTrail, kind_capture_enabled
 
@@ -133,8 +132,28 @@ class Network:
 
     Delivery latency comes from ``latency_model``; installed
     :class:`NetworkFault` stages may drop, delay, duplicate, or mutate
-    messages. Per-endpoint delivery counters feed victim-load metrics (used
-    by the DHT redirection experiment).
+    messages. Per-endpoint delivery counters (``delivered_per_endpoint``)
+    record where messages landed; the DHT victim-load metric does not read
+    them (it counts ``VictimEndpoint.received_in_window``).
+
+    Two send paths, schedule-identical for any seed:
+
+    - **The fused LAN path** (:meth:`Node.send`, jittered
+      :class:`LanLatency`, no fault stage installed) pushes the delivery
+      onto the event heap itself. The entry calls the destination's
+      handler directly, one frame per delivery: it is bound at send time
+      and counted delivered then, with the destination's name in the
+      entry's handle slot. Whenever a handler changes (a crash, an
+      unregister) the in-flight entries bound to the old one are turned
+      into late-bound ones first, and the delivery counters subtract
+      entries still in flight, so every count reads as if it were taken
+      at delivery.
+    - **The ``Envelope`` path** (:meth:`send`; any other latency model, or
+      any fault stage installed) runs the fault pipeline and schedules a
+      late-bound delivery, :meth:`_deliver`, which looks the handler up
+      when the message arrives. A network with a kind trail binds every
+      delivery late, because the trail must see each one in delivery
+      order.
     """
 
     def __init__(
@@ -154,9 +173,10 @@ class Network:
         self._handlers: Dict[str, MessageHandler] = {}
         self.faults: List[NetworkFault] = []
         self.messages_sent = 0
-        self.messages_delivered = 0
         self.messages_dropped = 0
-        self.delivered_per_endpoint: Dict[str, int] = {}
+        #: Deliveries per endpoint, counting early-bound entries still in
+        #: flight (``delivered_per_endpoint`` subtracts those).
+        self._delivered: Dict[str, int] = {}
         # Coverage-mode capture (sampled at construction, see
         # `repro.sim.trace`): records delivered payload kinds and their
         # 2-gram transitions. Part of the pickled state on purpose — a
@@ -164,21 +184,16 @@ class Network:
         self.kind_trail: Optional[KindTrail] = (
             KindTrail() if kind_capture_enabled() else None
         )
-        # Fused fast path: for the jittered LanLatency model every
-        # deployment uses, deliveries go straight onto the event heap with
-        # the exponential draw inlined (`-log(1-u)/lambd` — exactly
-        # `rng.expovariate(lambd)`, so the fused and the `Envelope` path
-        # consume identical RNG streams). `Node.send` calls it directly.
-        self._fast_send = self._make_fast_send()
+        self._lan = self._make_lan()
 
     # ------------------------------------------------------------------
     # pickling (snapshot capture / fork)
     # ------------------------------------------------------------------
     #: Construction-derived attributes that must never be pickled: bound
-    #: methods of other snapshot participants, and the fused-send closure
-    #: (which captures the event queue's *current* heap list — a stale
-    #: capture would let forked runs mutate the cached snapshot's heap).
-    _DERIVED_ATTRS = ("_fast_send", "_handlers")
+    #: methods of other snapshot participants, and the fused send path's
+    #: state (which holds the event queue's *current* heap list — a stale
+    #: copy would let forked runs push onto the cached snapshot's heap).
+    _DERIVED_ATTRS = ("_lan", "_handlers")
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -192,11 +207,11 @@ class Network:
         # whose `crashed` flag picks its handler, is still mid-restore.
         self.__dict__.update(state)
         self._handlers = None  # type: ignore[assignment]
-        self._fast_send = None
+        self._lan = None
 
     def rebind_fast_paths(self) -> None:
-        """Rebuild the delivery handlers and the queue-capturing fast path
-        after an unpickle.
+        """Rebuild the delivery handlers and the fused send path after an
+        unpickle.
 
         Called by the owning deployment's ``__setstate__`` once the whole
         object graph (simulator, queue, heap, endpoints) is restored.
@@ -204,7 +219,7 @@ class Network:
         self._handlers = {
             name: _handler_of(endpoint) for name, endpoint in self.endpoints.items()
         }
-        self._fast_send = self._make_fast_send()
+        self._lan = self._make_lan()
 
     # ------------------------------------------------------------------
     # topology
@@ -214,25 +229,66 @@ class Network:
 
         Re-registering a name after :meth:`unregister` (node churn,
         restart-style scenarios) preserves the endpoint's prior delivery
-        count — the DHT redirection metric reads victim load from
-        ``delivered_per_endpoint`` and must not lose counts mid-run.
+        count in ``delivered_per_endpoint``.
         """
         if endpoint.name in self.endpoints:
             raise SimulationError(f"duplicate endpoint name: {endpoint.name}")
         self.endpoints[endpoint.name] = endpoint
         self._handlers[endpoint.name] = _handler_of(endpoint)
-        self.delivered_per_endpoint.setdefault(endpoint.name, 0)
+        self._delivered.setdefault(endpoint.name, 0)
 
     def unregister(self, name: str) -> None:
         """Remove an endpoint; in-flight messages to it are dropped on arrival."""
         self.endpoints.pop(name, None)
-        self._handlers.pop(name, None)
+        self._unbind(name, self._handlers.pop(name, None))
 
     def refresh_handler(self, name: str) -> None:
         """Re-read a registered endpoint's delivery handler (after a crash)."""
         endpoint = self.endpoints.get(name)
         if endpoint is not None:
+            self._unbind(name, self._handlers[name])
             self._handlers[name] = _handler_of(endpoint)
+
+    def _unbind(self, name: str, handler: Optional[MessageHandler]) -> None:
+        """Turn the in-flight deliveries bound to ``name``'s ``handler`` into
+        late-bound ones, uncounted until they arrive.
+
+        Runs before a handler changes, so an early-bound entry always holds
+        its destination's current handler. O(heap), on crashes and
+        unregisters only.
+        """
+        if handler is None:
+            return
+        deliver = self._deliver
+        for entry in self.simulator.queue._heap:
+            if entry[_HANDLE] == name and entry[_CALLBACK] == handler:
+                entry[_CALLBACK] = deliver
+                entry[_ARGS] = (name,) + entry[_ARGS]
+                entry[_HANDLE] = None
+                self._delivered[name] -= 1
+
+    # ------------------------------------------------------------------
+    # delivery counters
+    # ------------------------------------------------------------------
+    @property
+    def delivered_per_endpoint(self) -> Dict[str, int]:
+        """Messages delivered so far to each endpoint ever registered (a copy).
+
+        Deliveries to a crashed node count; drops to an unregistered name
+        do not (they count in ``messages_dropped``).
+        """
+        counts = dict(self._delivered)
+        handlers = self._handlers
+        for entry in self.simulator.queue._heap:
+            dst = entry[_HANDLE]
+            if type(dst) is str and entry[_CALLBACK] == handlers.get(dst):
+                counts[dst] -= 1  # early-bound, still in flight
+        return counts
+
+    @property
+    def messages_delivered(self) -> int:
+        """Messages delivered so far, to every endpoint."""
+        return sum(self.delivered_per_endpoint.values())
 
     # ------------------------------------------------------------------
     # fault pipeline
@@ -249,63 +305,38 @@ class Network:
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
-    def _make_fast_send(self):
-        """Build the fused LAN send path as a closure.
+    def _make_lan(self) -> Optional[tuple]:
+        """The fused LAN send path's state, as the tuple :meth:`Node.send`
+        unpacks, or None when every message takes the ``Envelope`` path.
 
-        Closure cells beat attribute loads at ~10⁶ calls per campaign, and
-        everything captured is construction-stable (the queue, the RNG, the
-        latency parameters, the fault list). It counts the send, and takes
-        the ``Envelope`` path whenever a fault stage is installed. Returns
-        None for any other model (and for a jitter-free LAN): those always
-        take the ``Envelope`` path, schedule-identical.
+        Everything in it is construction-stable: the fault list and the
+        handler map are mutated in place, never rebound, and the heap is
+        cleared in place by ``EventQueue.clear``. The jitter is an inlined
+        ``rng.expovariate(lambd)`` (``-log(1-u)/lambd``), so the fused and
+        the ``Envelope`` path consume identical RNG streams. A network with
+        a kind trail gets an empty handler map, so every send binds late.
+        None for any other model (and for a jitter-free LAN).
         """
         lan = self.latency_model
         if type(lan) is not LanLatency or not lan.jitter_mean_us:
             return None
-        network = self
-        faults = self.faults  # mutated in place by add/remove/clear_faults
-        send_envelope = self._send_envelope
-        simulator = self.simulator
-        rng_random = self.rng.random
-        queue = simulator.queue
-        heap = queue._heap  # cleared in place by EventQueue.clear, never rebound
-        heappush = _heappush
-        deliver = self._deliver_fast
-        base = lan.base_us
-        lambd = 1.0 / lan.jitter_mean_us
-        log = _log
-
-        def fast_send(src: str, dst: str, payload: object) -> None:
-            if faults:
-                send_envelope(src, dst, payload)
-                return
-            network.messages_sent += 1
-            # Inlined `rng.expovariate(lambd)` jitter (identical RNG
-            # stream) on top of the base latency, then an inlined
-            # `queue.defer` (delivery times are never negative). Fresh
-            # envelopes carry no extra delay, and nothing between send and
-            # delivery observes them when no faults are installed, so none
-            # is materialized.
-            heappush(
-                heap,
-                [
-                    simulator.now + base + int(-log(1.0 - rng_random()) / lambd),
-                    queue._seq,
-                    deliver,
-                    (dst, payload, src),
-                    None,
-                ],
-            )
-            queue._seq += 1
-            queue._live += 1
-
-        return fast_send
+        queue = self.simulator.queue
+        return (
+            self.faults,
+            self.simulator,
+            queue,
+            queue._heap,
+            self.rng.random,
+            lan.base_us,
+            1.0 / lan.jitter_mean_us,
+            self._handlers if self.kind_trail is None else {},
+            self._delivered,
+            self._deliver,
+        )
 
     def send(self, src: str, dst: str, payload: object) -> None:
-        """Send ``payload`` from ``src`` to ``dst`` through the pipeline."""
-        (self._fast_send or self._send_envelope)(src, dst, payload)
-
-    def _send_envelope(self, src: str, dst: str, payload: object) -> None:
+        """Send ``payload`` from ``src`` to ``dst`` through the fault
+        pipeline (the ``Envelope`` path; nodes send through :meth:`Node.send`)."""
         self.messages_sent += 1
         envelope = Envelope(src, dst, payload, self.simulator.now)
         if self.faults:
@@ -347,19 +378,18 @@ class Network:
     def _schedule_delivery(self, envelope: Envelope) -> None:
         # Deliveries are never cancelled, so they take the handle-free `defer`.
         latency = self.latency_model.sample(envelope.src, envelope.dst, self.rng)
-        self.simulator.defer(latency + envelope.extra_delay, self._deliver, envelope)
+        self.simulator.defer(
+            latency + envelope.extra_delay,
+            self._deliver, envelope.dst, envelope.payload, envelope.src,
+        )
 
-    def _deliver(self, envelope: Envelope) -> None:
-        self._deliver_fast(envelope.dst, envelope.payload, envelope.src)
-
-    def _deliver_fast(self, dst: str, payload: object, src: str) -> None:
+    def _deliver(self, dst: str, payload: object, src: str) -> None:
+        """A late-bound delivery: look the handler up as the message arrives."""
         handler = self._handlers.get(dst)
         if handler is None:
             self.messages_dropped += 1
             return
-        self.messages_delivered += 1
-        counts = self.delivered_per_endpoint
-        counts[dst] = counts.get(dst, 0) + 1
+        self._delivered[dst] += 1
         trail = self.kind_trail
         if trail is not None:
             trail.add(type(payload).__name__)

@@ -1,13 +1,22 @@
-"""Base class for simulated protocol nodes."""
+"""Base class for simulated protocol nodes.
+
+A node owns the two hottest scheduling sites, each one frame: :meth:`Node.send`
+pushes a delivery onto the event heap itself on a jittered-LAN network (see
+:class:`~repro.sim.network.Network` for the early binding and the counts),
+and :meth:`Node.set_timer` pushes a timer entry with its handle. Timers fire
+through :meth:`Node._fire_timer`, which gates them on ``crashed``.
+"""
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
+from math import log as _log, trunc as _trunc
 from typing import Iterable, Optional
 
 from ..injection import LibraryRuntime
-from .events import EventHandle
+from .events import EventHandle, new_handle
 from .network import MessageHandler, Network
-from .simulator import Simulator
+from .simulator import SimulationError, Simulator
 
 
 class Node:
@@ -43,10 +52,26 @@ class Node:
         counts["send"] = number
         if lib._plans and lib.check("send", number) is not None:
             return False
-        # Straight to the fused send closure, skipping the `Network.send`
-        # frame; a network without one (non-LAN latency) takes its own path.
         network = self.network
-        (network._fast_send or network.send)(self.name, dst, payload)
+        lan = network._lan
+        if lan is None or lan[0]:  # not a jittered LAN, or a fault stage installed
+            network.send(self.name, dst, payload)
+            return True
+        # The fused LAN path (see `Network`): the jitter draw and an inlined
+        # `queue.defer`, with the delivery bound to the handler now. The
+        # draw is `LanLatency.sample`'s `int(rng.expovariate(lambd))`;
+        # `trunc` is `int` for a float, minus the type call.
+        _, simulator, queue, heap, rng_random, base, lambd, handlers, delivered, deliver = lan
+        network.messages_sent += 1
+        time = simulator.now + base + _trunc(-_log(1.0 - rng_random()) / lambd)
+        handler = handlers.get(dst)
+        if handler is None:
+            entry = [time, queue._seq, deliver, (dst, payload, self.name), None]
+        else:
+            delivered[dst] += 1
+            entry = [time, queue._seq, handler, (payload, self.name), dst]
+        _heappush(heap, entry)
+        queue._seq += 1
         return True
 
     def broadcast(self, dsts: Iterable[str], payload: object) -> int:
@@ -67,7 +92,18 @@ class Node:
     # ------------------------------------------------------------------
     def set_timer(self, delay: int, callback, *args) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` microseconds."""
-        return self.simulator.schedule(delay, self._fire_timer, callback, args)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule with negative delay {delay}")
+        # An inlined `simulator.schedule` -> `queue.push`: one frame per arm.
+        simulator = self.simulator
+        queue = simulator.queue
+        handle = new_handle(EventHandle)
+        handle._entry = entry = [
+            simulator.now + delay, queue._seq, self._fire_timer, (callback, args), handle,
+        ]
+        _heappush(queue._heap, entry)
+        queue._seq += 1
+        return handle
 
     def _fire_timer(self, callback, args) -> None:
         if not self.crashed:

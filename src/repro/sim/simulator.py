@@ -6,10 +6,15 @@ it. Each AVD test scenario creates a fresh simulator (the paper re-initializes
 the distributed system before every test), so a simulator is cheap to build
 and carries no global state.
 
-The run loop inlines the peek/pop cycle over the queue's raw heap (one heap
-traversal and zero method calls per event). ``tests/_reference.py`` swaps in
-a loop over the queue's public ``peek_time``/``pop`` API, and the
-trace-equivalence suite holds the two bit-identical for any seed.
+The run loop pops each entry off the queue's raw heap (one heap traversal
+and zero method calls per event) and calls its callback directly. The two
+hottest producers push their entries themselves: ``Node.send`` a delivery
+whose callback is the destination's handler (one frame per message sent,
+one per message delivered), and ``Node.set_timer`` a timer with its handle
+(one frame per arm). ``tests/_reference.py`` swaps
+in a loop over the queue's public ``peek_time``/``pop`` API and sends every
+message through the late-bound ``Envelope`` path, and the trace-equivalence
+suite holds the two bit-identical for any seed.
 
 A scenario's deadline is counted in events, not seconds: a deployment sets
 :attr:`Simulator.event_budget` from its own shape (:func:`event_budget`),
@@ -22,6 +27,7 @@ same event as one from scratch, on any host and any thread.
 from __future__ import annotations
 
 import heapq
+import sys
 
 # Annotation-only import: every draw goes through a named seeded stream
 # from the RngRegistry (see `rng()` below); `repro lint` (DET002) bans
@@ -168,32 +174,35 @@ class Simulator:
         return executed
 
     def _run_loop(self, until: int, max_events: Optional[int]) -> int:
-        """The event loop: inlined peek/pop over the queue's raw heap.
+        """The event loop: pop-first over the queue's raw heap.
 
-        One cancelled-prefix sweep serves both the peek and the pop, and
-        per-event overhead is a handful of C-level list operations.
+        A cancelled entry is dropped as it comes off; the first one not yet
+        due goes back unchanged (keys are unique, so the heap's order does
+        not depend on where it lands). Per event that is one ``heappop``
+        and a handful of C-level list operations, and no counter but
+        ``executed``.
         """
         queue = self.queue
         heap = queue._heap
         heappop = heapq.heappop
+        limit = sys.maxsize if max_events is None else max_events
         executed = 0
-        while not self._stop_requested:
-            if max_events is not None and executed >= max_events:
-                break
-            while heap and heap[0][2] is None:  # drop cancelled heads
-                heappop(heap)
+        while executed < limit and not self._stop_requested:
             if not heap:
                 break
-            entry = heap[0]
+            entry = heappop(heap)
+            callback = entry[2]
+            if callback is None:  # cancelled
+                queue._cancelled -= 1
+                continue
             event_time = entry[0]
             if event_time > until:
+                heapq.heappush(heap, entry)
                 self.now = until
                 break
-            heappop(heap)
-            queue._live -= 1
             entry[4] = None  # detach the handle: cancel-after-fire is a no-op
             self.now = event_time
-            entry[2](*entry[3])
+            callback(*entry[3])
             executed += 1
         return executed
 

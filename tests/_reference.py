@@ -47,22 +47,22 @@ def _defer(self, delay, callback, *args):
     self.schedule(delay, callback, *args)
 
 
-def _no_fast_send(self):
+def _no_lan(self):
     return None
 
 
 @contextmanager
 def reference_mode():
     """Run the block on the reference kernel; always restores the real one."""
-    originals = (Simulator._run_loop, Simulator.defer, Network._make_fast_send)
+    originals = (Simulator._run_loop, Simulator.defer, Network._make_lan)
     Simulator._run_loop = _run_loop
     Simulator.defer = _defer
-    Network._make_fast_send = _no_fast_send
+    Network._make_lan = _no_lan
     try:
         with snapshot.disabled():
             yield
     finally:
-        Simulator._run_loop, Simulator.defer, Network._make_fast_send = originals
+        Simulator._run_loop, Simulator.defer, Network._make_lan = originals
 
 
 def in_mode(optimized: bool):

@@ -60,6 +60,16 @@ def test_genetic_exploration_finds_the_hill():
     assert max(result.impact for result in results) > 0.5
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_genetic_never_repeats_a_key_within_a_generation(seed):
+    """Children are checked against their own generation too: 200 tests on
+    the 256-point hill target execute 200 distinct keys."""
+    target, plugins = make_hill_target()
+    assert target.hyperspace.size == 256
+    results = GeneticExploration(target, plugins, seed=seed).run(CampaignSpec(budget=200))
+    assert len({result.key for result in results}) == len(results) == target.executions == 200
+
+
 def test_genetic_parameter_validation():
     target, plugins = make_hill_target()
     with pytest.raises(ValueError):
@@ -128,7 +138,7 @@ PINNED_DIGESTS = {
     ("random", 17): "5b5ee6f6bd5cc9c1",
     ("exhaustive", 3): "1a77a2140f443f59",
     ("exhaustive", 17): "1a77a2140f443f59",
-    ("genetic", 3): "22448e9c4725aa09",
+    ("genetic", 3): "cd248d6249fc90d3",
     ("genetic", 17): "d718e82d18e75e7a",
     ("annealing", 3): "fa99a16c78c5152f",
     ("annealing", 17): "f1098a8b2e635ca9",

@@ -20,20 +20,20 @@ def patched_attributes():
     return (
         Simulator.__dict__["_run_loop"],
         Simulator.__dict__["defer"],
-        Network.__dict__["_make_fast_send"],
+        Network.__dict__["_make_lan"],
     )
 
 
 def test_block_swaps_the_run_loop_defer_fused_send_and_forking():
-    run_loop, defer, make_fast_send = patched_attributes()
-    assert Network(Simulator(), LanLatency())._fast_send is not None
+    run_loop, defer, make_lan = patched_attributes()
+    assert Network(Simulator(), LanLatency())._lan is not None
     with reference_mode():
         assert Simulator.__dict__["_run_loop"] is not run_loop
         assert Simulator.__dict__["defer"] is not defer
-        assert Network.__dict__["_make_fast_send"] is not make_fast_send
+        assert Network.__dict__["_make_lan"] is not make_lan
         assert not snapshot.enabled()
         simulator = Simulator()
-        assert Network(simulator, LanLatency())._fast_send is None
+        assert Network(simulator, LanLatency())._lan is None
         fired = []
         assert simulator.defer(5, fired.append, "deferred") is None
         (entry,) = simulator.queue._heap

@@ -8,6 +8,7 @@ import pytest
 from repro.pbft import PbftDeployment
 from repro.sim import CrashAwareNode, FixedLatency, LanLatency, Network, Node, Simulator
 from repro.sim.trace import set_kind_capture
+from tests._reference import reference_mode
 from tests.conftest import tiny_pbft_config
 
 
@@ -127,3 +128,55 @@ def test_network_setstate_reads_no_endpoint_state():
     restored.send("b", "a", "y")
     sim.run()
     assert b.handled == [] and a.handled == ["y"]
+
+
+def churn_trace(early_bound_seen):
+    """Deliveries in flight across a crash, an unregister and a re-register,
+    with every counter read mid-flight."""
+    sim = Simulator(seed=11)
+    net = Network(sim, LanLatency())
+    a, b, c = Pinger("a", sim, net), Pinger("b", sim, net), Plain("c", sim, net)
+    trace = []
+
+    def observe():
+        early_bound_seen.append(sum(type(entry[4]) is str for entry in sim.queue._heap))
+        trail = net.kind_trail
+        trace.append((
+            sim.now, net.messages_sent, net.messages_delivered, net.messages_dropped,
+            net.delivered_per_endpoint, list(a.handled), list(b.handled), list(c.seen),
+            None if trail is None else (dict(trail.counts), dict(trail.grams)),
+        ))
+
+    for step in range(4):
+        for i in range(5):
+            a.send("b", i)
+            a.send("c", str(i))
+            b.send("a", step)
+        sim.run(until=sim.now + 160)  # base latency 150 us: some still in flight
+        observe()
+        if step == 0:
+            b.crash()
+        elif step == 1:
+            net.unregister("c")
+        elif step == 2:
+            net.register(c)
+    sim.run()
+    observe()
+    return trace
+
+
+@pytest.mark.parametrize("capture", [False, True], ids=["no-trail", "kind-trail"])
+def test_early_bound_deliveries_count_as_if_counted_on_arrival(capture):
+    """The fused path binds a delivery to its handler at send time; every
+    counter, drop and trail still reads as the late-bound reference's."""
+    previous = set_kind_capture(capture)
+    try:
+        early_bound = []
+        fused = churn_trace(early_bound)
+        with reference_mode():
+            reference = churn_trace([])
+    finally:
+        set_kind_capture(previous)
+    assert fused == reference
+    # Without a trail the fused run really had early-bound entries in flight.
+    assert any(early_bound) is not capture

@@ -1,5 +1,9 @@
 """Node timers, crash gating, and library-call interception."""
 
+import gc
+
+import pytest
+
 from repro.injection import FaultPlan
 from repro.sim import CrashAwareNode, FixedLatency, Network, Node, Simulator
 
@@ -87,3 +91,32 @@ def test_trace_records_via_node_helper():
     a.trace("custom", {"k": 1})
     records = sim.tracer.of_kind("custom")
     assert len(records) == 1 and records[0].source == "a"
+
+
+@pytest.fixture
+def collector_off():
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_cancelled_timers_leave_no_cyclic_garbage(collector_off):
+    """A cancelled timer is freed by refcount once it leaves the heap: its
+    handle and heap entry hold no reference cycle for the collector."""
+    sim, net, a, b = build()
+    fired = []
+    for i in range(3000):
+        handle = a.set_timer(10 + i, fired.append, i)
+        if i % 3:
+            a.cancel_timer(handle)
+        scheduled = sim.schedule(10 + i, fired.append, -i)
+        sim.cancel(scheduled)
+    sim.run()
+    assert fired == list(range(0, 3000, 3))
+    assert not sim.queue and not sim.queue._heap
+    assert gc.collect() == 0

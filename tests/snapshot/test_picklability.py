@@ -94,6 +94,30 @@ def test_network_derived_closures_are_rebuilt_not_pickled():
     assert len(restored.simulator.queue) == before + 1
 
 
+def test_restored_fused_paths_push_onto_the_restored_heap():
+    """A forked deployment's fused send and timer paths push onto its own
+    heap: never onto the heap of the deployment the snapshot was captured
+    from, nor onto a sibling fork's."""
+    spec = pbft_spec()
+    prefix = spec.build_prefix(3)
+    snap = SimSnapshot.capture(spec.snapshot_key(3), prefix)
+    restored, sibling = snap.fork(), snap.fork()
+    heap = restored.simulator.queue._heap
+    assert any(part is heap for part in restored.network._lan)
+    others = (prefix.simulator.queue._heap, sibling.simulator.queue._heap)
+    sizes_before = [len(other) for other in others]
+    client = restored.correct_clients[0]
+    replica = restored.replicas[1]
+    before = len(heap)
+    assert client.send(replica.name, ("probe", b""))
+    client.set_timer(1, client.name.upper)
+    assert len(heap) == before + 2
+    assert [len(other) for other in others] == sizes_before
+    # The early-bound delivery calls the restored replica's handler.
+    (delivery,) = [entry for entry in heap if entry[4] == replica.name]
+    assert delivery[2].__self__ is replica
+
+
 #: What a campaign-scale prefix may weigh. In-flight state (unstable log
 #: entries, queued events) oscillates between ~70 and ~330 KB with log GC;
 #: anything that tracks the *length* of the prefix blows through this.
