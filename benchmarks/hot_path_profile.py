@@ -1,5 +1,5 @@
-"""Where a PBFT event's time goes: self time by function, and the cyclic
-collector's CPU by generation.
+"""Where a PBFT event's time goes: self time by function, the cyclic
+collector's CPU by generation, and what a round leaves for the collector.
 
 Runs one pinned ``paper_serial`` round — ``AvdExploration`` over MAC
 corruption x ``ClientCount(10, 30, 10)`` at ``PbftConfig.campaign_scale()``,
@@ -10,7 +10,11 @@ starts, as the benchmark times it):
 - a ``SIGPROF`` sampler attributes each sample of process CPU to the Python
   function executing when it fires (time in C calls lands on their Python
   caller, so ``heappop`` shows inside the run loop);
-- ``gc.callbacks`` time every collector pass and count what it freed.
+- ``gc.callbacks`` time every collector pass and count what it freed;
+  the objects freed per test are what finished deployments left in
+  reference cycles (none, once every deployment is closed where its life
+  ends);
+- ``ru_maxrss`` gives the process's peak RSS after the round.
 
 This is the layer breakdown a kernel optimization is aimed with; the
 benchmark (``benchmark/run.py``) is what measures it. Sampling costs a few
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import resource
 import signal
 import sys
 import time
@@ -108,13 +113,14 @@ def profile_round(seed: int = 0, budget: int = 16, interval_s: float = 0.001) ->
         Simulator.run = run
         signal.signal(signal.SIGPROF, previous_handler)
 
+    tests = len(campaign.results)
     total = sum(samples.values())
     by_function: Counter = Counter()
     for code, count in samples.items():
         by_function["<native>" if code is None else _function_name(code)] += count
     return {
         "seed": seed,
-        "tests": len(campaign.results),
+        "tests": tests,
         "events": events[0],
         "cpu_s": cpu_s,
         "us_per_event": 1e6 * cpu_s / events[0] if events[0] else 0.0,
@@ -126,7 +132,10 @@ def profile_round(seed: int = 0, budget: int = 16, interval_s: float = 0.001) ->
             "cpu_s": collector.cpu_s,
             "passes": collector.passes,
             "freed": collector.freed,
+            "freed_per_test": sum(collector.freed) / tests if tests else 0.0,
         },
+        # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 
@@ -152,6 +161,11 @@ def format_report(report: dict, top: int) -> str:
         f"  all  {sum(collector['passes']):>6}  {sum(collector['cpu_s']):>7.3f}  "
         f"{sum(collector['freed']):>9,}"
     )
+    lines += [
+        "",
+        f"collector freed per test: {collector['freed_per_test']:,.1f} objects",
+        f"peak RSS (ru_maxrss): {report['peak_rss_mb']:.1f} MB",
+    ]
     return "\n".join(lines)
 
 

@@ -55,6 +55,7 @@ import logging
 import os
 import pickle
 from collections import OrderedDict
+from contextlib import closing
 from typing import Any, Callable, Hashable, Optional, Tuple
 
 from ..sim.trace import kind_capture_enabled
@@ -217,11 +218,13 @@ class SnapshotCache:
         """Return the cached snapshot for ``key``, capturing it on a miss.
 
         ``build_prefix`` must construct the benign deployment and run it to
-        the injection point; it is only invoked on a miss.
+        the injection point; it is only invoked on a miss. The prefix
+        deployment's life ends once it is pickled: it is closed then.
         """
         snapshot = self.get(key)
         if snapshot is None:
-            snapshot = self.put(SimSnapshot.capture(key, build_prefix()))
+            with closing(build_prefix()) as prefix:
+                snapshot = self.put(SimSnapshot.capture(key, prefix))
         return snapshot
 
     def clear(self) -> None:
@@ -305,6 +308,12 @@ class ForkableSpec:
             deployment = self.deployment(seed, self.attack_start_us())
         deployment.install_attack(self.attack())
         return deployment
+
+    def run(self, seed: int) -> Any:
+        """Build (:meth:`build`), run and close one scenario's deployment;
+        returns its result. The deployment is freed as this returns."""
+        with closing(self.build(seed)) as deployment:
+            return deployment.run()
 
     def attack_start_us(self) -> int:
         """Absolute activation time (0 for an untimed scenario)."""

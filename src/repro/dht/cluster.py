@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -163,6 +164,11 @@ class DhtDeployment:
         self.prepare_window()
         self.simulator.run(until=until)
 
+    def close(self) -> None:
+        """End the deployment's life, as :meth:`PbftDeployment.close
+        <repro.pbft.cluster.PbftDeployment.close>` does. Idempotent."""
+        self.network.close()
+
 
 def run_dht_deployment(
     config: Optional[DhtConfig] = None,
@@ -177,7 +183,8 @@ def run_dht_deployment(
     )
     if attack is not None:
         deployment.install_attack(attack)
-    return deployment.run()
+    with closing(deployment):
+        return deployment.run()
 
 
 __all__ = ["DhtAttack", "DhtDeployment", "DhtRunResult", "run_dht_deployment"]

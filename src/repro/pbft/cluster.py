@@ -9,6 +9,7 @@ observed. That summary is AVD's impact measurement (paper Sec. 3).
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -216,6 +217,16 @@ class PbftDeployment:
         self.simulator.run(until=measure_to)
         return self._collect(measure_from, measure_to)
 
+    def close(self) -> None:
+        """End the deployment's life: break its reference cycles
+        (:meth:`Network.close <repro.sim.network.Network.close>`), so it is
+        freed by refcount, not by the cyclic collector. Idempotent.
+
+        Called wherever a deployment's life ends, never by :meth:`run`: the
+        deployment stays inspectable until its owner closes it.
+        """
+        self.network.close()
+
     def run_prefix(self, until: int) -> None:
         """Run the benign prefix up to (and including) time ``until``.
 
@@ -301,7 +312,8 @@ def run_deployment(
     )
     if attack is not None:
         deployment.install_attack(attack)
-    return deployment.run()
+    with closing(deployment):
+        return deployment.run()
 
 
 __all__ = ["PbftDeployment", "PbftRunResult", "run_deployment"]

@@ -56,6 +56,12 @@ class EventHandle:
     was cancelled, and it leaves no handle <-> entry reference cycle behind:
     a cancelled timer is freed by refcount once it leaves the heap, never by
     the cyclic collector.
+
+    A *fired* handle still pins its entry, and so the entry's callback and
+    arguments, until its holder drops it. A node that keeps the handle of a
+    timer that already ran (a crashed replica's skipped re-arm leaves one)
+    is therefore in a cycle with it through ``Node._fire_timer``, out of
+    reach of :meth:`EventQueue.clear`; ``Network.close`` breaks it.
     """
 
     __slots__ = ("_entry",)
@@ -200,8 +206,11 @@ class EventQueue:
         """Drop all pending events.
 
         Every outstanding handle reads cancelled and is detached, so a later
-        ``cancel(handle)`` is a no-op instead of decrementing the live
-        count below zero (which used to corrupt ``__len__``/``__bool__``).
+        ``cancel(handle)`` is a no-op instead of counting into
+        ``_cancelled`` an entry that is no longer in the heap (which would
+        drive ``__len__`` negative and corrupt ``__bool__``). Each entry's
+        callback and arguments are dropped too, so a dropped event pins
+        nothing afterwards.
         """
         for entry in self._heap:
             entry[_CALLBACK] = None

@@ -395,6 +395,31 @@ class Network:
             trail.add(type(payload).__name__)
         handler(payload, src)
 
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Tear down the system this network connects, so that reference
+        counting frees it the moment its owner lets go.
+
+        A finished deployment is a web of reference cycles: heap entries and
+        the timer handles pointing back at them, the endpoint and handler
+        maps and ``_lan`` holding nodes (and ``_deliver``) that hold the
+        network, fault stages bound to the network, and whatever a node keeps
+        that points back at it (its view-change timer, a *fired* timer's
+        handle whose entry still holds the node's ``_fire_timer``). This
+        drops every pending event, every fault stage, both maps, ``_lan``
+        and each endpoint's whole state, which breaks them all. Idempotent;
+        neither the network nor its endpoints run again afterwards.
+        """
+        self.simulator.queue.clear()
+        self.faults.clear()
+        for endpoint in self.endpoints.values():
+            vars(endpoint).clear()
+        self.endpoints.clear()
+        self._handlers.clear()
+        self._lan = None
+
 
 def default_lan(simulator: Simulator) -> Network:
     """A network with Emulab-LAN-like latency (convenience constructor)."""

@@ -4,7 +4,8 @@ A :class:`Simulator` owns the clock, the event queue, the RNG registry, the
 metrics registry, and the tracer. Nodes and the network schedule callbacks on
 it. Each AVD test scenario creates a fresh simulator (the paper re-initializes
 the distributed system before every test), so a simulator is cheap to build
-and carries no global state.
+and carries no global state; the deployment around it is closed when its
+test ends (``Network.close``), so nothing of it outlives the result.
 
 The run loop pops each entry off the queue's raw heap (one heap traversal
 and zero method calls per event) and calls its callback directly. The two

@@ -8,6 +8,7 @@ transform so it lands in [0, 1].
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..core import coverage
@@ -118,7 +119,8 @@ class DhtTarget:
             deployment = DhtDeployment(
                 self.config, self.n_correct, n_malicious=0, seed=DHT_BASELINE_SEED
             )
-            self._baseline = deployment.run()
+            with closing(deployment):
+                self._baseline = deployment.run()
         return self._baseline
 
     def telemetry_summary(self, measurement: DhtRunResult) -> Dict[str, object]:
@@ -157,7 +159,7 @@ class DhtTarget:
         return spec
 
     def execute(self, params: Dict[str, object], seed: int) -> DhtRunResult:
-        return self._spec(params).build(seed).run()
+        return self._spec(params).run(seed)
 
     def seed_scope(self, params: Dict[str, object]) -> Optional[str]:
         """Seed-equivalence class for timed scenarios (see the executor)."""

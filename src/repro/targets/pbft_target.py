@@ -10,6 +10,7 @@ window *tail* so that end states (a crashed system) count fully.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -163,9 +164,9 @@ class PbftTarget:
         return spec
 
     def execute(self, params: Dict[str, object], seed: int) -> PbftRunResult:
-        deployment = self._spec(params).build(seed)
+        spec = self._spec(params)
         self.tests_run += 1
-        return deployment.run()
+        return spec.run(seed)
 
     def seed_scope(self, params: Dict[str, object]) -> Optional[str]:
         """Seed-equivalence class for timed scenarios (see the executor).
@@ -226,7 +227,8 @@ class PbftTarget:
         deployment = PbftDeployment(
             self.config, n_correct_clients, seed=derive_baseline_seed(n_correct_clients)
         )
-        return deployment.run()
+        with closing(deployment):
+            return deployment.run()
 
     def baseline_throughput(self, n_correct_clients: int) -> float:
         """Benign average throughput at this client count (cached)."""

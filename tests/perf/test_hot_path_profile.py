@@ -34,9 +34,13 @@ def test_one_test_round_reports_self_time_and_collector(profiler, capsys):
     assert any("Simulator._run_loop" in name for name in report["self_share"])
     collector = report["collector"]
     assert all(len(collector[key]) == 3 for key in ("cpu_s", "passes", "freed"))
+    assert collector["freed_per_test"] == sum(collector["freed"]) / report["tests"]
+    assert report["peak_rss_mb"] > 0
     text = profiler.format_report(report, top=5)
     assert "self time by function (top 5)" in text
     assert "cyclic collector by generation" in text
+    assert f"collector freed per test: {collector['freed_per_test']:,.1f} objects" in text
+    assert f"peak RSS (ru_maxrss): {report['peak_rss_mb']:.1f} MB" in text
     # No hook is left behind.
     assert Simulator.run is run and gc.callbacks == callbacks
     assert signal.getsignal(signal.SIGPROF) == handler

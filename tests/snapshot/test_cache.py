@@ -33,6 +33,9 @@ class _Payload:
         self.simulator = self  # capture() reads deployment.simulator.now
         self.now = 17
 
+    def close(self):
+        """get_or_capture closes a prefix once it is pickled."""
+
 
 def make_snapshot(key) -> SimSnapshot:
     return SimSnapshot.capture(key, _Payload(key))

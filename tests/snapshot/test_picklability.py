@@ -186,7 +186,9 @@ def test_unpicklable_deployment_raises_snapshot_error():
 
 
 def test_capture_via_cache_never_returns_partial_entries():
-    """A failed capture must not leave a broken entry behind."""
+    """A failed capture must not leave a broken entry behind (and still
+    closes the prefix it could not pickle)."""
+    closed = []
 
     class Sabotaged:
         def __init__(self):
@@ -194,8 +196,12 @@ def test_capture_via_cache_never_returns_partial_entries():
             self.now = 0
             self.hook = lambda: None
 
+        def close(self):
+            closed.append(self)
+
     cache = snapshot.cache()
     with pytest.raises(SnapshotError):
         cache.get_or_capture("bad", Sabotaged)
+    assert len(closed) == 1
     assert "bad" not in cache
     assert len(cache) == 0
