@@ -5,6 +5,9 @@ engine), classifies every surface site, and folds the result into one
 plain-dict document. The serialized form is canonical — keys sorted,
 lists sorted on stable identity, trailing newline — so two runs from any
 directory, under any ``PYTHONHASHSEED``, produce byte-identical output.
+Handlers and sites carry no source line, only their identity
+(``module:qualname:kind:ordinal``), so an edit that moves code without
+changing it leaves the manifest as it was; parse errors keep theirs.
 CI regenerates the manifest and diffs it against the committed
 ``audit_manifest.json``; drift fails the build.
 """
@@ -25,8 +28,9 @@ def _iter_python_files(paths: Sequence[str]):
 
     return iter_python_files(paths)
 
-#: Bump when the manifest document shape changes.
-MANIFEST_SCHEMA_VERSION = 1
+#: Bump when the manifest document shape changes (2: handlers and sites
+#: are named by identity alone, with no source line).
+MANIFEST_SCHEMA_VERSION = 2
 
 
 def module_graphs(paths: Sequence[str]) -> List[ModuleGraph]:
@@ -90,7 +94,6 @@ def build_manifest(paths: Sequence[str]) -> Dict[str, object]:
                         "module": graph.module,
                         "class": class_name,
                         "method": method,
-                        "line": fn.line,
                         "messages": list(entries[method]),
                         "reaches": list(cls.reachable_from(method)),
                     }
@@ -103,7 +106,6 @@ def build_manifest(paths: Sequence[str]) -> Dict[str, object]:
                     "module": site.module,
                     "file": site.file,
                     "qualname": site.qualname,
-                    "line": site.line,
                     "detail": site.detail,
                 }
             )

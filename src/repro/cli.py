@@ -33,10 +33,8 @@ from .core import (
     CampaignResult,
     CampaignSpec,
     ControllerConfig,
-    GeneticExploration,
     HybridExploration,
     POWER_LADDER,
-    RandomExploration,
     WorkerStartError,
     available_plugins,
     describe_best,
@@ -47,6 +45,7 @@ from .core import (
     run_campaign,
     sparkline,
 )
+from .core.exploration import STRATEGIES
 from .core.persistence import (
     load_checkpoint,
     restore_controller,
@@ -141,7 +140,6 @@ def _recipe(args) -> dict:
     so ``repro resume`` rebuilds the campaign it continues, not the one
     its own flags happen to describe."""
     return {
-        "strategy": args.strategy,
         "target": args.target,
         "tools": args.tools,
         "fixed_timers": args.fixed_timers,
@@ -157,18 +155,6 @@ def _build_target(recipe: dict):
         return PbftTarget(plugins, config=config), plugins
     plugins = [RoutingPoisonPlugin()]
     return DhtTarget(plugins), plugins
-
-
-#: ``--strategy`` name -> ``builder(target, plugins, seed, config)``. Only
-#: avd and hybrid are backed by a controller: they alone take its config
-#: (search tunables), checkpoint and publish telemetry. How scenarios
-#: execute travels in the spec, to every strategy.
-_STRATEGIES = {
-    "avd": AvdExploration,
-    "hybrid": HybridExploration,
-    "random": lambda target, plugins, seed, config: RandomExploration(target, seed),
-    "genetic": lambda target, plugins, seed, config: GeneticExploration(target, plugins, seed),
-}
 
 
 def _open_bus(path: Optional[str], progress: bool, resume_seq: Optional[int] = None):
@@ -227,35 +213,19 @@ def _report(campaign: CampaignResult, out: Optional[str], stream: Optional[str] 
 # commands
 # ---------------------------------------------------------------------------
 def cmd_campaign(args) -> int:
-    # The other strategies refuse these themselves, but only once they run:
-    # by then --telemetry PATH has been opened, and truncated.
-    if args.strategy not in ("avd", "hybrid"):
-        controller_only = {
-            "--novelty-weight": args.novelty_weight is not None,
-            "--checkpoint": args.checkpoint,
-            "--telemetry": args.telemetry,
-            "--progress": args.progress,
-        }
-        for flag, given in controller_only.items():
-            if given:
-                raise SystemExit(
-                    f"{flag} requires --strategy avd or hybrid (only they carry "
-                    "a controller's resumable state and event bus)"
-                )
-    novelty_weight = args.novelty_weight
-    if novelty_weight is None:
-        hybrid = args.strategy == "hybrid"
-        novelty_weight = HybridExploration.DEFAULT_NOVELTY_WEIGHT if hybrid else 0.0
-    config = ControllerConfig(novelty_weight=novelty_weight)
+    settings = {}
+    if args.novelty_weight is not None:
+        # A search setting of the controller's, not a spec field.
+        if args.strategy not in ("avd", "hybrid"):
+            raise SystemExit("--novelty-weight requires --strategy avd or hybrid")
+        settings["config"] = ControllerConfig(novelty_weight=args.novelty_weight)
     recipe = _recipe(args)
     workers = resolve_workers(args.workers)
     target, plugins = _build_target(recipe)
-    strategy = _STRATEGIES[args.strategy](target, plugins, args.seed, config)
+    strategy = STRATEGIES[args.strategy](target, plugins, seed=args.seed, **settings)
     if args.checkpoint:
         # With the recipe, everything `repro resume` needs to carry on.
-        strategy.controller.checkpoint_context = dict(
-            recipe, out=args.out, telemetry=args.telemetry
-        )
+        strategy.checkpoint_context = dict(recipe, out=args.out, telemetry=args.telemetry)
     note = f" on {workers} workers" if workers > 1 else ""
     print(
         f"exploring {target.hyperspace.size:,} scenarios with "
@@ -284,7 +254,7 @@ def cmd_resume(args) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot resume: {exc}")
     context = data["context"]
-    if "strategy" not in context:  # written through the library API
+    if "target" not in context:  # written through the library API
         raise SystemExit("cannot resume: the checkpoint carries no `repro campaign` recipe")
     run_params = data["run"]
     # Telemetry continues on the stream the campaign started, or starts
@@ -295,26 +265,26 @@ def cmd_resume(args) -> int:
     bus = _open_bus(stream, args.progress, resume_seq=cursor if continuing else None)
 
     def job():
-        controller = restore_controller(data, *_build_target(context), telemetry=bus)
+        strategy = restore_controller(data, *_build_target(context))
         budget = args.budget if args.budget is not None else run_params["budget"]
-        done = len(controller.results)
+        done = len(strategy.results)
         if done >= budget:
             print(f"campaign already complete ({done}/{budget} tests); nothing to resume")
-            return controller, None
+            return strategy, None
         print(f"resuming campaign at test {done}/{budget} from {args.checkpoint} ...")
         # The run block holds the spec's execution fields as the campaign
         # ran them. batch_size shapes the trajectory; placement is
         # override-safe (wall-clock only).
-        spec = dict(run_params, budget=budget, checkpoint_path=args.checkpoint)
+        spec = dict(run_params, budget=budget, checkpoint_path=args.checkpoint, telemetry=bus)
         if args.workers is not None:
             spec["workers"] = args.workers
         if args.hosts is not None:
             spec["hosts"] = args.hosts
-        controller.run(CampaignSpec(**spec))
-        return controller, stream
+        strategy.run(CampaignSpec(**spec))
+        return strategy, stream
 
-    controller, written = _run_closing(job, bus, "cannot resume: ")
-    campaign = CampaignResult(strategy=context["strategy"], results=list(controller.results))
+    strategy, written = _run_closing(job, bus, "cannot resume: ")
+    campaign = CampaignResult(strategy=strategy.name, results=list(strategy.results))
     _report(campaign, args.out or context["out"], written)
     return 0
 
@@ -659,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--target", choices=("pbft", "dht"), default="pbft")
     campaign.add_argument("--tools", default="mac,clients",
                           help=f"comma list of {', '.join(sorted(_TOOL_FACTORIES))}")
-    campaign.add_argument("--strategy", choices=tuple(_STRATEGIES), default="avd")
+    campaign.add_argument("--strategy", choices=tuple(STRATEGIES), default="avd")
     campaign.add_argument(
         "--novelty-weight", type=float, default=None, metavar="W",
         help="blend coverage novelty into parent selection (0 = pure impact, "
@@ -705,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--checkpoint", metavar="PATH",
-        help="write a resumable campaign checkpoint to PATH (avd only); "
+        help="write a resumable campaign checkpoint to PATH; "
              "continue a killed run with `repro resume PATH`",
     )
     campaign.add_argument(
@@ -714,12 +684,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--telemetry", metavar="PATH",
-        help="record the campaign event stream as JSONL to PATH (avd only); "
+        help="record the campaign event stream as JSONL to PATH; "
              "inspect it afterwards with `repro explain PATH`",
     )
     campaign.add_argument(
         "--progress", action="store_true",
-        help="live one-line campaign progress on stderr (avd only)",
+        help="live one-line campaign progress on stderr",
     )
     campaign.set_defaults(func=cmd_campaign)
 

@@ -12,19 +12,20 @@ sampling a plugin by historical fitness gain, computing
 ``mutateDistance = 1 - parent.impact / mu`` and asking the plugin to mutate
 the parent. The exploration is seeded with random scenarios (the "random
 shots" phase of the battleships analogy in Sec. 3).
+
+The controller is an :class:`~repro.core.campaign.ExplorationStrategy`
+like every baseline; it adds only the coverage toggle around a run.
 """
 
 from __future__ import annotations
 
-import random
+import dataclasses
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.trace import set_kind_capture
-from ..telemetry.bus import TelemetryBus
 from ..telemetry.events import (
-    CheckpointWritten,
     CoverageObserved,
     FailureClassified,
     ImpactAbsorbed,
@@ -35,11 +36,11 @@ from ..telemetry.events import (
     key_dict,
 )
 from . import coverage as coverage_mod
+from .campaign import ExplorationStrategy
 from .coverage import CoverageMap
 from .executor import Target
 from .failures import Quarantine, ScenarioFailure
 from .hyperspace import CoordsKey
-from .parallel import campaign_executor, run_batches
 from .plugin import ToolPlugin
 from .sampling import PluginSampler, TopSet, weighted_choice
 from .scenario import ScenarioResult, TestScenario
@@ -50,6 +51,10 @@ from .target import verify_target
 #: behaviour are kept as extra parent candidates (beyond Pi) up to this
 #: many, oldest evicted first.
 NOVEL_CORPUS_CAP = 16
+
+#: Attempts at generating a not-yet-explored scenario per iteration (a
+#: random draw gets four times as many).
+DEDUP_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,6 @@ class ControllerConfig:
     #: Probability of injecting a fresh random scenario between mutations,
     #: keeping some exploration pressure for the whole campaign.
     random_restart_rate: float = 0.1
-    #: Attempts at generating a not-yet-explored scenario per iteration.
-    dedup_retries: int = 8
     #: Ablation X1: if set, use this fixed mutateDistance instead of the
     #: adaptive ``1 - impact/mu``.
     fixed_mutate_distance: Optional[float] = None
@@ -92,8 +95,10 @@ class ControllerConfig:
             raise ValueError("novelty_weight must be in [0, 1]")
 
 
-class TestController:
+class TestController(ExplorationStrategy):
     """Feedback-driven scenario generation + execution (Algorithm 1)."""
+
+    name = "avd"
 
     def __init__(
         self,
@@ -101,38 +106,17 @@ class TestController:
         plugins: Sequence[ToolPlugin],
         seed: int = 0,
         config: ControllerConfig = ControllerConfig(),
-        telemetry: Optional[TelemetryBus] = None,
     ) -> None:
         if not plugins:
             raise ValueError("the controller needs at least one tool plugin")
-        self.target = target
-        self.plugins: Dict[str, ToolPlugin] = {plugin.name: plugin for plugin in plugins}
-        if len(self.plugins) != len(plugins):
+        super().__init__(target, plugins, seed)
+        self._plugin_by_name = {plugin.name: plugin for plugin in plugins}
+        if len(self._plugin_by_name) != len(plugins):
             raise ValueError("duplicate plugin names")
         self.config = config
-        self.campaign_seed = seed
-        self.rng = random.Random(seed)
-        #: The campaign event bus (inert until a sink is attached; a
-        #: CampaignSpec's bus replaces it at run time).
-        self.telemetry = telemetry if telemetry is not None else TelemetryBus()
-        #: Sequence cursor restored from a checkpoint: the bus is
-        #: fast-forwarded past it so a resumed stream never reuses numbers.
-        self._telemetry_seq_floor = 0
         verify_target(target)  # fail fast, naming the missing members
         #: Scenario keys banned after terminal failures, with reasons.
         self.quarantine = Quarantine()
-        #: Opaque caller context (e.g. CLI target/tool flags) embedded in
-        #: every checkpoint so ``repro resume`` can rebuild the campaign.
-        self.checkpoint_context: Dict[str, object] = {}
-        self._checkpoint_path: Optional[str] = None
-        self._checkpoint_every: int = 25
-        self._last_checkpoint_at: int = 0
-        self._run_params: Dict[str, object] = {}
-        #: ``(run params, results so far, telemetry cursor)`` per checkpoint
-        #: record written or replayed, and the file this run appends them
-        #: to (None until the run's first write has rewritten it whole).
-        self._checkpoint_log: List[Tuple[Dict[str, object], int, int]] = []
-        self._checkpoint_file: Optional[str] = None
 
         self.top_set = TopSet(capacity=config.top_set_size)  # Pi
         self.pending: Deque[TestScenario] = deque()  # Psi
@@ -140,9 +124,8 @@ class TestController:
         self._pending_keys: Set[CoordsKey] = set()
         self.history: Set[CoordsKey] = set()  # Omega
         self.max_impact = 0.0  # mu
-        self.results: List[ScenarioResult] = []
         self.plugin_sampler = PluginSampler(
-            list(self.plugins), uniform=config.uniform_plugin_choice
+            list(self._plugin_by_name), uniform=config.uniform_plugin_choice
         )
         #: parent impact by child key, for fitness-gain accounting.
         self._parent_impact: Dict[CoordsKey, float] = {}
@@ -159,6 +142,26 @@ class TestController:
         #: Bounded corpus of scenarios that exhibited never-seen behaviour
         #: (extra parent candidates beyond Pi; insertion-ordered).
         self._novel_corpus: Dict[CoordsKey, ScenarioResult] = {}
+
+    @property
+    def coverage_capture(self) -> bool:
+        return self.novelty_weight > 0.0
+
+    def settings(self) -> Dict[str, Any]:
+        return {"config": dataclasses.asdict(self.config)}
+
+    @classmethod
+    def from_settings(cls, target, plugins, seed, settings):
+        config = settings.get("config", {})
+        known = {f.name for f in dataclasses.fields(ControllerConfig)}
+        unknown = sorted(set(config) - known)
+        if unknown:
+            raise ValueError(
+                "checkpoint config carries settings this version does not have: "
+                + ", ".join(unknown)
+            )
+        settings = dict(settings, config=ControllerConfig(**config))
+        return super().from_settings(target, plugins, seed, settings)
 
     # ------------------------------------------------------------------
     # scenario generation (Algorithm 1)
@@ -238,12 +241,12 @@ class TestController:
         return weighted_choice(candidates, weights, self.rng)
 
     def _generate_mutation(self) -> Optional[TestScenario]:
-        for _ in range(self.config.dedup_retries):
+        for _ in range(DEDUP_RETRIES):
             parent = self._sample_parent()  # line 1
             if parent is None:
                 return None
             plugin_name = self.plugin_sampler.sample(self.rng)  # line 2
-            plugin = self.plugins[plugin_name]
+            plugin = self._plugin_by_name[plugin_name]
             if self.config.fixed_mutate_distance is not None:
                 distance = self.config.fixed_mutate_distance
             elif self.max_impact <= 0.0:
@@ -306,7 +309,7 @@ class TestController:
         )
 
     def _generate_random(self) -> Optional[TestScenario]:
-        for _ in range(self.config.dedup_retries * 4):
+        for _ in range(DEDUP_RETRIES * 4):
             coords = self.target.hyperspace.random_coords(self.rng)
             scenario = TestScenario(coords=coords, origin="random")
             if self._is_new(scenario.key):
@@ -396,73 +399,18 @@ class TestController:
             )
 
     def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
-        """Run a campaign described by a :class:`CampaignSpec`.
-
-        The loop is :func:`~repro.core.parallel.run_batches`: this
-        controller generates each batch (:meth:`_next_batch`) and absorbs
-        its results (:meth:`_absorb_batch`). With ``batch_size=1`` that is
-        the paper's strictly sequential Algorithm 1 loop; larger batches
-        trade a little guidance staleness — siblings are generated before
-        their predecessors' impacts are known — for parallel execution.
-        Where and how scenarios execute (``workers``, ``hosts``,
-        ``batch_size``, ``scenario_timeout``, ``max_attempts``) is the
-        spec's (see :class:`~repro.core.spec.CampaignSpec`). Besides:
-
-        - ``checkpoint_path`` makes the run crash-safe across process
-          death: a checkpoint record is written at least every
-          ``checkpoint_every`` executed scenarios, and once more when the
-          budget completes (the run's first write rewrites the file
-          atomically, later ones append); a controller restored from it
-          (``restore_controller`` / ``repro resume``) continues the
-          campaign bit-identically to an uninterrupted run.
-        - ``telemetry`` attaches a :class:`~repro.telemetry.TelemetryBus`:
-          every generation/execution/absorption step is published as a
-          typed event, from the parent process only, so the stream for a
-          fixed ``(seed, batch_size)`` is byte-identical regardless of
-          worker count.
-        - ``budget`` is the campaign total: a restored controller that has
-          already executed ``n`` scenarios runs ``budget - n`` more.
-
-        Determinism: the exploration trajectory is a pure function of
-        ``(seed, batch_size)`` — the worker count only changes wall-clock
-        time, never the results (see ``tests/core/test_parallel.py``).
-        """
-        if spec.telemetry is not None:
-            self.telemetry = spec.telemetry
-        if self.telemetry.seq < self._telemetry_seq_floor:
-            # Resume: never reuse sequence numbers the checkpointed stream
-            # already assigned (the JSONL sink appends past them).
-            self.telemetry.seq = self._telemetry_seq_floor
-        self._checkpoint_path = spec.checkpoint_path
-        self._checkpoint_every = spec.checkpoint_every
-        self._last_checkpoint_at = len(self.results)
-        self._checkpoint_file = None
-        coverage_on = self.novelty_weight > 0.0
+        """:meth:`ExplorationStrategy.run`, with coverage capture on for a
+        campaign that reads it (``novelty_weight > 0``)."""
         # Coverage capture is sampled at deployment construction, so the
         # toggle only needs to cover this run; the previous value is
         # restored on the way out so co-resident campaigns are unaffected.
-        capture_before = set_kind_capture(coverage_on)
+        capture_before = set_kind_capture(self.coverage_capture)
         try:
-            with campaign_executor(
-                self.target, self.campaign_seed, spec, self.telemetry, coverage_on
-            ) as pool:
-                batch_size = spec.batch_size or pool.default_batch_size
-                # The spec's execution fields, resolved: resume runs this spec.
-                self._run_params = dict(
-                    budget=spec.budget, workers=pool.workers, batch_size=batch_size,
-                    checkpoint_every=spec.checkpoint_every, hosts=list(pool.hosts),
-                    scenario_timeout=spec.scenario_timeout, max_attempts=spec.max_attempts,
-                )
-                run_batches(pool, self.results, spec.budget, batch_size,
-                            self._next_batch, self._absorb_batch)
+            return super().run(spec)
         finally:
             set_kind_capture(capture_before)
-            self._checkpoint_path = None
-        if spec.checkpoint_path is not None:
-            self._write_checkpoint(spec.checkpoint_path)  # final state, resume-safe
-        return self.results
 
-    def _next_batch(self, room: int) -> List[TestScenario]:
+    def next_batch(self, room: int) -> List[TestScenario]:
         """Fill Psi up to ``room`` scenarios and dequeue them (fewer once
         the hyperspace is exhausted)."""
         while len(self.pending) < room:
@@ -470,37 +418,9 @@ class TestController:
                 break  # hyperspace exhausted
         return [self._dequeue() for _ in range(min(room, len(self.pending)))]
 
-    def _absorb_batch(self, results: List[ScenarioResult]) -> None:
+    def absorb(self, results: List[ScenarioResult]) -> None:
         for result in results:
             self._absorb(result)
-        self._maybe_checkpoint()
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def _maybe_checkpoint(self) -> None:
-        if self._checkpoint_path is None:
-            return
-        if len(self.results) - self._last_checkpoint_at < self._checkpoint_every:
-            return
-        self._write_checkpoint(self._checkpoint_path)
-
-    def _write_checkpoint(self, path: str) -> None:
-        from .persistence import save_checkpoint  # lazy: avoids import cycle
-
-        if self.telemetry.active:
-            # Published *before* saving so the checkpointed telemetry
-            # cursor covers this event too: a resumed stream continues at
-            # the exact sequence number after it.
-            self.telemetry.publish(
-                CheckpointWritten(
-                    path=str(path),
-                    results=len(self.results),
-                    pending=len(self.pending),
-                )
-            )
-        save_checkpoint(self, path)
-        self._last_checkpoint_at = len(self.results)
 
     # ------------------------------------------------------------------
     # reporting helpers
@@ -508,15 +428,6 @@ class TestController:
     @property
     def best(self) -> Optional[ScenarioResult]:
         return self.top_set.best
-
-    def best_so_far_curve(self) -> List[float]:
-        """Running maximum impact after each executed test."""
-        curve: List[float] = []
-        best = 0.0
-        for result in self.results:
-            best = max(best, result.impact)
-            curve.append(best)
-        return curve
 
 
 __all__ = ["ControllerConfig", "TestController"]

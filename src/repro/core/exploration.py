@@ -10,100 +10,22 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import replace
-from typing import List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence
 
+from .campaign import ExplorationStrategy
 from .controller import ControllerConfig, TestController
 from .executor import Target
-from .hyperspace import CoordsKey, Hyperspace, coords_key
-from .parallel import campaign_executor, run_batches
+from .hyperspace import Hyperspace, coords_key
 from .plugin import ToolPlugin
 from .scenario import ScenarioResult, TestScenario
-from .spec import CampaignSpec
+
+#: The paper's feedback-driven exploration (Algorithm 1) is the Test
+#: Controller itself.
+AvdExploration = TestController
 
 
-class ExplorationStrategy:
-    """Common interface: run a :class:`CampaignSpec`, return ordered results.
-
-    Every strategy runs the one campaign loop on the one executor built
-    from the spec (see :mod:`repro.core.parallel`), supplying only its next
-    batch and what it learns from the results. Annealing needs each result
-    before the next test (batches of one), the GA runs one batch per
-    generation; both refuse any other ``batch_size``. The trajectory is
-    independent of where scenarios run, and a crashing scenario is a
-    zero-impact ``ScenarioFailure`` result, never an exception.
-    """
-
-    name = "strategy"
-
-    def __init__(self, target: Target, seed: int = 0) -> None:
-        self.target = target
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.results: List[ScenarioResult] = []
-        #: Keys already drawn or executed, as each strategy defines it.
-        self._seen: Set[CoordsKey] = set()
-
-    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
-        raise NotImplementedError
-
-    def _random_scenario(self) -> Optional[TestScenario]:
-        """A uniformly drawn scenario whose key is not in ``_seen`` (64 tries)."""
-        for _ in range(64):
-            coords = self.target.hyperspace.random_coords(self.rng)
-            if coords_key(coords) not in self._seen:
-                return TestScenario(coords=coords, origin="random")
-        return None
-
-    def _refuse_campaign_state(self, spec: CampaignSpec, batch_size: Optional[int]) -> None:
-        """Refuse what a strategy with no resumable state, no bus and (if
-        given) a fixed ``batch_size`` cannot honour."""
-        if spec.checkpoint_path is not None:
-            raise ValueError(
-                f"strategy {self.name!r} does not support checkpointing "
-                "(only 'avd' campaigns are resumable)"
-            )
-        if spec.telemetry is not None:
-            raise ValueError(
-                f"strategy {self.name!r} does not publish telemetry "
-                "(only 'avd' campaigns carry the event bus)"
-            )
-        if batch_size is not None and spec.batch_size not in (None, batch_size):
-            raise ValueError(
-                f"strategy {self.name!r} runs batches of {batch_size}, not {spec.batch_size}"
-            )
-
-    def _drive(self, spec, next_batch, absorb, batch_size=None) -> List[ScenarioResult]:
-        self._refuse_campaign_state(spec, batch_size)
-        with campaign_executor(self.target, self.seed, spec) as pool:
-            run_batches(
-                pool, self.results, spec.budget,
-                batch_size or spec.batch_size or pool.default_batch_size,
-                next_batch, absorb,
-            )
-        return self.results
-
-
-class AvdExploration(ExplorationStrategy):
-    """The paper's feedback-driven exploration (Algorithm 1)."""
-
-    name = "avd"
-
-    def __init__(
-        self,
-        target: Target,
-        plugins: Sequence[ToolPlugin],
-        seed: int = 0,
-        config: ControllerConfig = ControllerConfig(),
-    ) -> None:
-        self.controller = TestController(target, plugins, seed=seed, config=config)
-
-    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
-        return self.controller.run(spec)
-
-
-class HybridExploration(AvdExploration):
+class HybridExploration(TestController):
     """Impact + coverage-novelty exploration (greybox-style feedback).
 
     The same controller as :class:`AvdExploration`, but parent selection
@@ -117,9 +39,9 @@ class HybridExploration(AvdExploration):
 
     name = "hybrid"
 
-    #: Default impact/novelty blend when neither the constructor nor the
-    #: config sets one. Impact-dominant: novelty widens the parent pool,
-    #: it does not replace the paper's fitness signal.
+    #: The default config's impact/novelty blend. Impact-dominant: novelty
+    #: widens the parent pool, it does not replace the paper's fitness
+    #: signal.
     DEFAULT_NOVELTY_WEIGHT = 0.4
 
     def __init__(
@@ -127,11 +49,9 @@ class HybridExploration(AvdExploration):
         target: Target,
         plugins: Sequence[ToolPlugin],
         seed: int = 0,
-        config: ControllerConfig = ControllerConfig(),
+        config: ControllerConfig = ControllerConfig(novelty_weight=DEFAULT_NOVELTY_WEIGHT),
         novelty_weight: Optional[float] = None,
     ) -> None:
-        if novelty_weight is None and config.novelty_weight == 0.0:
-            novelty_weight = self.DEFAULT_NOVELTY_WEIGHT
         if novelty_weight is not None:
             config = replace(config, novelty_weight=novelty_weight)
         super().__init__(target, plugins, seed=seed, config=config)
@@ -149,11 +69,8 @@ class _OpenLoopExploration(ExplorationStrategy):
         """The next scenario to execute, or None when there is none left."""
         raise NotImplementedError
 
-    def _next_batch(self, room: int) -> List[TestScenario]:
+    def next_batch(self, room: int) -> List[TestScenario]:
         return list(itertools.islice(iter(self._next_scenario, None), room))
-
-    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
-        return self._drive(spec, self._next_batch, self.results.extend)
 
 
 class RandomExploration(_OpenLoopExploration):
@@ -179,24 +96,38 @@ class ExhaustiveExploration(_OpenLoopExploration):
     def __init__(
         self,
         target: Target,
+        plugins: Sequence[ToolPlugin] = (),
         seed: int = 0,
         hyperspace: Optional[Hyperspace] = None,
     ) -> None:
-        super().__init__(target, seed)
+        super().__init__(target, plugins, seed)
         self.hyperspace = hyperspace if hyperspace is not None else target.hyperspace
         self._grid = (
             TestScenario(coords=coords, origin="exhaustive")
             for coords in self.hyperspace.iter_grid()
         )
 
+    def settings(self) -> Dict[str, Any]:
+        if self.hyperspace is not self.target.hyperspace:
+            # Coordinates are positions: a restored sweep of the target's
+            # grid would replay this one's without a mismatch, then go on
+            # sweeping the wrong grid.
+            raise ValueError("a sweep of a restricted hyperspace cannot be checkpointed")
+        return {}
+
     def _next_scenario(self) -> Optional[TestScenario]:
         return next(self._grid, None)
 
 
 class GeneticExploration(ExplorationStrategy):
-    """A simple generational GA baseline (elitism + crossover + mutation)."""
+    """A simple generational GA baseline (elitism + crossover + mutation).
+
+    Generations depend on each other: a generation is one batch.
+    """
 
     name = "genetic"
+    #: Probability that a child is also mutated, through a random plugin.
+    MUTATION_RATE = 0.3
 
     def __init__(
         self,
@@ -205,23 +136,19 @@ class GeneticExploration(ExplorationStrategy):
         seed: int = 0,
         population_size: int = 12,
         elite: int = 3,
-        mutation_rate: float = 0.3,
     ) -> None:
         if population_size < 2 or not 1 <= elite < population_size:
             raise ValueError("bad GA parameters")
-        super().__init__(target, seed)
-        self.plugins = list(plugins)
-        self.population_size = population_size
+        super().__init__(target, plugins, seed)
+        self.population_size = self.fixed_batch_size = population_size
         self.elite = elite
-        self.mutation_rate = mutation_rate
         #: The current generation's best, ranked by impact (empty: random).
         self._population: List[ScenarioResult] = []
 
-    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
-        # Generations depend on each other; a generation is one batch.
-        return self._drive(spec, self._next_generation, self._absorb, self.population_size)
+    def settings(self) -> Dict[str, Any]:
+        return {"population_size": self.population_size, "elite": self.elite}
 
-    def _next_generation(self, room: int) -> List[TestScenario]:
+    def next_batch(self, room: int) -> List[TestScenario]:
         if not self._population:
             generation = [
                 self._propose(self._random_scenario()) for _ in range(self.population_size)
@@ -237,7 +164,7 @@ class GeneticExploration(ExplorationStrategy):
             self._seen.add(scenario.key)
         return scenario
 
-    def _absorb(self, evaluated: List[ScenarioResult]) -> None:
+    def absorb(self, evaluated: List[ScenarioResult]) -> None:
         self.results.extend(evaluated)
         # A failure is data, not a parent (as in the controller's Pi).
         ranked = self._population + [result for result in evaluated if not result.failed]
@@ -254,7 +181,7 @@ class GeneticExploration(ExplorationStrategy):
                 name: (mother if self.rng.random() < 0.5 else father).scenario.coords[name]
                 for name in self.target.hyperspace.by_name
             }
-            if self.rng.random() < self.mutation_rate and self.plugins:
+            if self.rng.random() < self.MUTATION_RATE and self.plugins:
                 plugin = self.rng.choice(self.plugins)
                 coords = plugin.mutate(coords, 0.2, self.rng, self.target.hyperspace)
             if coords_key(coords) in self._seen:
@@ -270,42 +197,42 @@ class AnnealingExploration(ExplorationStrategy):
 
     A single walker mutates its current scenario through a random plugin;
     worse children are accepted with probability exp(delta / T), and the
-    temperature cools geometrically. Included as a second meta-heuristic
+    temperature cools geometrically. Each step needs the previous step's
+    impact, so a batch is one step. Included as a second meta-heuristic
     point of comparison (the McMinn survey the paper cites covers both).
     """
 
     name = "annealing"
+    fixed_batch_size = 1
+    #: The walker's starting temperature.
+    INITIAL_TEMPERATURE = 0.4
 
     def __init__(
         self,
         target: Target,
         plugins: Sequence[ToolPlugin],
         seed: int = 0,
-        initial_temperature: float = 0.4,
         cooling: float = 0.95,
     ) -> None:
         if not plugins:
             raise ValueError("annealing needs at least one plugin")
         if not 0.0 < cooling < 1.0:
             raise ValueError("cooling must be in (0, 1)")
-        super().__init__(target, seed)
-        self.plugins = list(plugins)
-        self.initial_temperature = initial_temperature
+        super().__init__(target, plugins, seed)
         self.cooling = cooling
         #: The walker's position (None until the first, random, step).
         self._current: Optional[ScenarioResult] = None
-        self._temperature = initial_temperature
+        self._temperature = self.INITIAL_TEMPERATURE
 
-    def run(self, spec: CampaignSpec) -> List[ScenarioResult]:
-        # A single walker: each step needs the previous step's impact.
-        return self._drive(spec, self._next_step, self._absorb, batch_size=1)
+    def settings(self) -> Dict[str, Any]:
+        return {"cooling": self.cooling}
 
-    def _next_step(self, room: int) -> List[TestScenario]:
+    def next_batch(self, room: int) -> List[TestScenario]:
         if self._current is None:
             scenario = self._random_scenario()
         else:
             plugin = self.rng.choice(self.plugins)
-            distance = min(1.0, self._temperature / self.initial_temperature)
+            distance = min(1.0, self._temperature / self.INITIAL_TEMPERATURE)
             coords = plugin.mutate(
                 self._current.scenario.coords, distance, self.rng, self.target.hyperspace
             )
@@ -315,7 +242,7 @@ class AnnealingExploration(ExplorationStrategy):
                 scenario = TestScenario(coords=coords, plugin=plugin.name, origin="mutation")
         return [scenario] if scenario is not None else []
 
-    def _absorb(self, evaluated: List[ScenarioResult]) -> None:
+    def absorb(self, evaluated: List[ScenarioResult]) -> None:
         (candidate,) = evaluated
         self._seen.add(candidate.key)
         self.results.append(candidate)
@@ -328,6 +255,21 @@ class AnnealingExploration(ExplorationStrategy):
         self._temperature *= self.cooling
 
 
+#: Strategy name -> class: what ``--strategy`` offers, a checkpoint header
+#: names and restore rebuilds.
+STRATEGIES = {
+    strategy.name: strategy
+    for strategy in (
+        AvdExploration,
+        HybridExploration,
+        RandomExploration,
+        ExhaustiveExploration,
+        GeneticExploration,
+        AnnealingExploration,
+    )
+}
+
+
 __all__ = [
     "AnnealingExploration",
     "AvdExploration",
@@ -336,4 +278,5 @@ __all__ = [
     "GeneticExploration",
     "HybridExploration",
     "RandomExploration",
+    "STRATEGIES",
 ]

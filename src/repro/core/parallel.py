@@ -357,7 +357,7 @@ class ParallelScenarioExecutor:
 @contextmanager
 def campaign_executor(
     target: Target, campaign_seed: int, spec: CampaignSpec,
-    telemetry: Optional[TelemetryBus] = None, coverage_capture: bool = False,
+    telemetry: TelemetryBus, coverage_capture: bool,
 ) -> Iterator[ParallelScenarioExecutor]:
     """The one place a campaign's executor is built: from its spec, so every
     strategy honours ``workers``, ``hosts``, the backstop and the retry

@@ -6,21 +6,22 @@ plain dictionaries (dataclass fields); loading therefore returns
 measurement *dicts*, not the original target-specific classes — enough for
 all reporting and analysis code, which only reads attributes by name.
 
-Format (v5; any other version is refused by name)
+Format (v6; any other version is refused by name)
 -------------------------------------------------
 A campaign file holds the strategy name and its results (coords, params,
 origin, plugin, mutate distance, ``parent_key`` provenance, and a
 ``failure`` block for failures). A checkpoint (``kind: "avd-checkpoint"``)
-is JSON Lines: a header line with the campaign's recipe (seed, controller
-config, plugin names, caller context), then one record per checkpoint
-write holding the run's ``run`` block (the spec's execution fields:
-budget, workers, batch size, cadence, hosts, ``scenario_timeout``,
-``max_attempts``), the results absorbed since the previous record and the
-telemetry cursor. Everything else is rebuilt by replaying those results
-through the controller's own loop (``restore_controller`` / ``repro
-resume``), so a killed campaign resumes bit-identically. v3 introduced the
-log, v4 recorded ``hosts``, v5 moved the backstop and the retry budget from
-the header's config to the ``run`` block; older files are not loaded.
+is JSON Lines: a header line with the campaign's recipe (the strategy's
+name, seed, plugin names and constructor ``settings``, and the caller's
+context), then one record per checkpoint write holding the run's ``run``
+block (the spec's execution fields: budget, workers, batch size, cadence,
+hosts, ``scenario_timeout``, ``max_attempts``), the results absorbed since
+the previous record and the telemetry cursor. Everything else is rebuilt
+by replaying those results through the strategy's own loop
+(``restore_controller`` / ``repro resume``), so a killed campaign of any
+strategy resumes bit-identically. v6 named the strategy and replaced the
+controller's ``config`` with any strategy's ``settings``; older files are
+not loaded.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .hyperspace import CoordsKey, coords_key
 from .parallel import run_batches
 from .scenario import ScenarioResult, TestScenario
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 CHECKPOINT_KIND = "avd-checkpoint"
 
 #: Operator-facing diagnostics (stderr); never part of a result or checkpoint.
@@ -210,15 +211,16 @@ def load_campaign(path: Union[str, Path]) -> CampaignResult:
 # ---------------------------------------------------------------------------
 # campaign checkpoints
 # ---------------------------------------------------------------------------
-def _checkpoint_header(controller) -> Dict[str, Any]:
+def _checkpoint_header(strategy) -> Dict[str, Any]:
     """The campaign's recipe: everything replay needs besides its results."""
     return {
         "format_version": FORMAT_VERSION,
         "kind": CHECKPOINT_KIND,
-        "campaign_seed": controller.campaign_seed,
-        "config": dataclasses.asdict(controller.config),
-        "plugins": list(controller.plugins),
-        "context": dict(controller.checkpoint_context),
+        "strategy": strategy.name,
+        "campaign_seed": strategy.seed,
+        "plugins": [plugin.name for plugin in strategy.plugins],
+        "settings": strategy.settings(),
+        "context": dict(strategy.checkpoint_context),
     }
 
 
@@ -234,7 +236,7 @@ def _record_line(results: List[ScenarioResult], log, index: int) -> str:
     return json.dumps(record) + "\n"
 
 
-def save_checkpoint(controller, path: Union[str, Path]) -> None:
+def save_checkpoint(strategy, path: Union[str, Path]) -> None:
     """Write the campaign's next checkpoint record.
 
     A run's first write rewrites the file atomically (temp file +
@@ -243,18 +245,18 @@ def save_checkpoint(controller, path: Union[str, Path]) -> None:
     write; a kill can tear that line, never an earlier one.
     """
     path = str(path)
-    results = controller.results
-    log = controller._checkpoint_log + [
-        (dict(controller._run_params), len(results), int(controller.telemetry.seq))
+    results = strategy.results
+    log = strategy._checkpoint_log + [
+        (dict(strategy._run_params), len(results), int(strategy.telemetry.seq))
     ]
-    if controller._checkpoint_file == path:
+    if strategy._checkpoint_file == path:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(_record_line(results, log, len(log) - 1))
     else:
         lines = [_record_line(results, log, index) for index in range(len(log))]
-        _atomic_write(path, json.dumps(_checkpoint_header(controller)) + "\n" + "".join(lines))
-        controller._checkpoint_file = path
-    controller._checkpoint_log = log
+        _atomic_write(path, json.dumps(_checkpoint_header(strategy)) + "\n" + "".join(lines))
+        strategy._checkpoint_file = path
+    strategy._checkpoint_log = log
 
 
 def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
@@ -297,7 +299,7 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
 class _Replay:
     """Stands in for the worker pool while a checkpoint is replayed.
 
-    It serves each recorded result to the controller's own loop after
+    It serves each recorded result to the strategy's own loop after
     checking that the loop regenerated the scenario that produced it. It
     executes nothing and publishes nothing.
     """
@@ -318,73 +320,69 @@ class _Replay:
         return results
 
 
-def restore_controller(data: Dict[str, Any], target, plugins, telemetry=None):
-    """Rebuild a Test Controller from :func:`load_checkpoint` output.
+def restore_controller(data: Dict[str, Any], target, plugins):
+    """Rebuild the strategy a :func:`load_checkpoint` document names.
 
     ``target`` and ``plugins`` must be reconstructed by the caller exactly
     as in the original campaign (same target configuration, same plugin
-    set). Every piece of controller state — Pi, Psi, Omega, mu, the plugin
-    fitness stats, the quarantine, coverage and the RNG — is rebuilt by
-    feeding the recorded results back through the controller's own
-    campaign loop, one record at a time at that record's batch size. A
-    regenerated scenario that differs from the recorded one (a stale
+    set). The strategy the header names is built from its seed and
+    settings, and every piece of its state (for AVD: Pi, Psi, Omega, mu,
+    the plugin fitness stats, the quarantine, coverage and the RNG) is
+    rebuilt by feeding the recorded results back through the strategy's
+    own campaign loop, one record at a time at that record's batch size.
+    A regenerated scenario that differs from the recorded one (a stale
     checkpoint, or one resumed against a different hyperspace) raises
-    ``ValueError`` naming the test index; so does a plugin-set mismatch.
+    ``ValueError`` naming the test index; so does a plugin-set mismatch,
+    and a strategy or settings this build does not have, by name.
 
-    ``telemetry`` optionally attaches a
-    :class:`~repro.telemetry.TelemetryBus` once the replay is done;
-    whether passed here or later via a ``CampaignSpec``, the bus is
-    fast-forwarded past the checkpointed sequence cursor so a resumed
-    stream (e.g. a JSONL sink in append mode) continues without reusing
-    sequence numbers.
+    A ``CampaignSpec``'s telemetry bus is fast-forwarded past the
+    checkpointed sequence cursor when the restored strategy runs, so a
+    resumed stream (e.g. a JSONL sink in append mode) continues without
+    reusing sequence numbers.
 
-    The returned controller continues exactly where the checkpoint was
-    taken: calling ``run(total_budget, ...)`` with the checkpoint's
+    The returned strategy continues exactly where the checkpoint was
+    taken: calling ``run`` with the total budget and the checkpoint's
     ``batch_size`` yields the same trajectory an uninterrupted run with
     the same seed would have produced.
     """
-    from .controller import ControllerConfig, TestController  # lazy: import cycle
+    from .exploration import STRATEGIES  # lazy: import cycle
 
     if data.get("kind") != CHECKPOINT_KIND:
         raise ValueError("restore_controller needs a checkpoint document")
-    config_data = dict(data["config"])
-    unknown = sorted(set(config_data) - {f.name for f in dataclasses.fields(ControllerConfig)})
-    if unknown:
+    if data["strategy"] not in STRATEGIES:
         raise ValueError(
-            "checkpoint config carries settings this version does not have: "
-            + ", ".join(unknown)
+            f"checkpoint names strategy {data['strategy']!r}, which this build does not "
+            f"have (it has: {', '.join(STRATEGIES)})"
         )
-    config = ControllerConfig(**config_data)
-    controller = TestController(target, plugins, seed=int(data["campaign_seed"]), config=config)
-    if set(data["plugins"]) != set(controller.plugins):
+    names = [plugin.name for plugin in plugins]
+    if set(data["plugins"]) != set(names):
         raise ValueError(
             "checkpoint plugin set does not match the provided plugins: "
-            f"saved {sorted(data['plugins'])}, got {sorted(controller.plugins)}"
+            f"saved {sorted(data['plugins'])}, got {sorted(names)}"
         )
+    strategy = STRATEGIES[data["strategy"]].from_settings(
+        target, plugins, int(data["campaign_seed"]), data["settings"]
+    )
 
     replay = _Replay()
     for record in data["records"]:
         replay.entries.extend(record["results"])
         run_batches(
-            replay, controller.results, len(replay.entries), int(record["run"]["batch_size"]),
-            controller._next_batch, controller._absorb_batch,
+            replay, strategy.results, len(replay.entries), int(record["run"]["batch_size"]),
+            strategy.next_batch, strategy.absorb,
         )
-        if len(controller.results) < len(replay.entries):
+        if len(strategy.results) < len(replay.entries):
             raise ValueError(
                 "checkpoint diverges from its campaign at test "
-                f"{len(controller.results)}: the hyperspace ran out of scenarios"
+                f"{len(strategy.results)}: the hyperspace ran out of scenarios"
             )
-        controller._checkpoint_log.append(
+        strategy._checkpoint_log.append(
             (dict(record["run"]), len(replay.entries), int(record["telemetry_seq"]))
         )
 
-    controller.checkpoint_context = dict(data["context"])
-    controller._telemetry_seq_floor = int(data["telemetry_seq"])
-    if telemetry is not None:
-        controller.telemetry = telemetry
-    if controller.telemetry.seq < controller._telemetry_seq_floor:
-        controller.telemetry.seq = controller._telemetry_seq_floor
-    return controller
+    strategy.checkpoint_context = dict(data["context"])
+    strategy._telemetry_seq_floor = int(data["telemetry_seq"])
+    return strategy
 
 
 __all__ = [

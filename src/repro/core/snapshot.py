@@ -42,8 +42,8 @@ Correctness rests on two properties, both enforced by tests/snapshot/:
   derived, cycle-bearing state (the network's fused send path) implement
   ``__getstate__``/``__setstate__`` and are covered by lint rule PKL003.
 
-Forking is a pure optimization: ``REPRO_NO_SNAPSHOT=1`` disables it and
-every scenario runs from scratch, bit-identically.
+Forking is a pure optimization: :func:`set_enabled` / :class:`disabled`
+switch it off and every scenario runs from scratch, bit-identically.
 
 Logger ``repro.core.snapshot`` (never the canonical telemetry stream): one
 DEBUG line per capture, one INFO cache summary per ``run_campaign``.
@@ -52,7 +52,6 @@ DEBUG line per capture, one INFO cache summary per ``run_campaign``.
 from __future__ import annotations
 
 import logging
-import os
 import pickle
 from collections import OrderedDict
 from contextlib import closing
@@ -76,8 +75,8 @@ class SnapshotRestoreError(SnapshotError):
     """
 
 
-#: Module state: forking on unless ``REPRO_NO_SNAPSHOT`` is set at import.
-_ENABLED = os.environ.get("REPRO_NO_SNAPSHOT", "") in ("", "0")
+#: Module state: forking is on unless switched off by :func:`set_enabled`.
+_ENABLED = True
 
 
 def enabled() -> bool:
@@ -160,13 +159,8 @@ def _key_scope(key: Hashable) -> str:
     return ":".join(str(part) for part in key if isinstance(part, (str, int)))
 
 
-def _default_max_entries() -> int:
-    raw = os.environ.get("REPRO_SNAPSHOT_CACHE", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 32
-    return max(1, value) if raw else 32
+#: Snapshots a cache holds before evicting the least recently used.
+MAX_ENTRIES = 32
 
 
 class SnapshotCache:
@@ -180,8 +174,8 @@ class SnapshotCache:
     from-scratch runs byte-for-byte.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        self.max_entries = max_entries if max_entries is not None else _default_max_entries()
+    def __init__(self, max_entries: int = MAX_ENTRIES) -> None:
+        self.max_entries = max_entries
         if self.max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self._entries: "OrderedDict[Hashable, SimSnapshot]" = OrderedDict()
@@ -262,7 +256,7 @@ def cache() -> SnapshotCache:
     return _CACHE
 
 
-def reset_cache(max_entries: Optional[int] = None) -> SnapshotCache:
+def reset_cache(max_entries: int = MAX_ENTRIES) -> SnapshotCache:
     """Replace the process-wide cache (tests / bench)."""
     global _CACHE
     _CACHE = SnapshotCache(max_entries)

@@ -38,7 +38,7 @@ class CampaignSpec:
     #: else 1. The trajectory is a pure function of ``(seed, batch_size)``.
     #: Genetic and annealing refuse any size but their own.
     batch_size: Optional[int] = None
-    #: Resumable checkpoint file (AVD only); None disables checkpointing.
+    #: Resumable checkpoint file; None disables checkpointing.
     checkpoint_path: Optional[str] = None
     #: Checkpoint at least every this many executed scenarios.
     checkpoint_every: int = 25

@@ -15,12 +15,12 @@ Publication points (see DESIGN.md, "Telemetry"):
 - ``ParentSelected``     — controller, for the accepted mutation attempt;
 - ``PluginSampled``      — controller, for the accepted mutation attempt;
 - ``MutationApplied``    — controller, when a mutation child is accepted;
-- ``ScenarioExecuted``   — executors, in submission order;
+- ``ScenarioExecuted``   — executors, in submission order, for every strategy;
 - ``ImpactAbsorbed``     — controller, when a result enters Pi/Omega/mu;
 - ``CoverageObserved``   — controller, when a coverage signature is
   recorded (hybrid exploration only);
 - ``FailureClassified``  — controller, when a failure is quarantined;
-- ``CheckpointWritten``  — controller, before each checkpoint lands.
+- ``CheckpointWritten``  — any strategy, before each checkpoint lands.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@
   per event (see :mod:`repro.telemetry.schema`); supports append mode so
   a resumed campaign continues the same stream.
 - :class:`TtyProgressSink` — a live single-line progress display driven
-  by ``ScenarioExecuted``/``ImpactAbsorbed`` events; purely cosmetic and
-  deliberately free of wall-clock reads so attaching it never perturbs
-  campaign state.
+  by ``ScenarioExecuted`` events, which every strategy publishes; purely
+  cosmetic and deliberately free of wall-clock reads so attaching it
+  never perturbs campaign state.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from collections import deque
 from typing import Deque, IO, List, Optional, Tuple, Union
 
-from .events import ImpactAbsorbed, ScenarioExecuted, TelemetryEvent
+from .events import ScenarioExecuted, TelemetryEvent
 from .schema import event_to_json
 
 #: Operator-facing diagnostics (stderr); never part of the stream itself.
@@ -157,13 +157,13 @@ class TtyProgressSink:
         self._dirty = False
 
     def emit(self, seq: int, event: TelemetryEvent) -> None:
-        if isinstance(event, ScenarioExecuted):
-            self.tests += 1
-            self.last = event.impact
-        elif isinstance(event, ImpactAbsorbed):
-            self.best = max(self.best, event.mu)
-        else:
+        if not isinstance(event, ScenarioExecuted):
             return
+        self.tests += 1
+        self.last = event.impact
+        if not event.failed:
+            # Every strategy publishes executions; only AVD publishes mu.
+            self.best = max(self.best, event.impact)
         if self.tests % self.every:
             return
         line = f"test {self.tests:>5d}  best impact {self.best:.3f}  last {self.last:.3f}"

@@ -30,7 +30,7 @@ def test_audit_json_document(capsys):
     document = json.loads(out)
     assert code == 0
     assert document["findings"] == []
-    assert document["manifest"]["schema_version"] == 1
+    assert document["manifest"]["schema_version"] == 2
     assert document["surface"]["handlers"]["total"] == len(document["manifest"]["handlers"])
     assert document["surface"]["uncovered_messages"]
 

@@ -109,6 +109,28 @@ def test_parse_error_is_reported_and_does_not_abort(tmp_path, manifest):
 # ---------------------------------------------------------------------------
 # determinism + the committed copy
 # ---------------------------------------------------------------------------
+def test_blank_lines_above_handlers_leave_the_manifest_unchanged(tmp_path):
+    source = textwrap.dedent(
+        """
+        class Node:
+            def handle_message(self, payload, src):
+                if isinstance(payload, Ping):
+                    self.on_ping(payload, src)
+
+            def on_ping(self, payload, src):
+                self.send(src, payload)
+                self.pending.append(payload)
+        """
+    )
+    module = tmp_path / "mod.py"
+    module.write_text(source)
+    before = manifest_to_json(build_manifest([str(tmp_path)]))
+    module.write_text("\n\n\n" + source.replace("    def on_ping", "\n\n    def on_ping"))
+    after = manifest_to_json(build_manifest([str(tmp_path)]))
+    assert json.loads(before)["summary"]["handlers"] == 2
+    assert after == before
+
+
 def test_committed_manifest_matches_the_tree(manifest):
     committed = load_manifest(str(REPO_ROOT / "audit_manifest.json"))
     drift = manifest_drift(committed, manifest)

@@ -193,9 +193,9 @@ def recorded_sched(seed, **kwargs):
     bus = TelemetryBus()
     bus.attach(recorder)
     target, plugins = make_hill_target((LoadPlugin(),))
-    controller = TestController(target, plugins, seed=seed, telemetry=bus)
+    controller = TestController(target, plugins, seed=seed)
     kwargs.setdefault("batch_size", BATCH)
-    controller.run(CampaignSpec(budget=BUDGET, **kwargs))
+    controller.run(CampaignSpec(budget=BUDGET, telemetry=bus, **kwargs))
     bus.close()
     return [
         event.sched

@@ -3,9 +3,11 @@
 The contract under test (see ``repro.core.persistence``): a campaign run
 with ``checkpoint_path`` logs its results every ``checkpoint_every``
 scenarios; killing the process and resuming from the last checkpoint —
-which replays those results through the controller's own loop — produces
+which replays those results through the strategy's own loop — produces
 *exactly* the trajectory an uninterrupted run would have: same scenarios,
-same impacts, same Pi and Omega, same plugin fitness statistics.
+same impacts, same Pi and Omega, same plugin fitness statistics. Every
+strategy, baselines included, checkpoints and resumes through that one
+contract.
 """
 
 from __future__ import annotations
@@ -17,14 +19,19 @@ import os
 import pytest
 
 from repro.core import (
+    CampaignResult,
     CampaignSpec,
+    ChoiceDimension,
+    ExhaustiveExploration,
+    Hyperspace,
     TestController,
     load_checkpoint,
     restore_controller,
     run_campaign,
 )
-from repro.core.exploration import AvdExploration, RandomExploration
-from repro.core.persistence import CHECKPOINT_KIND, FORMAT_VERSION
+from repro.core.exploration import STRATEGIES, AvdExploration, RandomExploration
+from repro.core.persistence import CHECKPOINT_KIND, FORMAT_VERSION, campaign_to_dict
+from repro.telemetry import JsonlSink, TelemetryBus
 from tests._strategies import trajectory
 from tests.core.fake_target import HillTarget, LoadPlugin, MaskPlugin, make_hill_target
 
@@ -238,11 +245,12 @@ def test_checkpoint_files_are_plain_json(tmp_path):
     controller = make_controller(target, plugins)
     controller.run(CampaignSpec(budget=10, checkpoint_path=str(path), checkpoint_every=5))
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert header["strategy"] == "avd"
     assert header["campaign_seed"] == 13
     assert header["plugins"] == ["mask", "load"]
     # The recipe and the results, nothing the controller can recompute.
     assert set(header) == {
-        "format_version", "kind", "campaign_seed", "config", "plugins", "context"
+        "format_version", "kind", "strategy", "campaign_seed", "plugins", "settings", "context"
     }
     assert [len(record["results"]) for record in records] == [5, 5, 0]
     assert all(set(record) == {"run", "results", "telemetry_seq"} for record in records)
@@ -403,7 +411,7 @@ def test_restore_refuses_config_keys_it_does_not_know(tmp_path):
     controller = make_controller(target, plugins)
     controller.run(CampaignSpec(budget=5, checkpoint_path=str(path)))
     data = load_checkpoint(path)
-    data["config"]["fault_isolation"] = True
+    data["settings"]["config"]["fault_isolation"] = True
     with pytest.raises(ValueError, match="does not have: fault_isolation"):
         restore_controller(data, *fresh())
 
@@ -415,10 +423,89 @@ def test_run_rejects_bad_checkpoint_cadence():
         controller.run(CampaignSpec(budget=10, checkpoint_every=0))
 
 
-def test_run_campaign_rejects_checkpoints_for_unsupported_strategies(tmp_path):
-    target, _ = fresh()
-    strategy = RandomExploration(target, seed=1)
-    with pytest.raises(ValueError, match="checkpoint"):
-        run_campaign(
-            strategy, CampaignSpec(budget=5, checkpoint_path=str(tmp_path / "x.json"))
-        )
+def test_restore_refuses_a_checkpoint_renamed_to_another_strategy(tmp_path):
+    path = tmp_path / "renamed.ckpt.json"
+    make_controller(*fresh()).run(CampaignSpec(budget=5, checkpoint_path=str(path)))
+    data = load_checkpoint(path)
+    data["strategy"] = "random"
+    with pytest.raises(ValueError, match="settings config are not strategy 'random'"):
+        restore_controller(data, *fresh())
+    data["strategy"] = "simplex"
+    with pytest.raises(ValueError, match="names strategy 'simplex'"):
+        restore_controller(data, *fresh())
+
+
+def test_run_campaign_checkpoints_a_random_campaign(tmp_path):
+    path = tmp_path / "random.ckpt.json"
+    target, plugins = fresh()
+    campaign = run_campaign(
+        RandomExploration(target, plugins, seed=1),
+        CampaignSpec(budget=5, checkpoint_path=str(path)),
+    )
+    data = load_checkpoint(path)
+    assert (data["strategy"], data["settings"]) == ("random", {})
+    restored = restore_controller(data, *fresh())
+    assert isinstance(restored, RandomExploration)
+    assert trajectory(restored.results) == trajectory(campaign.results)
+
+
+def test_a_restricted_exhaustive_sweep_refuses_to_checkpoint(tmp_path):
+    # Coordinates are positions, so a restore sweeping the target's grid
+    # would replay this sweep's first tests without noticing.
+    target, plugins = fresh()
+    small = Hyperspace([ChoiceDimension("mask", [5, 6, 7, 8])])
+    sweep = ExhaustiveExploration(target, plugins, hyperspace=small)
+    with pytest.raises(ValueError, match="restricted hyperspace cannot be checkpointed"):
+        sweep.run(CampaignSpec(budget=2, checkpoint_path=str(tmp_path / "sweep.ckpt")))
+
+
+# ---------------------------------------------------------------------------
+# every strategy: kill after k checkpoint records, resume, byte for byte
+# ---------------------------------------------------------------------------
+RESUME_BUDGET = 36
+RESUME_EVERY = 6
+RESUME_KILL_AT = 21  # serial: 3 records (6, 12, 18); genetic: 1 record (12)
+
+
+def _campaign_bytes(strategy):
+    """The strategy's results as ``repro campaign --out`` would save them."""
+    campaign = CampaignResult(strategy=strategy.name, results=list(strategy.results))
+    return json.dumps(campaign_to_dict(campaign)).encode()
+
+
+def _run_streamed(strategy, stream, spec, **sink_kwargs):
+    bus = TelemetryBus([JsonlSink(str(stream), **sink_kwargs)])
+    try:
+        strategy.run(CampaignSpec(telemetry=bus, **spec))
+    finally:
+        bus.close()
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_every_strategy_resumes_a_kill_byte_for_byte(tmp_path, name, seed):
+    ckpt, stream = tmp_path / "campaign.ckpt", tmp_path / "campaign.jsonl"
+    spec = dict(
+        budget=RESUME_BUDGET, checkpoint_path=str(ckpt), checkpoint_every=RESUME_EVERY
+    )
+    reference = STRATEGIES[name](*fresh(), seed=seed)
+    _run_streamed(reference, stream, spec)
+    expected_results, expected_stream = _campaign_bytes(reference), stream.read_bytes()
+    ckpt.unlink()
+    stream.unlink()
+
+    killed_target, killed_plugins = fresh(die_at=RESUME_KILL_AT)
+    with pytest.raises(KeyboardInterrupt):
+        _run_streamed(STRATEGIES[name](killed_target, killed_plugins, seed=seed), stream, spec)
+    data = load_checkpoint(ckpt)
+    assert len(data["records"]) >= 1 and len(data["results"]) < RESUME_KILL_AT - 1
+    resumed_target, resumed_plugins = fresh()
+    resumed = restore_controller(data, resumed_target, resumed_plugins)
+    assert type(resumed) is type(reference)
+    _run_streamed(
+        resumed, stream, dict(spec, batch_size=data["run"]["batch_size"]),
+        append=True, resume_seq=data["telemetry_seq"],
+    )
+    assert _campaign_bytes(resumed) == expected_results
+    assert stream.read_bytes() == expected_stream
+    assert resumed_target.executions == RESUME_BUDGET - len(data["results"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CampaignSpec, ControllerConfig, TestController
+from repro.core import CampaignSpec, ControllerConfig, TestController, run_campaign
 from tests.core.fake_target import LoadPlugin, NoisePlugin, make_hill_target
 
 
@@ -135,8 +135,7 @@ def test_guided_beats_random_on_structured_landscape():
 
 def test_best_so_far_curve_is_monotone():
     controller, _ = make_controller()
-    controller.run(CampaignSpec(budget=25))
-    curve = controller.best_so_far_curve()
+    curve = run_campaign(controller, CampaignSpec(budget=25)).best_so_far()
     assert len(curve) == 25
     assert all(b >= a for a, b in zip(curve, curve[1:]))
 

@@ -191,24 +191,24 @@ def test_novelty_weight_zero_is_plain_avd_bit_for_bit():
 
     assert forced == reference
     # The legacy path records no coverage at all.
-    assert len(hybrid.controller.coverage) == 0
-    assert hybrid.controller._signatures == {}
+    assert len(hybrid.coverage) == 0
+    assert hybrid._signatures == {}
 
 
 def test_hybrid_default_weight_and_config_override():
     target, plugins = fresh_target()
     assert (
-        HybridExploration(target, plugins).controller.novelty_weight
+        HybridExploration(target, plugins).novelty_weight
         == HybridExploration.DEFAULT_NOVELTY_WEIGHT
     )
     target, plugins = fresh_target()
     explicit = HybridExploration(target, plugins, novelty_weight=0.9)
-    assert explicit.controller.novelty_weight == 0.9
+    assert explicit.novelty_weight == 0.9
     target, plugins = fresh_target()
     via_config = HybridExploration(
         target, plugins, config=ControllerConfig(novelty_weight=0.2)
     )
-    assert via_config.controller.novelty_weight == 0.2
+    assert via_config.novelty_weight == 0.2
 
 
 def test_novelty_weight_validation():
@@ -222,11 +222,10 @@ def test_hybrid_records_a_signature_for_every_scenario():
     target, plugins = fresh_target()
     strategy = HybridExploration(target, plugins, seed=3)
     results = strategy.run(CampaignSpec(budget=50))
-    controller = strategy.controller
-    assert set(controller._signatures) == {result.key for result in results}
-    assert sum(controller.coverage.seen.values()) == len(results)
-    assert 1 <= len(controller.coverage) <= len(results)
-    assert len(controller._novel_corpus) <= NOVEL_CORPUS_CAP
+    assert set(strategy._signatures) == {result.key for result in results}
+    assert sum(strategy.coverage.seen.values()) == len(results)
+    assert 1 <= len(strategy.coverage) <= len(results)
+    assert len(strategy._novel_corpus) <= NOVEL_CORPUS_CAP
 
 
 def test_features_are_kept_for_parent_candidates_only():
@@ -236,11 +235,10 @@ def test_features_are_kept_for_parent_candidates_only():
     target, plugins = fresh_target()
     strategy = HybridExploration(target, plugins, seed=3)
     strategy.run(CampaignSpec(budget=60))
-    controller = strategy.controller
-    candidates = {entry.key for entry in controller.top_set.entries}
-    candidates.update(controller._novel_corpus)
-    assert set(controller._features) == candidates
-    assert len(controller._features) < len(controller.results)
+    candidates = {entry.key for entry in strategy.top_set.entries}
+    candidates.update(strategy._novel_corpus)
+    assert set(strategy._features) == candidates
+    assert len(strategy._features) < len(strategy.results)
 
 
 def test_hybrid_trajectory_is_deterministic_for_a_seed():
@@ -250,7 +248,7 @@ def test_hybrid_trajectory_is_deterministic_for_a_seed():
         strategy = HybridExploration(target, plugins, seed=11)
         strategy.run(CampaignSpec(budget=40))
         runs.append(
-            (trajectory(strategy.controller.results), coverage_state(strategy.controller))
+            (trajectory(strategy.results), coverage_state(strategy))
         )
     assert runs[0] == runs[1]
 
@@ -265,7 +263,7 @@ def test_hybrid_publishes_coverage_observed_telemetry():
     records = [json.loads(line) for line in lines]
     observed = [r for r in records if r["type"] == "CoverageObserved"]
     assert len(observed) == 30
-    by_key = strategy.controller._signatures
+    by_key = strategy._signatures
     for record in observed:
         assert record["signature"] == by_key[tuple(sorted(record["key"].items()))]
         assert record["seen_total"] >= 1
@@ -287,8 +285,8 @@ def test_hybrid_campaign_is_worker_count_invariant():
             )
         )
         streams[workers] = (
-            trajectory(strategy.controller.results),
-            coverage_state(strategy.controller),
+            trajectory(strategy.results),
+            coverage_state(strategy),
             sink.to_lines(),
         )
     assert streams[1] == streams[2]
@@ -326,7 +324,7 @@ def test_hybrid_resume_is_bit_identical_including_coverage(tmp_path):
         )
 
     data = load_checkpoint(path)
-    assert data["config"]["novelty_weight"] == 0.4
+    assert data["settings"]["config"]["novelty_weight"] == 0.4
     assert "coverage" not in data  # rebuilt by replay, never stored
 
     target, plugins = fresh_target()
@@ -348,13 +346,12 @@ def hybrid_digest() -> str:
     target, plugins = fresh_target()
     strategy = HybridExploration(target, plugins, seed=21)
     strategy.run(CampaignSpec(budget=40))
-    controller = strategy.controller
     payload = repr(
         (
-            trajectory(controller.results),
-            sorted(controller._signatures.items()),
-            list(controller.coverage.seen.items()),
-            list(controller.coverage.features.items()),
+            trajectory(strategy.results),
+            sorted(strategy._signatures.items()),
+            list(strategy.coverage.seen.items()),
+            list(strategy.coverage.features.items()),
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

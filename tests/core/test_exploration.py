@@ -1,4 +1,4 @@
-"""Exploration strategies: random, exhaustive, genetic, AVD wrapper."""
+"""Exploration strategies: random, exhaustive, genetic, annealing, AVD."""
 
 import hashlib
 import json
@@ -15,6 +15,7 @@ from repro.core import (
     HybridExploration,
     Hyperspace,
     RandomExploration,
+    TestController,
 )
 from tests.core.fake_target import make_hill_target
 
@@ -82,7 +83,8 @@ def test_avd_wrapper_exposes_controller():
     target, plugins = make_hill_target()
     strategy = AvdExploration(target, plugins, seed=5)
     results = strategy.run(CampaignSpec(budget=15))
-    assert strategy.controller.results is results
+    assert isinstance(strategy, TestController)
+    assert strategy.results is results
     assert strategy.name == "avd"
 
 

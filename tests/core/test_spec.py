@@ -15,6 +15,7 @@ from repro.core import (
     run_campaign,
 )
 from repro.telemetry import RingBufferSink, TelemetryBus
+from repro.telemetry.events import ScenarioExecuted
 
 from tests.core.fake_target import make_hill_target
 
@@ -89,12 +90,13 @@ class TestRunEntryPoints:
         campaign = run_campaign(strategy, CampaignSpec(budget=5))
         assert len(campaign.results) == 5
 
-    def test_run_campaign_telemetry_requires_a_supporting_strategy(self):
+    def test_run_campaign_publishes_a_random_campaigns_telemetry(self):
         target, _ = make_hill_target()
         strategy = RandomExploration(target, seed=0)
-        spec = CampaignSpec(budget=4, telemetry=TelemetryBus(sinks=(RingBufferSink(),)))
-        with pytest.raises(ValueError, match="telemetry"):
-            run_campaign(strategy, spec)
+        sink = RingBufferSink()
+        run_campaign(strategy, CampaignSpec(budget=4, telemetry=TelemetryBus(sinks=(sink,))))
+        executed = [event for _, event in sink.events() if isinstance(event, ScenarioExecuted)]
+        assert [event.test_index for event in executed] == [0, 1, 2, 3]
 
     def test_run_campaign_non_spec_strategy_still_runs(self):
         target, _ = make_hill_target()

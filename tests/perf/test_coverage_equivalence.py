@@ -7,7 +7,7 @@ silently change exploration trajectories depending on how the campaign
 happened to be executed. These sweeps pin the contract: identical
 signatures, seen-behaviour maps, and trajectories in every mode,
 in-process and in fresh interpreters (one as shipped, one that enters the
-reference block, one with ``REPRO_NO_SNAPSHOT=1``).
+reference block, one with snapshot forking switched off).
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ def run_hybrid_campaign():
     target = PbftTarget(plugins, config=tiny_pbft_config())
     strategy = HybridExploration(target, plugins, seed=22)
     strategy.run(CampaignSpec(budget=6))
-    controller = strategy.controller
     return (
-        trajectory(controller.results),
-        sorted(controller._signatures.items()),
-        list(controller.coverage.seen.items()),
-        list(controller.coverage.features.items()),
+        trajectory(strategy.results),
+        sorted(strategy._signatures.items()),
+        list(strategy.coverage.seen.items()),
+        list(strategy.coverage.features.items()),
     )
 
 
@@ -83,13 +82,17 @@ with equiv.reference_mode():
     print(equiv.pbft_hybrid_digest())
 """
 
+_NO_FORK_SUBPROCESS_SCRIPT = """
+import tests.perf.test_coverage_equivalence as equiv
+with equiv.snapshot.disabled():
+    print(equiv.pbft_hybrid_digest())
+"""
 
-def _digest_in_fresh_interpreter(script: str = _SUBPROCESS_SCRIPT, **extra_env: str) -> str:
+
+def _digest_in_fresh_interpreter(script: str = _SUBPROCESS_SCRIPT) -> str:
     root = str(Path(__file__).resolve().parents[2])
     env = dict(os.environ)
-    env.pop("REPRO_NO_SNAPSHOT", None)
     env["PYTHONPATH"] = SRC + os.pathsep + root
-    env.update(extra_env)
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -104,5 +107,5 @@ def _digest_in_fresh_interpreter(script: str = _SUBPROCESS_SCRIPT, **extra_env: 
 def test_signatures_identical_in_fresh_interpreters_across_env_modes():
     optimized = _digest_in_fresh_interpreter()
     reference = _digest_in_fresh_interpreter(_REFERENCE_SUBPROCESS_SCRIPT)
-    no_fork = _digest_in_fresh_interpreter(REPRO_NO_SNAPSHOT="1")
+    no_fork = _digest_in_fresh_interpreter(_NO_FORK_SUBPROCESS_SCRIPT)
     assert optimized == reference == no_fork

@@ -22,7 +22,7 @@ def _isolated_snapshot_state():
     # Pin forking on: every test here that compares against from-scratch or
     # reference execution builds that leg explicitly (``snapshot.disabled`` /
     # ``tests/_reference.py``), so the suite is meaningful — and identical —
-    # under either ``REPRO_NO_SNAPSHOT`` setting in CI.
+    # whatever state an earlier test left the switch in.
     previous_snapshot = snapshot.set_enabled(True)
     snapshot.reset_cache()
     yield

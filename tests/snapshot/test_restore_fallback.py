@@ -119,7 +119,7 @@ def test_capture_failure_falls_back_and_matches_scratch(monkeypatch, caplog):
     strategy = AvdExploration(campaign_target, plugins, seed=CAMPAIGN_SEED)
     campaign = run_campaign(strategy, CampaignSpec(budget=4))
     assert campaign.failures() == []
-    assert len(strategy.controller.quarantine) == 0
+    assert len(strategy.quarantine) == 0
 
 
 def test_fallback_without_telemetry_bus(broken_fork):

@@ -199,6 +199,15 @@ class TestTtyProgressSink:
         assert "best impact 0.200" in output
         assert "last 0.900" in output
 
+    def test_best_is_the_highest_non_failed_execution(self):
+        # A baseline publishes no ImpactAbsorbed: executions alone carry it.
+        stream = io.StringIO()
+        sink = TtyProgressSink(stream=stream)
+        sink.emit(0, _executed(0, impact=0.3))
+        sink.emit(1, ScenarioExecuted(test_index=1, key={"mask": 1}, impact=0.8, failed=True))
+        sink.emit(2, _executed(2, impact=0.1))
+        assert stream.getvalue().splitlines()[-1] == "test     3  best impact 0.300  last 0.100"
+
     def test_every_throttles(self):
         stream = io.StringIO()
         sink = TtyProgressSink(stream=stream, every=5)

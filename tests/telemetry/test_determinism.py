@@ -48,7 +48,7 @@ def test_stream_validates_and_covers_the_campaign():
     assert types.count("ImpactAbsorbed") == BUDGET
     assert types.count("ScenarioGenerated") == BUDGET
     assert "MutationApplied" in types  # the hill is climbable in 24 tests
-    assert len(strategy.controller.results) == BUDGET
+    assert len(strategy.results) == BUDGET
 
 
 def test_serial_vs_batched_dispatch_byte_identical():
@@ -105,15 +105,13 @@ def test_resume_reproduces_the_uninterrupted_stream(tmp_path):
     data = load_checkpoint(str(checkpoint2))
     target2, plugins2 = make_hill_target(extra_plugins=[LoadPlugin()])
     resumed_sink = RingBufferSink()
-    controller = restore_controller(
-        data, target2, plugins2, telemetry=TelemetryBus(sinks=(resumed_sink,))
-    )
+    controller = restore_controller(data, target2, plugins2)
     controller.run(
         CampaignSpec(
             budget=BUDGET,
             checkpoint_path=str(checkpoint2),
             checkpoint_every=6,
-            telemetry=None,
+            telemetry=TelemetryBus(sinks=(resumed_sink,)),
         )
     )
     stitched = first_half + resumed_sink.to_lines()

@@ -44,7 +44,7 @@ class TestAnalyzeStream:
 
     def test_best_matches_the_controller(self, recorded, attribution):
         _, strategy = recorded
-        best = strategy.controller.best
+        best = strategy.best
         assert attribution.best_impact == pytest.approx(best.impact)
         assert dict(attribution.best_key) == dict(best.key)
         assert attribution.best_test_index == best.test_index
@@ -59,7 +59,7 @@ class TestAnalyzeStream:
         self, recorded, attribution
     ):
         _, strategy = recorded
-        best = strategy.controller.best
+        best = strategy.best
         assert best.scenario.origin == "mutation"
         final_step = attribution.lineage[-1]
         assert final_step.plugin == best.scenario.plugin == "mask"

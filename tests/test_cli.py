@@ -101,16 +101,24 @@ def test_campaign_crash_safety_flags_smoke(capsys):
     assert "best impact" in capsys.readouterr().out
 
 
-def test_checkpoint_requires_the_avd_strategy(tmp_path):
-    with pytest.raises(SystemExit, match="avd"):
-        main(
-            [
-                "campaign",
-                "--strategy", "random",
-                "--budget", "2",
-                "--checkpoint", str(tmp_path / "ckpt.json"),
-            ]
-        )
+def test_random_campaign_checkpoints_and_resumes(tmp_path, capsys):
+    """A baseline checkpoints and resumes like AVD: the resumed run saves
+    the uninterrupted run's bytes."""
+    ckpt = tmp_path / "ckpt.json"
+    resumed_file = tmp_path / "resumed.json"
+    straight_file = tmp_path / "straight.json"
+    base = ["campaign", "--strategy", "random", "--tools", "mac", "--seed", "5"]
+    assert main(base + ["--budget", "3", "--checkpoint", str(ckpt)]) == 0
+    assert main(["resume", str(ckpt), "--budget", "6", "--out", str(resumed_file)]) == 0
+    assert "resuming campaign at test 3/6" in capsys.readouterr().out
+    assert main(base + ["--budget", "6", "--out", str(straight_file)]) == 0
+    assert json.loads(resumed_file.read_text())["strategy"] == "random"
+    assert resumed_file.read_bytes() == straight_file.read_bytes()
+
+
+def test_novelty_weight_requires_the_avd_strategy():
+    with pytest.raises(SystemExit, match="--novelty-weight requires --strategy avd or hybrid"):
+        main(["campaign", "--strategy", "random", "--budget", "2", "--novelty-weight", "0.5"])
 
 
 def test_resume_continues_to_a_larger_budget(tmp_path, capsys):
@@ -171,8 +179,9 @@ def _stale_checkpoint(ckpt):
         (_stale_checkpoint, "diverges from its campaign at test 0"),
         ('{"format_version": 3, "kind": "avd-checkpoint"}', "version: 3"),
         ('{"format_version": 4, "kind": "avd-checkpoint"}', "version: 4"),
+        ('{"format_version": 5, "kind": "avd-checkpoint", "config": {}}', "version: 5"),
     ],
-    ids=["old-version", "sharded", "not-json", "missing", "stale", "v3", "v4"],
+    ids=["old-version", "sharded", "not-json", "missing", "stale", "v3", "v4", "v5"],
 )
 def test_resume_on_a_bad_checkpoint_is_a_clean_error(tmp_path, content, expected):
     """A checkpoint `resume` cannot read exits 1 with one line, no traceback."""
@@ -225,16 +234,34 @@ def test_parser_knows_explain():
     assert args.json
 
 
-def test_telemetry_requires_the_avd_strategy(tmp_path):
-    with pytest.raises(SystemExit, match="avd"):
-        main(
-            [
-                "campaign",
-                "--strategy", "random",
-                "--budget", "2",
-                "--telemetry", str(tmp_path / "campaign.jsonl"),
-            ]
-        )
+def test_random_campaign_publishes_telemetry(tmp_path, capsys):
+    from repro.telemetry import validate_jsonl
+
+    stream = tmp_path / "campaign.jsonl"
+    assert main(
+        ["campaign", "--strategy", "random", "--tools", "mac", "--budget", "3",
+         "--telemetry", str(stream), "--progress"]
+    ) == 0
+    captured = capsys.readouterr()
+    assert "telemetry written to" in captured.out
+    assert "best impact" in captured.err
+    types = [type_name for _, type_name in validate_jsonl(stream.read_text().splitlines())]
+    assert types.count("ScenarioExecuted") == 3
+
+
+def test_explain_json_reads_a_random_campaign(tmp_path, capsys):
+    stream = tmp_path / "campaign.jsonl"
+    out = tmp_path / "campaign.json"
+    assert main(
+        ["campaign", "--strategy", "random", "--tools", "mac", "--budget", "4",
+         "--seed", "2", "--telemetry", str(stream), "--out", str(out)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["explain", str(stream), "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    impacts = [result["impact"] for result in json.loads(out.read_text())["results"]]
+    assert document["campaign"]["tests"] == 4
+    assert document["best"]["impact"] == max(impacts)
 
 
 def test_campaign_telemetry_then_explain(tmp_path, capsys):

@@ -122,7 +122,7 @@ def test_explain_attributes_bigmac_to_the_mac_plugin(bigmac_telemetry):
     assert lineage[0]["origin"] == "random"
     assert all(step["origin"] == "mutation" for step in lineage[1:])
     assert lineage[-1]["plugin"] == "mac_corruption"
-    assert lineage[-1]["key"] == dict(strategy.controller.best.key)
+    assert lineage[-1]["key"] == dict(strategy.best.key)
 
 
 def test_explain_report_renders_the_bigmac_attack(bigmac_telemetry):
