@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..telemetry.bus import TelemetryBus
-from ..telemetry.events import CheckpointWritten
+from ..telemetry.events import CheckpointWritten, ScenarioGenerated, key_dict
 from . import snapshot
 from .executor import Target
 from .hyperspace import CoordsKey, coords_key
@@ -106,6 +106,22 @@ class ExplorationStrategy:
             )
         return cls(target, plugins, seed=seed, **settings)
 
+    def _generated(self, scenario: TestScenario) -> TestScenario:
+        """Publish ``scenario`` as proposed (``ScenarioGenerated``); return it."""
+        if self.telemetry.active:
+            parent = scenario.parent_key
+            self.telemetry.publish(
+                ScenarioGenerated(
+                    key=key_dict(scenario.key),
+                    origin=scenario.origin,
+                    coords=dict(scenario.coords),
+                    plugin=scenario.plugin,
+                    parent_key=key_dict(parent) if parent is not None else None,
+                    mutate_distance=scenario.mutate_distance,
+                )
+            )
+        return scenario
+
     def _random_scenario(self) -> Optional[TestScenario]:
         """A uniformly drawn scenario whose key is not in ``_seen`` (64 tries)."""
         for _ in range(64):
@@ -135,7 +151,7 @@ class ExplorationStrategy:
           (``restore_controller`` / ``repro resume``) continues the
           campaign bit-identically to an uninterrupted run.
         - ``telemetry`` attaches a :class:`~repro.telemetry.TelemetryBus`:
-          every execution (and, for AVD, every generation and absorption
+          every proposal and execution (and, for AVD, every absorption
           step) is published as a typed event, from the parent process
           only, so the stream for a fixed ``(seed, batch_size)`` is
           byte-identical regardless of worker count.

@@ -32,7 +32,6 @@ from ..telemetry.events import (
     MutationApplied,
     ParentSelected,
     PluginSampled,
-    ScenarioGenerated,
     key_dict,
 )
 from . import coverage as coverage_mod
@@ -188,23 +187,8 @@ class TestController(ExplorationStrategy):
         return scenario
 
     def _enqueue(self, scenario: TestScenario) -> None:
-        self.pending.append(scenario)
+        self.pending.append(self._generated(scenario))
         self._pending_keys.add(scenario.key)
-        if self.telemetry.active:
-            self.telemetry.publish(
-                ScenarioGenerated(
-                    key=key_dict(scenario.key),
-                    origin=scenario.origin,
-                    coords=dict(scenario.coords),
-                    plugin=scenario.plugin,
-                    parent_key=(
-                        key_dict(scenario.parent_key)
-                        if scenario.parent_key is not None
-                        else None
-                    ),
-                    mutate_distance=scenario.mutate_distance,
-                )
-            )
 
     def _dequeue(self) -> TestScenario:
         scenario = self.pending.popleft()

@@ -70,7 +70,10 @@ class _OpenLoopExploration(ExplorationStrategy):
         raise NotImplementedError
 
     def next_batch(self, room: int) -> List[TestScenario]:
-        return list(itertools.islice(iter(self._next_scenario, None), room))
+        return [
+            self._generated(scenario)
+            for scenario in itertools.islice(iter(self._next_scenario, None), room)
+        ]
 
 
 class RandomExploration(_OpenLoopExploration):
@@ -155,7 +158,8 @@ class GeneticExploration(ExplorationStrategy):
             ]
         else:
             generation = self._breed(self._population)
-        return [scenario for scenario in generation if scenario is not None][:room]
+        proposed = [scenario for scenario in generation if scenario is not None]
+        return [self._generated(scenario) for scenario in proposed[:room]]
 
     def _propose(self, scenario: Optional[TestScenario]) -> Optional[TestScenario]:
         """Record a proposal in ``_seen`` as it is made, so no key repeats
@@ -187,7 +191,7 @@ class GeneticExploration(ExplorationStrategy):
             if coords_key(coords) in self._seen:
                 child = self._random_scenario()
             else:
-                child = TestScenario(coords=coords, origin="mutation")
+                child = TestScenario(coords=coords, parent_key=mother.key, origin="mutation")
             children.append(self._propose(child))
         return children
 
@@ -239,8 +243,14 @@ class AnnealingExploration(ExplorationStrategy):
             if coords_key(coords) in self._seen:
                 scenario = self._random_scenario()
             else:
-                scenario = TestScenario(coords=coords, plugin=plugin.name, origin="mutation")
-        return [scenario] if scenario is not None else []
+                scenario = TestScenario(
+                    coords=coords,
+                    parent_key=self._current.key,
+                    plugin=plugin.name,
+                    mutate_distance=distance,
+                    origin="mutation",
+                )
+        return [self._generated(scenario)] if scenario is not None else []
 
     def absorb(self, evaluated: List[ScenarioResult]) -> None:
         (candidate,) = evaluated

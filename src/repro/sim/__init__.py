@@ -33,7 +33,6 @@ from .network import (
     Network,
     NetworkFault,
     UniformLatency,
-    default_lan,
 )
 from .node import CrashAwareNode, Node
 from .rng import RngRegistry, derive_seed
@@ -71,7 +70,6 @@ __all__ = [
     "Tracer",
     "UniformLatency",
     "US",
-    "default_lan",
     "derive_seed",
     "format_time",
     "match_all",

@@ -296,12 +296,6 @@ class Network:
     def add_fault(self, fault: NetworkFault) -> None:
         self.faults.append(fault)
 
-    def remove_fault(self, fault: NetworkFault) -> None:
-        self.faults.remove(fault)
-
-    def clear_faults(self) -> None:
-        self.faults.clear()
-
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
@@ -349,16 +343,11 @@ class Network:
         for dst in dsts:
             self.send(src, dst, payload)
 
-    def inject(self, envelope: Envelope, skip_faults: bool = True) -> None:
-        """Re-emit an envelope a fault stage previously held back.
-
-        With ``skip_faults`` (the default) the envelope bypasses the pipeline
-        so a buffering stage does not re-capture its own output.
-        """
-        if skip_faults or not self.faults:
-            self._schedule_delivery(envelope)
-        else:
-            self._run_pipeline(envelope)
+    def inject(self, envelope: Envelope) -> None:
+        """Re-emit an envelope a fault stage previously held back. It
+        bypasses the pipeline, so a buffering stage does not re-capture its
+        own output."""
+        self._schedule_delivery(envelope)
 
     def _run_pipeline(self, envelope: Envelope) -> None:
         batch = [envelope]
@@ -421,11 +410,6 @@ class Network:
         self._lan = None
 
 
-def default_lan(simulator: Simulator) -> Network:
-    """A network with Emulab-LAN-like latency (convenience constructor)."""
-    return Network(simulator, LanLatency())
-
-
 __all__ = [
     "Endpoint",
     "Envelope",
@@ -435,5 +419,4 @@ __all__ = [
     "Network",
     "NetworkFault",
     "UniformLatency",
-    "default_lan",
 ]

@@ -138,8 +138,6 @@ class CampaignView:
     def __init__(self) -> None:
         self._out = CampaignAttribution()
         self._generated: Dict[Key, Dict[str, Any]] = {}
-        self._parent_impact: Dict[Optional[Key], float] = {}
-        self._changed_by_child: Dict[Key, List[str]] = {}
 
     @property
     def events_folded(self) -> int:
@@ -172,14 +170,6 @@ class CampaignView:
                 record["plugin"], PluginAttribution(record["plugin"])
             )
             stats.weight = float(record["weight"])
-        elif type_name == "ParentSelected":
-            self._parent_impact[None] = float(record["parent_impact"])  # staged
-        elif type_name == "MutationApplied":
-            child = freeze_key(record["child_key"])
-            self._changed_by_child[child] = list(record["changed"])
-            staged = self._parent_impact.pop(None, None)
-            if staged is not None:
-                self._parent_impact[child] = staged
         elif type_name == "ScenarioExecuted":
             key = freeze_key(record["key"])
             impact = float(record["impact"])
@@ -203,7 +193,8 @@ class CampaignView:
                 stats.best_impact = max(stats.best_impact, impact)
                 if record["failed"]:
                     stats.failures += 1
-                gain = impact - self._parent_impact.pop(key, 0.0)
+                parent = freeze_key(meta["parent_key"])
+                gain = impact - out.impact_by_key.get(parent, 0.0)
                 if gain > 0:
                     stats.total_gain += gain
                     stats.improvements += 1
@@ -226,7 +217,7 @@ class CampaignView:
             out.failure_kinds[kind] = out.failure_kinds.get(kind, 0) + 1
         elif type_name == "CheckpointWritten":
             out.checkpoints += 1
-        elif type_name not in ("ImpactAbsorbed",):
+        elif type_name not in ("ImpactAbsorbed", "ParentSelected", "MutationApplied"):
             raise SchemaError(f"unknown event type: {type_name!r}")
 
     def mark_torn_tail(self) -> None:
@@ -282,6 +273,9 @@ class CampaignView:
                 out.lineage_complete = False
                 out.lineage_break = "ancestry not in this stream (resumed campaign?)"
                 break
+            parent = freeze_key(meta["parent_key"])
+            coords = out.coords_by_key.get(key, {})
+            parent_coords = out.coords_by_key.get(parent, coords)
             chain.append(
                 LineageStep(
                     key=key,
@@ -290,11 +284,13 @@ class CampaignView:
                     mutate_distance=float(meta["mutate_distance"]),
                     test_index=out.test_index_by_key.get(key),
                     impact=out.impact_by_key.get(key),
-                    changed=list(self._changed_by_child.get(key, [])),
-                    coords=out.coords_by_key.get(key, {}),
+                    changed=sorted(
+                        name for name, pos in coords.items() if parent_coords.get(name) != pos
+                    ),
+                    coords=coords,
                 )
             )
-            key = freeze_key(meta["parent_key"])
+            key = parent
         out.lineage = list(reversed(chain))
 
 

@@ -262,6 +262,35 @@ def test_explain_json_reads_a_random_campaign(tmp_path, capsys):
     impacts = [result["impact"] for result in json.loads(out.read_text())["results"]]
     assert document["campaign"]["tests"] == 4
     assert document["best"]["impact"] == max(impacts)
+    # Every shot was published as generated: all four are random shots,
+    # and the best one is its own complete, one-step lineage.
+    assert document["random_generated"] == 4 and document["plugins"] == {}
+    assert document["lineage_complete"] and document["lineage_break"] is None
+    assert [step["origin"] for step in document["lineage"]] == ["random"]
+
+
+def test_explain_follows_an_annealing_walk_to_its_random_root(tmp_path, capsys):
+    """Each annealing step names the walker it mutated (``parent_key``), so
+    the best scenario's lineage runs back through the walk, and each step's
+    gain is over its own parent, not over zero."""
+    stream = tmp_path / "campaign.jsonl"
+    assert main(
+        ["campaign", "--strategy", "annealing", "--tools", "mac", "--budget", "3",
+         "--seed", "2", "--telemetry", str(stream)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["explain", str(stream), "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    lineage = document["lineage"]
+    assert document["lineage_complete"] and len(lineage) >= 2
+    assert lineage[0]["origin"] == "random" and lineage[0]["changed"] == []
+    for parent, child in zip(lineage, lineage[1:]):
+        assert child["origin"] == "mutation" and child["plugin"] == "mac_corruption"
+        assert child["changed"] == ["mac_mask_gray"]
+        assert child["coords"] != parent["coords"]
+    stats = document["plugins"]["mac_corruption"]
+    assert document["random_generated"] == 1 and stats["generated"] == 2
+    assert stats["total_gain"] == pytest.approx(lineage[-1]["impact"] - lineage[0]["impact"])
 
 
 def test_campaign_telemetry_then_explain(tmp_path, capsys):
